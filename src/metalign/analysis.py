@@ -65,7 +65,6 @@ class MetricsRecord:
     beta: list[float]
     source_acc: Optional[float] = None
     target_acc: Optional[float] = None
-    wallclock_ms: Optional[float] = None
 
     def to_json(self) -> str:
         # floats go through repr (shortest exact round-trip form)

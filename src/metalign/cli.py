@@ -14,9 +14,9 @@ import os
 import sys
 from typing import Optional
 
-from . import analysis, nn, runner
+from . import analysis, runner
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_config
 from .data import CsvFormatError
 from .gradcheck import format_report, run_gradcheck
 
@@ -78,12 +78,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """The architecture comes from the checkpoint's config, the data from args.config."""
     try:
         cfg = load_config(args.config)
         params, meta = load_checkpoint(args.checkpoint)
         src, tgt = runner.build_datasets(cfg)
-        bundle = rebuild_bundle(meta)
-        for pid, arr in bundle.all_params().items():
+        bundle, _ = runner.build_bundle(parse_config(meta["config"]),
+                                        meta["input_dim"], meta["num_classes"],
+                                        init_seed=0)
+        target = bundle.all_params()
+        for pid in sorted(set(params) | set(target)):
+            got = params[pid].shape if pid in params else "missing"
+            want = target[pid].shape if pid in target else "missing"
+            if got != want:
+                raise CheckpointError(
+                    f"checkpoint parameter {pid!r} is {got}, its model's is {want}")
+        for pid, arr in target.items():
             arr[...] = params[pid]
     except (ConfigError, CsvFormatError, CheckpointError, ValueError) as e:
         kind = "checkpoint" if isinstance(e, CheckpointError) else "config"
@@ -94,28 +104,6 @@ def cmd_eval(args) -> int:
     }
     print(json.dumps(result))
     return EXIT_OK
-
-
-def rebuild_bundle(meta: dict) -> nn.ModelBundle:
-    """Reconstruct the model skeleton a checkpoint describes."""
-    mc = meta["model"]
-    vc = meta["variant"]
-    extractor = nn.FeatureExtractor([meta["input_dim"], *mc["hidden"]],
-                                    activation=mc["activation"])
-    classifier = nn.ClassifierHead(extractor.out_dim, meta["num_classes"],
-                                   hidden=mc["classifier_hidden"],
-                                   activation=mc["activation"])
-    discriminator = None
-    if vc["name"] in ("dann", "dannpe"):
-        in_dim = (meta["num_classes"] if vc["name"] == "dannpe"
-                  else extractor.out_dim)
-        discriminator = nn.DomainDiscriminator(in_dim, hidden=mc["disc_hidden"],
-                                               dropout=mc["dropout"])
-    groups = nn.group_params(extractor, mc["groups"])
-    return nn.ModelBundle(
-        extractor=extractor, classifier=classifier, discriminator=discriminator,
-        group_weights=nn.GroupWeights.init(mc["groups"], meta["budget"]),
-        groups=groups)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import losses
@@ -14,15 +14,6 @@ from .optim import ROLE_POLICIES
 
 class ConfigError(ValueError):
     """Schema violation; the message names the offending field."""
-
-
-PRESETS = {
-    # meta learning rate ten times the base learning rate
-    "alpha_10x": lambda doc: doc["optimizer"].__setitem__(
-        "meta_lr", 10.0 * doc["optimizer"].get("lr", 0.01)),
-    # four layer groups for the shared extractor
-    "four_groups": lambda doc: doc["model"].__setitem__("groups", 4),
-}
 
 
 def _section(doc: dict, name: str, schema: dict[str, Any], required: tuple = ()) -> dict:
@@ -89,22 +80,16 @@ class TrainConfig:
     eval_every: int
     out_dir: str
     standardize: bool
-    record_timing: bool
     dataset: DatasetConfig
     model: ModelConfig
     variant: VariantConfig
     optimizer: OptimizerConfig
     strategy: StrategyConfig
-    config_hash: str = ""
     raw: dict = field(default_factory=dict, repr=False)
-
-    def with_seed(self, seed: int) -> "TrainConfig":
-        return replace(self, seed=seed)
 
 
 TOP_KEYS = {"seed", "iterations", "batch_size", "eval_every", "out_dir",
-            "standardize", "record_timing", "presets",
-            "dataset", "model", "variant", "optimizer", "strategy"}
+            "standardize", "dataset", "model", "variant", "optimizer", "strategy"}
 
 GENERATORS = ("two_moons", "gaussian_shift")
 
@@ -131,13 +116,7 @@ def parse_config(doc: dict) -> TrainConfig:
         if key not in doc:
             raise ConfigError(f"missing required key {key}")
 
-    doc = json.loads(json.dumps(doc))  # private copy; presets mutate it
-    doc.setdefault("optimizer", {})
-    doc.setdefault("model", {})
-    for name in doc.get("presets", []):
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}")
-        PRESETS[name](doc)
+    doc = json.loads(json.dumps(doc))  # private copy, kept as cfg.raw
 
     ds = _section(doc, "dataset", _DATASET_KEYS)
     ds_given = set(doc.get("dataset", {}))
@@ -218,10 +197,8 @@ def parse_config(doc: dict) -> TrainConfig:
         batch_size=int(doc["batch_size"]), eval_every=eval_every,
         out_dir=str(doc.get("out_dir", "runs/run")),
         standardize=bool(doc.get("standardize", True)),
-        record_timing=bool(doc.get("record_timing", False)),
         dataset=dataset, model=model, variant=variant,
-        optimizer=optimizer, strategy=strategy,
-        config_hash=config_hash(doc), raw=doc)
+        optimizer=optimizer, strategy=strategy, raw=doc)
 
 
 def load_config(path: str) -> TrainConfig:

@@ -66,11 +66,6 @@ class MLP:
             out.update(layer.params())
         return out
 
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        for layer in self.layers:
-            layer.weight[...] = values[layer.weight_id]
-            layer.bias[...] = values[layer.bias_id]
-
     def forward(self, x: Tensor, override: Optional[dict[str, Tensor]] = None) -> Tensor:
         act = _ACTIVATIONS[self.activation]
         out = x
@@ -129,9 +124,6 @@ class DomainDiscriminator:
 
     def params(self) -> dict[str, np.ndarray]:
         return self.net.params()
-
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        self.net.set_params(values)
 
     def forward(self, z: Tensor, override: Optional[dict[str, Tensor]] = None,
                 dropout_rng: Optional[np.random.Generator] = None) -> Tensor:

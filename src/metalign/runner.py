@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 from dataclasses import replace
 from typing import Optional
 
@@ -117,7 +116,7 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
     batches = data.batch_iter(src, tgt, cfg.batch_size,
                               seed=derive_seed(cfg.seed, 2), epochs=epochs)
 
-    run_hash = config_hash({**cfg.raw, "seed": cfg.seed})
+    run_doc = {**cfg.raw, "seed": cfg.seed}
     records: list[analysis.MetricsRecord] = []
     aborted = False
     steps_done = 0
@@ -128,7 +127,6 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
             batch = next(batches)
             if it == 0:
                 resolve_sigma(bundle, variant, batch)
-            t0 = time.perf_counter() if cfg.record_timing else None
             try:
                 if cfg.strategy.kind == "joint":
                     report = optim.joint_step(bundle, batch, variant, state,
@@ -154,8 +152,6 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
                                                    bundle.classifier, src)
                 rec.target_acc = analysis.evaluate(bundle.extractor,
                                                    bundle.classifier, tgt)
-            if cfg.record_timing:
-                rec.wallclock_ms = (time.perf_counter() - t0) * 1e3
             analysis.record_metrics(sink, rec)
             records.append(rec)
 
@@ -169,7 +165,7 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
             break
 
     summary = {
-        "config_hash": run_hash,
+        "config_hash": config_hash(run_doc),
         "final_target_acc": final_acc,
         "mean_grad_cos": analysis.mean_grad_cos(records),
         "steps": steps_done,
@@ -179,17 +175,7 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
 
-    meta = {
-        "input_dim": src.dim,
-        "num_classes": src.num_classes,
-        "model": {"hidden": cfg.model.hidden, "groups": len(bundle.groups),
-                  "classifier_hidden": cfg.model.classifier_hidden,
-                  "disc_hidden": cfg.model.disc_hidden,
-                  "activation": cfg.model.activation, "dropout": cfg.model.dropout},
-        "variant": {"name": variant.name, "grl_lambda": variant.grl_lambda,
-                    "sigma": variant.sigma},
-        "budget": bundle.group_weights.budget,
-    }
+    meta = {"config": run_doc, "input_dim": src.dim, "num_classes": src.num_classes}
     save_checkpoint(os.path.join(out, "checkpoint.npz"), bundle.all_params(), meta)
     return summary
 
@@ -199,6 +185,9 @@ def run_sweep(cfg: TrainConfig, seeds: list[int],
     """Independent per-seed runs plus a mean/std aggregate over completions."""
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"seed {repeated[0]} is listed more than once")
     base = out_dir or cfg.out_dir
     per_seed: list[dict] = []
     aborted_seeds: list[int] = []

@@ -130,7 +130,7 @@ class TestMetricsStream:
         assert keys == ["iteration", "L_cls", "L_dom_cls", "L_dom", "L_beta",
                         "L_total", "grad_dot_total", "grad_cos",
                         "grad_dot_per_group", "beta", "source_acc",
-                        "target_acc", "wallclock_ms"]
+                        "target_acc"]
 
     def test_serialization_keeps_full_precision(self):
         # every float parses back to the identical double, i.e. at least 15

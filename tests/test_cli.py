@@ -1,4 +1,5 @@
 import copy
+import glob
 import json
 import os
 
@@ -7,8 +8,12 @@ import pytest
 
 from metalign.checkpoint import load_checkpoint, save_checkpoint, CheckpointError
 from metalign.cli import main
-from metalign.config import ConfigError, config_hash, parse_config
+from metalign.config import ConfigError, config_hash, load_config, parse_config
 from metalign.gradcheck import run_gradcheck
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def base_doc(tmp_path, **overrides):
@@ -68,15 +73,14 @@ class TestConfigParsing:
         doc["strategy"]["allow_zero_alpha"] = True
         parse_config(doc)  # explicitly allowed for equivalence tests
 
-    def test_presets(self, tmp_path):
-        doc = base_doc(tmp_path, presets=["alpha_10x"])
-        cfg = parse_config(doc)
-        assert cfg.optimizer.meta_lr == pytest.approx(10 * cfg.optimizer.lr)
-        doc = base_doc(tmp_path, presets=["four_groups"])
-        doc["model"]["hidden"] = [8, 8, 8, 8]
-        assert parse_config(doc).model.groups == 4
-        with pytest.raises(ConfigError, match="preset"):
-            parse_config(base_doc(tmp_path, presets=["nope"]))
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))),
+                             ids=os.path.basename)
+    def test_shipped_config_parses(self, path):
+        cfg = load_config(path)
+        if cfg.strategy.kind == "metaalign":
+            assert cfg.optimizer.meta_lr == 0.5
+        if cfg.variant.name == "dannpe":
+            assert cfg.model.groups == 4
 
     def test_hash_stable_under_key_reordering(self, tmp_path):
         doc = base_doc(tmp_path)
@@ -124,7 +128,8 @@ class TestCmdRun:
         assert summary["steps"] == 1
         assert not summary["aborted"]
         assert (tmp_path / "run" / "metrics.jsonl").exists()
-        assert (tmp_path / "run" / "checkpoint.npz").exists()
+        _, meta = load_checkpoint(str(tmp_path / "run" / "checkpoint.npz"))
+        assert config_hash(meta["config"]) == summary["config_hash"]
 
     def test_determinism_byte_identical_metrics(self, tmp_path):
         doc = base_doc(tmp_path, iterations=8)
@@ -218,21 +223,60 @@ class TestCmdSweep:
         cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
         assert main(["sweep", cfg, "--seeds", ""]) == 2
 
+    def test_repeated_seed_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--seeds", "1,2,1", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "seed 1 " in err["detail"]
+        assert not out.exists()
+
 
 class TestCmdEval:
-    def test_checkpoint_accuracy_matches_final_record(self, tmp_path, capsys):
+    @pytest.mark.parametrize("variant,activation,eval_hidden", [
+        ("dann", "relu", None), ("dannpe", "relu", None), ("mmd", "relu", None),
+        ("dann", "tanh", None), ("dann", "relu", [16]),
+    ], ids=["dann", "dannpe", "mmd", "tanh", "eval_config_hidden_16"])
+    def test_checkpoint_accuracy_matches_final_record(self, tmp_path, capsys,
+                                                      variant, activation,
+                                                      eval_hidden):
         doc = base_doc(tmp_path, iterations=6)
+        doc["variant"]["name"] = variant
+        doc["model"]["activation"] = activation
         cfg = write_config(tmp_path, doc)
         assert main(["run", cfg]) == 0
         capsys.readouterr()
         records = [json.loads(l) for l in
                    (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
         final = records[-1]
+        if eval_hidden is not None:
+            # the eval config only supplies data; the model comes from the checkpoint
+            doc["model"]["hidden"] = eval_hidden
+            cfg = write_config(tmp_path, doc, "eval.json")
         code = main(["eval", str(tmp_path / "run" / "checkpoint.npz"), cfg])
         assert code == 0
         got = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert got["target_acc"] == pytest.approx(final["target_acc"], abs=1e-15)
         assert got["source_acc"] == pytest.approx(final["source_acc"], abs=1e-15)
+
+    @pytest.mark.parametrize("damage", ["missing", "shape"])
+    def test_checkpoint_not_matching_its_model_rejected(self, tmp_path, capsys,
+                                                        damage):
+        cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
+        assert main(["run", cfg]) == 0
+        path = str(tmp_path / "run" / "checkpoint.npz")
+        params, meta = load_checkpoint(path)
+        if damage == "missing":
+            del params["G.l1.b"]
+        else:
+            params["G.l1.b"] = np.zeros(3)
+        save_checkpoint(path, params, meta)
+        capsys.readouterr()
+        assert main(["eval", path, cfg]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "checkpoint"
+        assert "G.l1.b" in err["detail"]
 
     def test_missing_checkpoint_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
