@@ -77,15 +77,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _checkpoint_bundle(meta: dict):
+    """The model a checkpoint was saved from, rebuilt from its stored config;
+    a missing or invalid stored config is a fault of the checkpoint."""
+    try:
+        cfg = parse_config(meta["config"])
+        bundle, _ = runner.build_bundle(cfg, meta["input_dim"], meta["num_classes"],
+                                        init_seed=0)
+    except KeyError as e:
+        raise CheckpointError(f"checkpoint meta block lacks {e.args[0]!r}") from None
+    except ConfigError as e:
+        raise CheckpointError(f"checkpoint config: {e}") from None
+    return bundle
+
+
 def cmd_eval(args) -> int:
     """The architecture comes from the checkpoint's config, the data from args.config."""
     try:
         cfg = load_config(args.config)
         params, meta = load_checkpoint(args.checkpoint)
         src, tgt = runner.build_datasets(cfg)
-        bundle, _ = runner.build_bundle(parse_config(meta["config"]),
-                                        meta["input_dim"], meta["num_classes"],
-                                        init_seed=0)
+        bundle = _checkpoint_bundle(meta)
         target = bundle.all_params()
         for pid in sorted(set(params) | set(target)):
             got = params[pid].shape if pid in params else "missing"

@@ -69,7 +69,6 @@ class OptimizerConfig:
 class StrategyConfig:
     kind: str
     role_policy: str
-    allow_zero_alpha: bool
 
 
 @dataclass
@@ -172,18 +171,14 @@ def parse_config(doc: dict) -> TrainConfig:
     if optimizer.budget is not None and not optimizer.budget > 0:
         raise ConfigError("optimizer.budget must be positive")
 
-    sc = _section(doc, "strategy", {
-        "kind": "joint", "role_policy": "alternate", "allow_zero_alpha": False})
+    sc = _section(doc, "strategy", {"kind": "joint", "role_policy": "alternate"})
     if sc["kind"] not in ("joint", "metaalign"):
         raise ConfigError(f"unknown strategy kind {sc['kind']!r}")
     if sc["role_policy"] not in ROLE_POLICIES:
         raise ConfigError(f"unknown role_policy {sc['role_policy']!r}")
-    strategy = StrategyConfig(kind=sc["kind"], role_policy=sc["role_policy"],
-                              allow_zero_alpha=bool(sc["allow_zero_alpha"]))
-    if (strategy.kind == "metaalign" and optimizer.meta_lr <= 0
-            and not strategy.allow_zero_alpha):
-        raise ConfigError("strategy.kind=metaalign requires optimizer.meta_lr > 0 "
-                          "(or strategy.allow_zero_alpha)")
+    strategy = StrategyConfig(kind=sc["kind"], role_policy=sc["role_policy"])
+    if strategy.kind == "metaalign" and optimizer.meta_lr <= 0:
+        raise ConfigError("strategy.kind=metaalign requires optimizer.meta_lr > 0")
 
     iterations = int(doc["iterations"])
     if iterations < 1:

@@ -15,8 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import analysis, losses, nn, optim
+from . import analysis, losses, nn, optim, runner
 from . import tensor as T
+from .config import parse_config
 from .data import PairedBatch
 from .losses import AlignmentVariant
 from .nn import ModelBundle
@@ -80,6 +81,26 @@ def scaled_error(analytic: GradientMap, fd: GradientMap) -> float:
     return worst
 
 
+def _fd_compare(name: str, analytic: GradientMap,
+                f: Callable[[dict[str, np.ndarray]], float],
+                params: dict[str, np.ndarray], tol: float = DEFAULT_TOL,
+                corrupt: Optional[str] = None) -> CheckResult:
+    """Score analytic gradients against central finite differences of f over
+    params; analytic may hold more ids than params."""
+    fd = finite_diff_grad(f, params, h=FD_H)
+    if corrupt == name:  # fault injection for the negative control
+        analytic = {pid: analytic[pid] * 1.01 + 1e-3 for pid in fd}
+    return CheckResult(name, scaled_error(analytic, fd), tol)
+
+
+def _exact(name: str, err: float, tol: float,
+           corrupt: Optional[str] = None) -> CheckResult:
+    """An exactness contract with its measured error."""
+    if corrupt == name:  # fault injection for the negative control
+        err += 1.0
+    return CheckResult(name, err, tol)
+
+
 def _fd_check(name: str, params: dict[str, np.ndarray],
               build: Callable[[dict[str, Tensor]], Tensor],
               tol: float = DEFAULT_TOL, corrupt: Optional[str] = None) -> CheckResult:
@@ -91,10 +112,7 @@ def _fd_check(name: str, params: dict[str, np.ndarray],
     def f(work: dict[str, np.ndarray]) -> float:
         return float(build({pid: Tensor(arr) for pid, arr in work.items()}).values)
 
-    fd = finite_diff_grad(f, params, h=FD_H)
-    if corrupt == name:  # fault injection for the negative control
-        analytic = {pid: g * 1.01 + 1e-3 for pid, g in analytic.items()}
-    return CheckResult(name, scaled_error(analytic, fd), tol)
+    return _fd_compare(name, analytic, f, params, tol, corrupt)
 
 
 def _rng_arr(rng, *shape, lo=-2.0, hi=2.0, away=0.0):
@@ -223,9 +241,7 @@ def _detach_check(rng, corrupt: Optional[str]) -> CheckResult:
     g2 = backward(T.reduce_sum(T.mul(T.detach(a_leaf), b_leaf)), ["a", "b"])
     err = max(err, float(np.max(np.abs(g2["a"]))))
     err = max(err, float(np.max(np.abs(g2["b"] - a))))
-    if corrupt == "detach":
-        err += 1.0
-    return CheckResult("detach", err, 0.0)
+    return _exact("detach", err, 0.0, corrupt)
 
 
 def _grl_check(rng, corrupt: Optional[str]) -> CheckResult:
@@ -255,9 +271,7 @@ def _grl_check(rng, corrupt: Optional[str]) -> CheckResult:
             worst = max(worst, float(np.max(np.abs(g_flip[pid] + lam * g_plain[pid]))))
         for pid in upper.param_ids:
             worst = max(worst, float(np.max(np.abs(g_flip[pid] - g_plain[pid]))))
-    if corrupt == "grl":
-        worst += 1.0
-    return CheckResult("grl", worst, 0.0)
+    return _exact("grl", worst, 0.0, corrupt)
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +279,22 @@ def _grl_check(rng, corrupt: Optional[str]) -> CheckResult:
 
 
 def random_bundle(rng, variant_name: str, d: int = 4, width: int = 8,
-                   num_classes: int = 3, num_groups: int = 2,
-                   activation: str = "relu") -> tuple[ModelBundle, AlignmentVariant]:
-    extractor = nn.FeatureExtractor([d, width, width], activation=activation)
-    classifier = nn.ClassifierHead(width, num_classes)
-    variant = AlignmentVariant(variant_name, grl_lambda=1.3,
-                               sigma=1.5 if variant_name == losses.MMD else None)
-    discriminator = None
-    if variant.adversarial:
-        in_dim = num_classes if variant_name == losses.DANNPE else width
-        discriminator = nn.DomainDiscriminator(in_dim, hidden=(8, 8))
-    bundle = ModelBundle(
-        extractor=extractor, classifier=classifier, discriminator=discriminator,
-        group_weights=nn.GroupWeights.init(num_groups),
-        groups=nn.group_params(extractor, num_groups))
-    nn.init_params(bundle, int(rng.integers(0, 2**31)))
+                  num_classes: int = 3, num_groups: int = 2,
+                  activation: str = "relu") -> tuple[ModelBundle, AlignmentVariant]:
+    # parse_config needs a dataset section; build_bundle never reads it
+    doc = {"seed": 0, "iterations": 1, "batch_size": 1,
+           "dataset": {"generator": "two_moons"},
+           "model": {"hidden": [width, width], "groups": num_groups,
+                     "disc_hidden": [8, 8], "activation": activation},
+           "variant": {"name": variant_name, "lambda": 1.3,
+                       "sigma": 1.5 if variant_name == losses.MMD else None}}
+    bundle, variant = runner.build_bundle(parse_config(doc), d, num_classes,
+                                          init_seed=int(rng.integers(0, 2**31)))
     # nonzero biases make the finite-difference surface less symmetric
-    for net in filter(None, [extractor, classifier,
-                             discriminator.net if discriminator else None]):
+    nets = [bundle.extractor, bundle.classifier]
+    if bundle.discriminator is not None:
+        nets.append(bundle.discriminator.net)
+    for net in nets:
         for layer in net.layers:
             layer.bias[...] = rng.uniform(-0.3, 0.3, size=layer.bias.shape)
     return bundle, variant
@@ -303,17 +315,6 @@ def _frozen_weights(bundle, batch, theta_override=None):
     ws = losses.entropy_weights(T.exp(T.log_softmax(bundle.classifier.forward(fs))))
     wt = losses.entropy_weights(T.exp(T.log_softmax(bundle.classifier.forward(ft))))
     return ws.values.copy(), wt.values.copy()
-
-
-def _align_eff_value(bundle, batch, variant, theta_override=None,
-                     weights_override=None) -> float:
-    """Effective alignment objective: what the shared parameters descend."""
-    scalar, info = optim._align_loss(bundle, batch, variant, None,
-                                     theta_override=theta_override,
-                                     weights_override=weights_override)
-    if variant.adversarial:
-        return variant.grl_lambda * info.dom
-    return float(scalar.values)
 
 
 def loss_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
@@ -347,54 +348,36 @@ def loss_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
                   if variant_name == losses.DANNPE else None)
 
         tape = Tape()
-        cls = optim._cls_loss(bundle, batch, tape)
         cls_ids = bundle.theta_ids + bundle.classifier.param_ids
-        analytic = backward(cls, cls_ids)
-        cls_params = {pid: arr for pid, arr in bundle.network_params().items()
-                      if pid in cls_ids}
-        fd = finite_diff_grad(
+        analytic = backward(optim._cls_loss(bundle, batch, tape), cls_ids)
+        out.append(_fd_compare(
+            f"cls_loss_{variant_name}", analytic,
             lambda _: float(optim._cls_loss(bundle, batch, None).values),
-            cls_params, h=FD_H)
-        if corrupt == f"cls_loss_{variant_name}":
-            analytic = {pid: g * 1.01 + 1e-3 for pid, g in analytic.items()}
-        out.append(CheckResult(f"cls_loss_{variant_name}",
-                               scaled_error(analytic, fd), DEFAULT_TOL))
+            {pid: arr for pid, arr in bundle.network_params().items()
+             if pid in cls_ids}, corrupt=corrupt))
 
         tape = Tape()
         align, _ = optim._align_loss(bundle, batch, variant, tape,
                                      weights_override=frozen)
         disc_ids = (bundle.discriminator.param_ids if variant.adversarial else [])
         analytic = backward(align, bundle.theta_ids + disc_ids)
-
-        theta_params = bundle.extractor.params()
-        fd_theta = finite_diff_grad(
-            lambda _: _align_eff_value(bundle, batch, variant,
-                                       weights_override=frozen),
-            theta_params, h=FD_H)
-        if corrupt == f"align_theta_{variant_name}":
-            analytic = {pid: g * 1.01 + 1e-3 for pid, g in analytic.items()}
-        out.append(CheckResult(
-            f"align_theta_{variant_name}",
-            scaled_error({pid: analytic[pid] for pid in theta_params}, fd_theta),
-            DEFAULT_TOL))
-
+        out.append(_fd_compare(
+            f"align_theta_{variant_name}", analytic,
+            lambda _: optim._task_value(bundle, batch, variant, optim.ALIGNMENT,
+                                        weights_override=frozen),
+            bundle.extractor.params(), corrupt=corrupt))
         if variant.adversarial:
-            disc_params = bundle.discriminator.params()
-
-            def f_disc(_):
-                scalar, _info = optim._align_loss(bundle, batch, variant, None,
-                                                  weights_override=frozen)
-                return float(scalar.values)
-
-            fd_disc = finite_diff_grad(f_disc, disc_params, h=FD_H)
-            out.append(CheckResult(
-                f"align_disc_{variant_name}",
-                scaled_error({pid: analytic[pid] for pid in disc_params}, fd_disc),
-                DEFAULT_TOL))
+            out.append(_fd_compare(
+                f"align_disc_{variant_name}", analytic,
+                lambda _: float(optim._align_loss(bundle, batch, variant, None,
+                                                  weights_override=frozen)[0].values),
+                bundle.discriminator.params(), corrupt=corrupt))
     return out
 
 
 def meta_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
+    """The meta step's theta and beta gradients against finite differences of
+    optim.meta_total_value, L(theta, beta) with g_train frozen."""
     rng = np.random.default_rng(seed + 2)
     out: list[CheckResult] = []
     alpha = 0.05
@@ -409,65 +392,30 @@ def meta_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
 
             frozen = None
             if variant_name == losses.DANNPE:
-                if role.meta_train == optim.ALIGNMENT:
-                    frozen = _frozen_weights(bundle, batch)
-                else:
-                    theta0 = bundle.extractor.params()
-                    prime0 = {}
-                    for m, group in enumerate(bundle.groups):
-                        for pid in group:
-                            prime0[pid] = Tensor(
-                                theta0[pid] - alpha * beta0[m] * g_train[pid])
-                    frozen = _frozen_weights(bundle, batch, theta_override=prime0)
+                # weights at the point where the alignment task is scored
+                at = None
+                if role.meta_test == optim.ALIGNMENT:
+                    at = optim.theta_prime(bundle.extractor.params(), g_train,
+                                           alpha, beta0, bundle.groups)
+                frozen = _frozen_weights(bundle, batch, theta_override=at)
 
-            # theta: FD of meta-train objective at theta plus meta-test at
-            # theta'(theta) with the inner gradient frozen
-            theta_params = bundle.extractor.params()
+            def total(beta):
+                return optim.meta_total_value(bundle, batch, variant, alpha, beta,
+                                              g_train, role, weights_override=frozen)
 
-            def f_theta(work):
-                prime = {}
-                for m, group in enumerate(bundle.groups):
-                    for pid in group:
-                        prime[pid] = Tensor(work[pid] - alpha * beta0[m] * g_train[pid])
-                if role.meta_train == optim.ALIGNMENT:
-                    a = _align_eff_value(bundle, batch, variant,
-                                         weights_override=frozen)
-                    c = float(optim._cls_loss(bundle, batch, None,
-                                              theta_override=prime).values)
-                else:
-                    a = _align_eff_value(bundle, batch, variant,
-                                         theta_override=prime,
-                                         weights_override=frozen)
-                    c = float(optim._cls_loss(bundle, batch, None).values)
-                return a + c
-
-            fd = finite_diff_grad(f_theta, theta_params, h=FD_H)
-            analytic = {pid: applied[pid] for pid in theta_params}
-            if corrupt == f"meta_theta_{tag}":
-                analytic = {pid: g * 1.01 + 1e-3 for pid, g in analytic.items()}
-            out.append(CheckResult(f"meta_theta_{tag}",
-                                   scaled_error(analytic, fd), DEFAULT_TOL))
-
-            # beta: FD of L_total(beta) with g_train frozen
-            def f_beta(work):
-                return optim.meta_total_value(bundle, batch, variant, alpha,
-                                              work["beta"], g_train, role,
-                                              weights_override=frozen)
-
-            fd_b = finite_diff_grad(f_beta, {"beta": beta0.copy()}, h=FD_H)
-            analytic_b = {"beta": applied["beta"]}
-            if corrupt == f"meta_beta_{tag}":
-                analytic_b = {"beta": applied["beta"] * 1.01 + 1e-3}
-            out.append(CheckResult(f"meta_beta_{tag}",
-                                   scaled_error(analytic_b, fd_b), BETA_TOL))
+            out.append(_fd_compare(f"meta_theta_{tag}", applied,
+                                   lambda _: total(beta0),
+                                   bundle.extractor.params(), corrupt=corrupt))
+            out.append(_fd_compare(f"meta_beta_{tag}", applied,
+                                   lambda p: total(p["beta"]),
+                                   {"beta": beta0.copy()}, BETA_TOL, corrupt))
 
             # bookkeeping: applied beta gradient reproduces the closed form
             sign = float(np.sign(beta0.sum() - bundle.group_weights.budget))
             closed = np.array([-alpha * d + sign for d in report.grad_dot_per_group])
-            exact = float(np.max(np.abs(applied["beta"] - closed)))
-            if corrupt == f"meta_beta_closed_form_{tag}":
-                exact += 1.0
-            out.append(CheckResult(f"meta_beta_closed_form_{tag}", exact, 0.0))
+            out.append(_exact(f"meta_beta_closed_form_{tag}",
+                              float(np.max(np.abs(applied["beta"] - closed))),
+                              0.0, corrupt))
     return out
 
 
@@ -506,11 +454,10 @@ def toy_checks(corrupt: Optional[str] = None) -> list[CheckResult]:
     out = []
     for alpha in (0.01, 0.1, 0.5):
         r = quadratic_toy(alpha)
-        theta_err, beta_err = r["theta_err"], r["beta_err"]
-        if corrupt == "quadratic_toy":
-            theta_err += 1.0
-        out.append(CheckResult(f"toy_theta_alpha_{alpha}", theta_err, EXACT_TOL))
-        out.append(CheckResult(f"toy_beta_alpha_{alpha}", beta_err, EXACT_TOL))
+        out.append(_exact(f"toy_theta_alpha_{alpha}", r["theta_err"], EXACT_TOL,
+                          corrupt))
+        out.append(_exact(f"toy_beta_alpha_{alpha}", r["beta_err"], EXACT_TOL,
+                          corrupt))
     return out
 
 
@@ -532,11 +479,12 @@ def taylor_residuals(seed: int = 0) -> list[TaylorRow]:
     dot, _, _ = analysis.grad_dot(g_cls, g_dom, bundle.groups)
 
     theta = bundle.extractor.params()
+    unit = np.ones(len(bundle.groups))
     rows: list[TaylorRow] = []
     alpha = TAYLOR_ALPHA_MAX
     prev: Optional[float] = None
     while alpha >= TAYLOR_ALPHA_MIN / 2:
-        prime = {pid: Tensor(arr - alpha * g_dom[pid]) for pid, arr in theta.items()}
+        prime = optim.theta_prime(theta, g_dom, alpha, unit, bundle.groups)
         moved = float(optim._cls_loss(bundle, batch, None,
                                       theta_override=prime).values)
         resid = abs(moved - base + alpha * dot)

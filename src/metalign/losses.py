@@ -131,9 +131,8 @@ def mmd2_rbf(fs: Tensor, ft: Tensor, sigma: float) -> Tensor:
 def median_sq_dist(fs: np.ndarray, ft: np.ndarray) -> float:
     """Median heuristic bandwidth: median pairwise squared distance over the
     pooled batch, off-diagonal pairs only."""
-    pooled = np.concatenate([fs, ft], axis=0)
-    diff = pooled[:, None, :] - pooled[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    pooled = Tensor(np.concatenate([fs, ft], axis=0))
+    sq = T.pairwise_sqdist(pooled, pooled).values
     vals = sq[~np.eye(sq.shape[0], dtype=bool)]
     med = float(np.median(vals))
     return med if med > 0.0 else 1.0

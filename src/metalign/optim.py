@@ -133,6 +133,14 @@ def virtual_update(tape: Tape, theta: dict[str, np.ndarray], g_train: GradientMa
     return out
 
 
+def theta_prime(theta: dict[str, np.ndarray], g_train: GradientMap, alpha: float,
+                beta_values: np.ndarray,
+                groups: list[list[str]]) -> dict[str, Tensor]:
+    """theta'_m = theta_m - alpha * beta_m * g_m as plain values (no tape)."""
+    return {pid: Tensor(theta[pid] - alpha * beta_values[m] * g_train[pid])
+            for m, group in enumerate(groups) for pid in group}
+
+
 # ---------------------------------------------------------------------------
 # loss builders shared by both step kinds (tape=None gives a plain forward)
 
@@ -161,6 +169,34 @@ def _align_loss(bundle: ModelBundle, batch, variant: AlignmentVariant,
                                  discriminator=bundle.discriminator,
                                  dropout_rng=dropout_rng,
                                  weights_override=weights_override)
+
+
+def _task_loss(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str,
+               tape: Optional[Tape],
+               theta_override: Optional[dict[str, Tensor]] = None,
+               dropout_rng=None, weights_override=None,
+               ) -> tuple[Tensor, Optional[AlignmentInfo]]:
+    """The loss of one task; the alignment info is None for classification."""
+    if task == CLASSIFICATION:
+        return _cls_loss(bundle, batch, tape, theta_override), None
+    return _align_loss(bundle, batch, variant, tape, theta_override,
+                       dropout_rng=dropout_rng, weights_override=weights_override)
+
+
+def _task_value(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str,
+                theta_override: Optional[dict[str, Tensor]] = None,
+                weights_override=None) -> float:
+    """Forward-only value of the objective the shared parameters descend.
+
+    For an adversarial alignment task that is the effective objective
+    lambda * (-L_dom_cls), which the gradient reversal turns the discriminator
+    BCE into; otherwise it is the task's loss.
+    """
+    loss, info = _task_loss(bundle, batch, variant, task, None, theta_override,
+                            weights_override=weights_override)
+    if info is not None and variant.adversarial:
+        return variant.grl_lambda * info.dom
+    return float(loss.values)
 
 
 def _check_finite(report_values: dict[str, float], grads: GradientMap) -> None:
@@ -252,25 +288,18 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
     gw = bundle.group_weights
 
     tape1 = Tape()
-    info: Optional[AlignmentInfo] = None
-    if role.meta_train == ALIGNMENT:
-        train_loss, info = _align_loss(bundle, batch, variant, tape1,
-                                       dropout_rng=dropout_rng)
-    else:
-        train_loss = _cls_loss(bundle, batch, tape1)
+    train_loss, train_info = _task_loss(bundle, batch, variant, role.meta_train,
+                                        tape1, dropout_rng=dropout_rng)
     extra1 = _task_param_ids(bundle, role.meta_train, variant)
     g1 = backward(train_loss, theta_ids + extra1)
     g_train = {pid: g1[pid] for pid in theta_ids}
 
     tape2 = Tape()
     beta_leaf = tape2.param(gw.beta, gw.param_id)
-    theta_prime = virtual_update(tape2, bundle.extractor.params(), g_train,
-                                 alpha, beta_leaf, bundle.groups)
-    if role.meta_train == ALIGNMENT:
-        test_loss = _cls_loss(bundle, batch, tape2, theta_override=theta_prime)
-    else:
-        test_loss, info = _align_loss(bundle, batch, variant, tape2,
-                                      theta_override=theta_prime,
+    prime = virtual_update(tape2, bundle.extractor.params(), g_train,
+                           alpha, beta_leaf, bundle.groups)
+    test_loss, test_info = _task_loss(bundle, batch, variant, role.meta_test,
+                                      tape2, theta_override=prime,
                                       dropout_rng=dropout_rng)
     extra2 = _task_param_ids(bundle, role.meta_test, variant)
     l_beta_t = losses.beta_penalty(beta_leaf, gw.budget)
@@ -287,15 +316,15 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
         applied[pid] = g2[pid]
     applied[gw.param_id] = g2[gw.param_id]
 
-    if role.meta_train == ALIGNMENT:
-        l_cls, l_dom = float(test_loss.values), info.dom
-    else:
-        l_cls, l_dom = float(train_loss.values), info.dom
+    by_task = {role.meta_train: (train_loss, train_info),
+               role.meta_test: (test_loss, test_info)}
+    l_cls = float(by_task[CLASSIFICATION][0].values)
+    info = by_task[ALIGNMENT][1]
     l_beta = float(l_beta_t.values)
 
     report = StepReport(
-        L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=l_dom, L_beta=l_beta,
-        L_total=l_cls + l_dom + l_beta,
+        L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,
+        L_total=l_cls + info.dom + l_beta,
         grad_dot_per_group=per_group, grad_dot_total=total_dot, grad_cos=cos,
         beta=gw.beta.tolist(), clamped=info.clamped)
     return applied, report, g_train
@@ -317,32 +346,20 @@ def meta_total_value(bundle: ModelBundle, batch, variant: AlignmentVariant,
                      alpha: float, beta_values: np.ndarray,
                      g_train: GradientMap, role: Role,
                      weights_override=None) -> float:
-    """Forward-only L_total as a function of beta, with g_train frozen.
+    """Forward-only L(theta, beta) = L_train(theta) + L_test(theta') + |sum(beta) - B|,
+    with theta' built from the frozen g_train.
 
-    This is the function whose beta-derivative the meta-step's beta gradient
-    must match; finite-difference tests differentiate it directly. For an
-    adversarial meta-test the beta-dependent term is the effective alignment
-    objective lambda * (-L_dom_cls): that is what the shared parameters (and
-    hence beta) descend once the gradient reversal flips the sign.
+    This is the function whose derivatives the meta step's theta and beta
+    gradients must match; finite-difference checks differentiate it directly,
+    over theta (reading the live extractor parameters) or over beta. Each task
+    contributes the objective the shared parameters descend (_task_value).
     """
     beta_values = np.asarray(beta_values, dtype=np.float64)
-    theta = bundle.extractor.params()
-    theta_prime: dict[str, Tensor] = {}
-    for m, group in enumerate(bundle.groups):
-        for pid in group:
-            theta_prime[pid] = Tensor(theta[pid] - alpha * beta_values[m] * g_train[pid])
-
-    if role.meta_train == ALIGNMENT:
-        train_val = float(_align_loss(bundle, batch, variant, None)[0].values)
-        test_val = float(_cls_loss(bundle, batch, None, theta_override=theta_prime).values)
-    else:
-        train_val = float(_cls_loss(bundle, batch, None).values)
-        scalar, info = _align_loss(bundle, batch, variant, None,
-                                   theta_override=theta_prime,
-                                   weights_override=weights_override)
-        if variant.adversarial:
-            test_val = variant.grl_lambda * info.dom
-        else:
-            test_val = float(scalar.values)
+    prime = theta_prime(bundle.extractor.params(), g_train, alpha, beta_values,
+                        bundle.groups)
+    train_val = _task_value(bundle, batch, variant, role.meta_train,
+                            weights_override=weights_override)
+    test_val = _task_value(bundle, batch, variant, role.meta_test,
+                           theta_override=prime, weights_override=weights_override)
     budget = bundle.group_weights.budget
     return train_val + test_val + abs(float(beta_values.sum()) - budget)

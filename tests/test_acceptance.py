@@ -5,6 +5,7 @@ import copy
 import itertools
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -21,6 +22,8 @@ from metalign.optim import ALIGNMENT, CLASSIFICATION, Role, joint_grads, \
 from metalign.tensor import Tensor, finite_diff_grad
 
 SEEDS = list(range(1, 11))
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def _double_loop_mmd(fs, ft, sigma):
@@ -148,8 +151,10 @@ def test_criterion_6_quadratic_scalar_toy():
 def moons_sweeps(tmp_path_factory):
     """The directional experiment: four arms over a common seed list."""
     base = tmp_path_factory.mktemp("moons")
-    joint_cfg = load_config("configs/moons_dann_joint.json")
-    meta_doc = json.load(open("configs/moons_dann_metaalign.json"))
+    joint_cfg = load_config(os.path.join(CONFIGS, "moons_dann_joint.json"))
+    with open(os.path.join(CONFIGS, "moons_dann_metaalign.json"),
+              encoding="utf-8") as fh:
+        meta_doc = json.load(fh)
 
     t0 = time.perf_counter()
     out = {"joint": runner.run_sweep(joint_cfg, SEEDS, str(base / "joint"))}
@@ -200,7 +205,7 @@ def test_criterion_8_role_swap_near_equivalence(moons_sweeps):
 
 
 def test_criterion_9_determinism(tmp_path):
-    cfg = load_config("configs/moons_dann_metaalign.json")
+    cfg = load_config(os.path.join(CONFIGS, "moons_dann_metaalign.json"))
     import dataclasses
     cfg = dataclasses.replace(cfg, iterations=25)
     runner.run_training(cfg, str(tmp_path / "a"))

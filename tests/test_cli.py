@@ -2,6 +2,7 @@ import copy
 import glob
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from metalign.checkpoint import load_checkpoint, save_checkpoint, CheckpointErro
 from metalign.cli import main
 from metalign.config import ConfigError, config_hash, load_config, parse_config
 from metalign.gradcheck import run_gradcheck
+from metalign.runner import run_training
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -70,8 +72,6 @@ class TestConfigParsing:
         doc["optimizer"]["meta_lr"] = 0.0
         with pytest.raises(ConfigError, match="meta_lr"):
             parse_config(doc)
-        doc["strategy"]["allow_zero_alpha"] = True
-        parse_config(doc)  # explicitly allowed for equivalence tests
 
     @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))),
                              ids=os.path.basename)
@@ -169,13 +169,14 @@ class TestCmdRun:
     def test_alpha_zero_metaalign_matches_joint_trajectories(self, tmp_path):
         doc = base_doc(tmp_path, iterations=10)
         joint_path = write_config(tmp_path, doc, "joint.json")
-        meta_doc = copy.deepcopy(doc)
-        meta_doc["strategy"] = {"kind": "metaalign", "role_policy": "alternate",
-                                "allow_zero_alpha": True}
-        meta_doc["optimizer"]["meta_lr"] = 0.0
-        meta_path = write_config(tmp_path, meta_doc, "meta.json")
         assert main(["run", joint_path, "--out", str(tmp_path / "j")]) == 0
-        assert main(["run", meta_path, "--out", str(tmp_path / "m")]) == 0
+        # a config cannot ask for alpha = 0; the meta arm sets it directly
+        meta_doc = copy.deepcopy(doc)
+        meta_doc["strategy"] = {"kind": "metaalign", "role_policy": "alternate"}
+        cfg = parse_config(meta_doc)
+        cfg = replace(cfg, optimizer=replace(cfg.optimizer, meta_lr=0.0))
+        summary = run_training(cfg, str(tmp_path / "m"))
+        assert not summary["aborted"]
 
         # final parameters identical within 1e-12
         pj, _ = load_checkpoint(str(tmp_path / "j" / "checkpoint.npz"))
@@ -260,23 +261,30 @@ class TestCmdEval:
         assert got["target_acc"] == pytest.approx(final["target_acc"], abs=1e-15)
         assert got["source_acc"] == pytest.approx(final["source_acc"], abs=1e-15)
 
-    @pytest.mark.parametrize("damage", ["missing", "shape"])
+    @pytest.mark.parametrize("damage,named", [
+        ("missing", "G.l1.b"), ("shape", "G.l1.b"),
+        ("no_config", "config"), ("bad_config", "iteractions"),
+    ], ids=["missing", "shape", "no_config", "bad_config"])
     def test_checkpoint_not_matching_its_model_rejected(self, tmp_path, capsys,
-                                                        damage):
+                                                        damage, named):
         cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
         assert main(["run", cfg]) == 0
         path = str(tmp_path / "run" / "checkpoint.npz")
         params, meta = load_checkpoint(path)
         if damage == "missing":
             del params["G.l1.b"]
-        else:
+        elif damage == "shape":
             params["G.l1.b"] = np.zeros(3)
+        elif damage == "no_config":
+            del meta["config"]
+        else:
+            meta["config"]["iteractions"] = 5
         save_checkpoint(path, params, meta)
         capsys.readouterr()
         assert main(["eval", path, cfg]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "checkpoint"
-        assert "G.l1.b" in err["detail"]
+        assert named in err["detail"]
 
     def test_missing_checkpoint_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
@@ -317,3 +325,11 @@ class TestCmdGradcheck:
         report = run_gradcheck(seed=0, corrupt="meta_beta_dann_alignment")
         assert not report.ok
         assert "meta_beta_dann_alignment" in report.failing()
+
+    @pytest.mark.parametrize("check", [
+        "matmul", "detach", "grl", "mmd2_rbf", "cls_loss_mmd", "align_disc_dann",
+        "meta_theta_dannpe_classification", "meta_beta_closed_form_mmd_alignment",
+        "toy_beta_alpha_0.1",
+    ])
+    def test_negative_control_fails_only_its_check(self, check):
+        assert run_gradcheck(seed=0, corrupt=check).failing() == [check]
