@@ -30,11 +30,19 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
     if "__meta__" not in archive:
         raise CheckpointError(f"corrupt checkpoint {path}: missing meta block")
-    meta = json.loads(str(archive["__meta__"]))
+    try:
+        meta = json.loads(str(archive["__meta__"]))
+    except ValueError as e:
+        raise CheckpointError(f"corrupt checkpoint {path}: meta block: {e}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"corrupt checkpoint {path}: meta block is not an object")
     if meta.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
+    shapes = meta.get("param_shapes")
+    if not isinstance(shapes, dict):
+        raise CheckpointError(f"corrupt checkpoint {path}: meta block lacks param_shapes")
     params = {pid: archive[pid] for pid in archive.files if pid != "__meta__"}
-    for pid, shape in meta["param_shapes"].items():
+    for pid, shape in shapes.items():
         if pid not in params or list(params[pid].shape) != shape:
             raise CheckpointError(f"corrupt checkpoint {path}: bad entry {pid!r}")
     return params, meta

@@ -46,7 +46,6 @@ class ModelConfig:
     classifier_hidden: list[int]
     disc_hidden: list[int]
     activation: str
-    dropout: float
 
 
 @dataclass
@@ -143,11 +142,11 @@ def parse_config(doc: dict) -> TrainConfig:
 
     mc = _section(doc, "model", {
         "hidden": [64, 64], "groups": None, "classifier_hidden": [],
-        "disc_hidden": [64, 64], "activation": "relu", "dropout": 0.0})
+        "disc_hidden": [64, 64], "activation": "relu"})
     model = ModelConfig(hidden=list(mc["hidden"]), groups=mc["groups"],
                         classifier_hidden=list(mc["classifier_hidden"]),
                         disc_hidden=list(mc["disc_hidden"]),
-                        activation=mc["activation"], dropout=float(mc["dropout"]))
+                        activation=mc["activation"])
     if not model.hidden:
         raise ConfigError("model.hidden must list at least one layer width")
     if model.groups is not None and model.groups < 1:

@@ -407,14 +407,14 @@ def meta_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
                                    lambda _: total(beta0),
                                    bundle.extractor.params(), corrupt=corrupt))
             out.append(_fd_compare(f"meta_beta_{tag}", applied,
-                                   lambda p: total(p["beta"]),
-                                   {"beta": beta0.copy()}, BETA_TOL, corrupt))
+                                   lambda p: total(p[nn.BETA_ID]),
+                                   {nn.BETA_ID: beta0.copy()}, BETA_TOL, corrupt))
 
             # bookkeeping: applied beta gradient reproduces the closed form
             sign = float(np.sign(beta0.sum() - bundle.group_weights.budget))
             closed = np.array([-alpha * d + sign for d in report.grad_dot_per_group])
             out.append(_exact(f"meta_beta_closed_form_{tag}",
-                              float(np.max(np.abs(applied["beta"] - closed))),
+                              float(np.max(np.abs(applied[nn.BETA_ID] - closed))),
                               0.0, corrupt))
     return out
 

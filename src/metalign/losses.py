@@ -54,7 +54,7 @@ class AlignmentInfo:
 
     dom_cls: Optional[float]  # discriminator BCE; None for MMD
     dom: float                # alignment objective: -dom_cls, or mmd^2
-    clamped: bool = False
+    clamped: bool = False     # a discriminator output hit the EPS clamp
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -85,7 +85,7 @@ def domain_cls_loss(d_src: Tensor, d_tgt: Tensor,
 
     Optional nonnegative weights are normalized to mean one per domain batch
     and applied inside the means. Inputs are clamped to [EPS, 1-EPS] so the
-    loss stays finite; a clamp sets the "domain_output_clamped" tape flag.
+    loss stays finite.
     """
     term_s = _bce_term(d_src, w_src, true_side=True)
     term_t = _bce_term(d_tgt, w_tgt, true_side=False)
@@ -96,8 +96,6 @@ def _bce_term(d: Tensor, w: Optional[Tensor], true_side: bool) -> Tensor:
     if d.values.ndim != 2 or d.shape[1] != 1:
         raise ValueError(f"discriminator outputs must be n x 1, got {d.shape}")
     clamped = T.clip(d, EPS, 1.0 - EPS)
-    if clamped.tape is not None and np.any(clamped.values != d.values):
-        clamped.tape.flags.add("domain_output_clamped")
     inner = clamped if true_side else T.sub(_ones_like(clamped), clamped)
     ll = T.log(inner)
     if w is not None:
@@ -113,6 +111,11 @@ def _bce_term(d: Tensor, w: Optional[Tensor], true_side: bool) -> Tensor:
 
 def _ones_like(x: Tensor) -> Tensor:
     return Tensor(np.ones_like(x.values))
+
+
+def _is_clamped(d: Tensor) -> bool:
+    """Whether the clamp in domain_cls_loss changes any output (NaN counts)."""
+    return bool(np.any(np.clip(d.values, EPS, 1.0 - EPS) != d.values))
 
 
 def mmd2_rbf(fs: Tensor, ft: Tensor, sigma: float) -> Tensor:
@@ -147,7 +150,6 @@ def beta_penalty(beta: Tensor, budget: float) -> Tensor:
 def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
                    classifier: Optional[nn.ClassifierHead] = None,
                    discriminator: Optional[nn.DomainDiscriminator] = None,
-                   dropout_rng: Optional[np.random.Generator] = None,
                    weights_override: Optional[tuple[np.ndarray, np.ndarray]] = None,
                    ) -> tuple[Tensor, AlignmentInfo]:
     """Scalar alignment objective over source/target features.
@@ -183,9 +185,9 @@ def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
             w_tgt = entropy_weights(zt)
     else:
         zs, zt = fs, ft
-    d_src = discriminator.forward(nn.grl(zs, variant.grl_lambda), dropout_rng=dropout_rng)
-    d_tgt = discriminator.forward(nn.grl(zt, variant.grl_lambda), dropout_rng=dropout_rng)
+    d_src = discriminator.forward(nn.grl(zs, variant.grl_lambda))
+    d_tgt = discriminator.forward(nn.grl(zt, variant.grl_lambda))
     loss = domain_cls_loss(d_src, d_tgt, w_src, w_tgt)
     dom_cls = float(loss.values)
-    clamped = loss.tape is not None and "domain_output_clamped" in loss.tape.flags
+    clamped = _is_clamped(d_src) or _is_clamped(d_tgt)
     return loss, AlignmentInfo(dom_cls=dom_cls, dom=-dom_cls, clamped=clamped)

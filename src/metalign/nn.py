@@ -103,19 +103,11 @@ class ClassifierHead(MLP):
 
 
 class DomainDiscriminator:
-    """Three fully connected layers with ReLU, sigmoid output in (0, 1).
+    """Three fully connected layers with ReLU, sigmoid output in (0, 1)."""
 
-    Dropout (seeded, inverted scaling) is off by default; it is only useful
-    for stability experiments and breaks finite-difference determinism.
-    """
-
-    def __init__(self, in_dim: int, hidden: Sequence[int] = (64, 64),
-                 dropout: float = 0.0) -> None:
+    def __init__(self, in_dim: int, hidden: Sequence[int] = (64, 64)) -> None:
         if len(hidden) != 2:
             raise ValueError("discriminator uses exactly two hidden widths")
-        if not (0.0 <= dropout < 1.0):
-            raise ValueError(f"dropout must be in [0, 1), got {dropout}")
-        self.dropout = float(dropout)
         self.net = MLP([in_dim, hidden[0], hidden[1], 1], "D", activation="relu")
 
     @property
@@ -125,22 +117,16 @@ class DomainDiscriminator:
     def params(self) -> dict[str, np.ndarray]:
         return self.net.params()
 
-    def forward(self, z: Tensor, override: Optional[dict[str, Tensor]] = None,
-                dropout_rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, z: Tensor, override: Optional[dict[str, Tensor]] = None) -> Tensor:
         if z.values.ndim != 2 or z.shape[1] != self.net.widths[0]:
             raise T.DimensionError(
                 f"discriminator expects n x {self.net.widths[0]} input, got {z.shape}")
-        drop = self.dropout > 0.0 and dropout_rng is not None
-        out = z
-        for i, layer in enumerate(self.net.layers):
-            if i > 0:
-                out = T.relu(out)
-                if drop:
-                    keep = (dropout_rng.random(out.shape) >= self.dropout)
-                    mask = keep.astype(np.float64) / (1.0 - self.dropout)
-                    out = T.mul(out, Tensor(mask))
-            out = layer.forward(out, override)
-        return T.sigmoid(out)
+        return T.sigmoid(self.net.forward(z, override))
+
+
+# parameter id of the group weights in gradient maps, parameter dicts and
+# checkpoints; the one parameter weight decay skips
+BETA_ID = "beta"
 
 
 @dataclass
@@ -149,7 +135,6 @@ class GroupWeights:
 
     beta: np.ndarray
     budget: float
-    param_id: str = "beta"
 
     @classmethod
     def init(cls, num_groups: int, budget: Optional[float] = None) -> "GroupWeights":
@@ -180,7 +165,7 @@ class ModelBundle:
 
     def all_params(self) -> dict[str, np.ndarray]:
         out = self.network_params()
-        out[self.group_weights.param_id] = self.group_weights.beta
+        out[BETA_ID] = self.group_weights.beta
         return out
 
 

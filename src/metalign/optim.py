@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, losses
 from . import tensor as T
 from .losses import AlignmentInfo, AlignmentVariant
-from .nn import ModelBundle
+from .nn import BETA_ID, ModelBundle
 from .tensor import GradientMap, Tape, Tensor, backward
 
 ALIGNMENT = "alignment"
@@ -62,7 +62,6 @@ class OptimState:
     meta_lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0
-    decay_exempt: frozenset = frozenset({"beta"})
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -92,14 +91,14 @@ class StepReport:
 
 def sgd_update(params: dict[str, np.ndarray], grads: GradientMap,
                state: OptimState) -> None:
-    """v <- momentum*v + g (+ weight decay); p <- p - lr*v, in place."""
+    """v <- momentum*v + g (+ weight decay, except on beta); p <- p - lr*v, in place."""
     if set(params) != set(grads):
         raise ValueError("grads must cover exactly the updated params")
     for pid, p in params.items():
         g = grads[pid]
         if g.shape != p.shape:
             raise T.DimensionError(f"grad shape {g.shape} vs param {p.shape} for {pid}")
-        if state.weight_decay != 0.0 and pid not in state.decay_exempt:
+        if state.weight_decay != 0.0 and pid != BETA_ID:
             g = g + state.weight_decay * p
         v = state.velocity.get(pid)
         if v is None:
@@ -160,27 +159,24 @@ def _cls_loss(bundle: ModelBundle, batch, tape: Optional[Tape],
 def _align_loss(bundle: ModelBundle, batch, variant: AlignmentVariant,
                 tape: Optional[Tape],
                 theta_override: Optional[dict[str, Tensor]] = None,
-                dropout_rng=None,
                 weights_override=None) -> tuple[Tensor, AlignmentInfo]:
     fs = bundle.extractor.forward(_const(tape, batch.src_features), theta_override)
     ft = bundle.extractor.forward(_const(tape, batch.tgt_features), theta_override)
     return losses.alignment_loss(variant, fs, ft,
                                  classifier=bundle.classifier,
                                  discriminator=bundle.discriminator,
-                                 dropout_rng=dropout_rng,
                                  weights_override=weights_override)
 
 
 def _task_loss(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str,
                tape: Optional[Tape],
                theta_override: Optional[dict[str, Tensor]] = None,
-               dropout_rng=None, weights_override=None,
-               ) -> tuple[Tensor, Optional[AlignmentInfo]]:
+               weights_override=None) -> tuple[Tensor, Optional[AlignmentInfo]]:
     """The loss of one task; the alignment info is None for classification."""
     if task == CLASSIFICATION:
         return _cls_loss(bundle, batch, tape, theta_override), None
     return _align_loss(bundle, batch, variant, tape, theta_override,
-                       dropout_rng=dropout_rng, weights_override=weights_override)
+                       weights_override=weights_override)
 
 
 def _task_value(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str,
@@ -216,8 +212,8 @@ def _task_param_ids(bundle: ModelBundle, task: str, variant: AlignmentVariant) -
     return []
 
 
-def joint_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
-                dropout_rng=None) -> tuple[GradientMap, StepReport]:
+def joint_grads(bundle: ModelBundle, batch,
+                variant: AlignmentVariant) -> tuple[GradientMap, StepReport]:
     """Gradients for one combined-objective step, without applying them.
 
     The two objectives run on separate tapes so the per-task gradients are
@@ -229,7 +225,7 @@ def joint_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
     cls_ids = bundle.classifier.param_ids
 
     tape_a = Tape()
-    align, info = _align_loss(bundle, batch, variant, tape_a, dropout_rng=dropout_rng)
+    align, info = _align_loss(bundle, batch, variant, tape_a)
     g_align = backward(align, theta_ids + disc_ids)
 
     tape_c = Tape()
@@ -259,9 +255,9 @@ def joint_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
 
 
 def joint_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
-               state: OptimState, dropout_rng=None) -> StepReport:
+               state: OptimState) -> StepReport:
     """One combined-objective update of theta, phi_c and (if present) phi_d."""
-    applied, report = joint_grads(bundle, batch, variant, dropout_rng=dropout_rng)
+    applied, report = joint_grads(bundle, batch, variant)
     _check_finite({"L_cls": report.L_cls, "L_dom": report.L_dom}, applied)
     params = bundle.network_params()
     sgd_update({pid: params[pid] for pid in applied}, applied, state)
@@ -269,8 +265,7 @@ def joint_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
 
 
 def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
-                    alpha: float, role: Role, dropout_rng=None,
-                    ) -> tuple[GradientMap, StepReport, GradientMap]:
+                    alpha: float, role: Role) -> tuple[GradientMap, StepReport, GradientMap]:
     """First-order meta-step gradients, without applying them.
 
     Phase 1 computes the meta-train loss at theta and keeps its gradient both
@@ -288,23 +283,21 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
     gw = bundle.group_weights
 
     tape1 = Tape()
-    train_loss, train_info = _task_loss(bundle, batch, variant, role.meta_train,
-                                        tape1, dropout_rng=dropout_rng)
+    train_loss, train_info = _task_loss(bundle, batch, variant, role.meta_train, tape1)
     extra1 = _task_param_ids(bundle, role.meta_train, variant)
     g1 = backward(train_loss, theta_ids + extra1)
     g_train = {pid: g1[pid] for pid in theta_ids}
 
     tape2 = Tape()
-    beta_leaf = tape2.param(gw.beta, gw.param_id)
+    beta_leaf = tape2.param(gw.beta, BETA_ID)
     prime = virtual_update(tape2, bundle.extractor.params(), g_train,
                            alpha, beta_leaf, bundle.groups)
     test_loss, test_info = _task_loss(bundle, batch, variant, role.meta_test,
-                                      tape2, theta_override=prime,
-                                      dropout_rng=dropout_rng)
+                                      tape2, theta_override=prime)
     extra2 = _task_param_ids(bundle, role.meta_test, variant)
     l_beta_t = losses.beta_penalty(beta_leaf, gw.budget)
     total2 = T.add(test_loss, l_beta_t)
-    g2 = backward(total2, theta_ids + extra2 + [gw.param_id])
+    g2 = backward(total2, theta_ids + extra2 + [BETA_ID])
     g_test = {pid: g2[pid] for pid in theta_ids}
 
     total_dot, cos, per_group = analysis.grad_dot(g_train, g_test, bundle.groups)
@@ -314,7 +307,7 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
         applied[pid] = g1[pid]
     for pid in extra2:
         applied[pid] = g2[pid]
-    applied[gw.param_id] = g2[gw.param_id]
+    applied[BETA_ID] = g2[BETA_ID]
 
     by_task = {role.meta_train: (train_loss, train_info),
                role.meta_test: (test_loss, test_info)}
@@ -331,10 +324,9 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
 
 
 def metaalign_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
-                   state: OptimState, role: Role, dropout_rng=None) -> StepReport:
+                   state: OptimState, role: Role) -> StepReport:
     """One meta-optimization update of theta, phi_c, phi_d and beta."""
-    applied, report, _ = metaalign_grads(bundle, batch, variant, state.meta_lr,
-                                         role, dropout_rng=dropout_rng)
+    applied, report, _ = metaalign_grads(bundle, batch, variant, state.meta_lr, role)
     _check_finite({"L_cls": report.L_cls, "L_dom": report.L_dom,
                    "L_beta": report.L_beta}, applied)
     params = bundle.all_params()

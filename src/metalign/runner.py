@@ -74,8 +74,7 @@ def build_bundle(cfg: TrainConfig, input_dim: int, num_classes: int,
     discriminator = None
     if variant.adversarial:
         in_dim = num_classes if variant.name == losses.DANNPE else extractor.out_dim
-        discriminator = nn.DomainDiscriminator(in_dim, hidden=mc.disc_hidden,
-                                               dropout=mc.dropout)
+        discriminator = nn.DomainDiscriminator(in_dim, hidden=mc.disc_hidden)
     budget = cfg.optimizer.budget
     bundle = nn.ModelBundle(
         extractor=extractor, classifier=classifier, discriminator=discriminator,
@@ -109,8 +108,6 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
     state = OptimState(lr=cfg.optimizer.lr, meta_lr=cfg.optimizer.meta_lr,
                        momentum=cfg.optimizer.momentum,
                        weight_decay=cfg.optimizer.weight_decay)
-    dropout_rng = (np.random.default_rng(derive_seed(cfg.seed, 3))
-                   if cfg.model.dropout > 0 else None)
 
     epochs = (cfg.iterations * cfg.batch_size) // len(src.features) + 2
     batches = data.batch_iter(src, tgt, cfg.batch_size,
@@ -129,12 +126,10 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
                 resolve_sigma(bundle, variant, batch)
             try:
                 if cfg.strategy.kind == "joint":
-                    report = optim.joint_step(bundle, batch, variant, state,
-                                              dropout_rng=dropout_rng)
+                    report = optim.joint_step(bundle, batch, variant, state)
                 else:
                     role = optim.role_schedule(cfg.strategy.role_policy, it)
-                    report = optim.metaalign_step(bundle, batch, variant, state,
-                                                  role, dropout_rng=dropout_rng)
+                    report = optim.metaalign_step(bundle, batch, variant, state, role)
             except NonFiniteError as e:
                 log.error("aborting at iteration %d: %s", it, e)
                 aborted = True

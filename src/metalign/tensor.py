@@ -30,7 +30,6 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[Tensor] = []
         self.consumed = False
-        self.flags: set[str] = set()
         self._params: dict[str, Tensor] = {}
 
     def _record(self, values: np.ndarray, parents: tuple["Tensor", ...],
@@ -77,23 +76,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f", param={self.param_id}" if self.param_id else ""
         return f"Tensor(shape={self.values.shape}{tag})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
 
 def _result_tape(tensors: Iterable[Tensor]) -> Optional[Tape]:

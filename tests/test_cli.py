@@ -49,11 +49,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="iteractions"):
             parse_config(doc)
 
-    def test_unknown_nested_key_named(self, tmp_path):
+    def test_unknown_nested_key_named(self, tmp_path, capsys):
         doc = base_doc(tmp_path)
         doc["optimizer"]["momentun"] = 0.9
         with pytest.raises(ConfigError, match="momentun"):
             parse_config(doc)
+        doc = base_doc(tmp_path)
+        doc["model"]["dropout"] = 0.0
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "dropout" in err["detail"]
 
     def test_generator_param_mismatch_rejected(self, tmp_path):
         doc = base_doc(tmp_path)
@@ -116,6 +121,19 @@ class TestCheckpoint:
         path.write_bytes(b"not a zipfile")
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("meta_block", [
+        json.dumps({"version": 2}), "{not json", json.dumps([1, 2]),
+    ], ids=["no_param_shapes", "not_json", "not_object"])
+    def test_bad_meta_block(self, tmp_path, capsys, meta_block):
+        path = str(tmp_path / "ck.npz")
+        np.savez(path, __meta__=np.array(meta_block))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
+        assert main(["eval", path, cfg]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "checkpoint"
 
 
 class TestCmdRun:

@@ -101,7 +101,6 @@ class TestDomainClsLoss:
         d = tape.param(np.array([[1.0], [0.5]]), "d")
         loss = losses.domain_cls_loss(d, Tensor(np.array([[0.5]])))
         assert np.isfinite(float(loss.values))
-        assert "domain_output_clamped" in tape.flags
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -271,6 +270,18 @@ class TestAlignmentLoss:
         loss, info = optim._align_loss(bundle, batch, variant, None)
         assert np.isfinite(float(loss.values))
         assert info.dom == -info.dom_cls
+
+    @pytest.mark.parametrize("last_bias,clamped", [
+        (None, False), (50.0, True), (np.nan, True),
+    ], ids=["plain", "saturated", "nan"])
+    def test_info_reports_clamped_outputs(self, last_bias, clamped):
+        rng = np.random.default_rng(11)
+        bundle, variant = random_bundle(rng, "dann")
+        batch = random_batch(rng)
+        if last_bias is not None:
+            bundle.discriminator.net.layers[-1].bias[...] = last_bias
+        _, info = optim._align_loss(bundle, batch, variant, Tape())
+        assert info.clamped is clamped
 
     def test_all_loss_gradients_match_fd(self):
         # covered exhaustively by the gradcheck harness; spot-check one here

@@ -275,6 +275,20 @@ class TestMetaStep:
             for _ in range(8):
                 metaalign_step(bundle, batch, variant, state, Role(ALIGNMENT))
 
+    @pytest.mark.parametrize("step", ["joint", ALIGNMENT, CLASSIFICATION])
+    @pytest.mark.parametrize("saturated", [False, True], ids=["plain", "saturated"])
+    def test_report_flags_clamped_discriminator(self, step, saturated):
+        rng = np.random.default_rng(12)
+        bundle, variant = random_bundle(rng, "dann")
+        batch = random_batch(rng)
+        if saturated:
+            bundle.discriminator.net.layers[-1].bias[...] = 50.0
+        if step == "joint":
+            _, report = joint_grads(bundle, batch, variant)
+        else:
+            _, report, _ = metaalign_grads(bundle, batch, variant, 0.1, Role(step))
+        assert report.clamped is saturated
+
     def test_taylor_residual_ratio(self):
         from metalign.gradcheck import taylor_residuals, TAYLOR_RATIO_BOUND
         rows = taylor_residuals(seed=0)
