@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -14,6 +15,14 @@ from .optim import ROLE_POLICIES
 
 class ConfigError(ValueError):
     """Schema violation; the message names the offending field."""
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _section(doc: dict, name: str, schema: dict[str, Any], required: tuple = ()) -> dict:
@@ -143,20 +152,27 @@ def parse_config(doc: dict) -> TrainConfig:
     mc = _section(doc, "model", {
         "hidden": [64, 64], "groups": None, "classifier_hidden": [],
         "disc_hidden": [64, 64], "activation": "relu"})
+    for key in ("hidden", "classifier_hidden", "disc_hidden"):
+        widths = mc[key]
+        if not isinstance(widths, list) or not all(_is_int(w) and w >= 1 for w in widths):
+            raise ConfigError(f"model.{key} must be a list of positive ints")
+    if not mc["hidden"]:
+        raise ConfigError("model.hidden must list at least one layer width")
+    if mc["groups"] is not None and not (_is_int(mc["groups"]) and mc["groups"] >= 1):
+        raise ConfigError("model.groups must be null or an int >= 1")
     model = ModelConfig(hidden=list(mc["hidden"]), groups=mc["groups"],
                         classifier_hidden=list(mc["classifier_hidden"]),
                         disc_hidden=list(mc["disc_hidden"]),
                         activation=mc["activation"])
-    if not model.hidden:
-        raise ConfigError("model.hidden must list at least one layer width")
-    if model.groups is not None and model.groups < 1:
-        raise ConfigError("model.groups must be >= 1")
 
     vc = _section(doc, "variant", {"name": "dann", "lambda": 1.0, "sigma": None})
     if vc["name"] not in losses.VARIANTS:
         raise ConfigError(f"unknown variant {vc['name']!r}")
+    sigma = vc["sigma"]
+    if sigma is not None and not (_is_number(sigma) and math.isfinite(sigma) and sigma > 0):
+        raise ConfigError("variant.sigma must be null or a positive finite number")
     variant = VariantConfig(name=vc["name"], grl_lambda=float(vc["lambda"]),
-                            sigma=vc["sigma"])
+                            sigma=sigma)
 
     oc = _section(doc, "optimizer", {
         "lr": 0.01, "meta_lr": 0.01, "momentum": 0.9,

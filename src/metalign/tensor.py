@@ -277,11 +277,18 @@ def scale_grad(x: Tensor, factor: float) -> Tensor:
 
 
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs squared euclidean distances between rows of a and b."""
+    """All-pairs squared euclidean distances between rows of a and b.
+
+    Gram form ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j, clamped at 0: cancellation
+    can leave a rounding-level negative where the true distance is about 0.
+    """
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"pairwise_sqdist: shapes {a.shape} vs {b.shape}")
-    diff = a.values[:, None, :] - b.values[None, :, :]
-    out = np.einsum("ijk,ijk->ij", diff, diff)
+    av, bv = a.values, b.values
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence -> inf/NaN
+        out = (av * av).sum(axis=1)[:, None] + (bv * bv).sum(axis=1)[None, :]
+        out -= 2.0 * (av @ bv.T)
+        np.maximum(out, 0.0, out=out)
 
     def vjp(g):
         ga = 2.0 * (g.sum(axis=1)[:, None] * a.values - g @ b.values)

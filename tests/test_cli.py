@@ -78,6 +78,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="meta_lr"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "groups", "2"),
+        ("model", "groups", 1.5),
+        ("model", "groups", True),
+        ("model", "hidden", 5),
+        ("model", "hidden", [64, 0]),
+        ("model", "hidden", [8, True]),
+        ("model", "hidden", [8.0]),
+        ("model", "classifier_hidden", [0]),
+        ("model", "disc_hidden", "8"),
+        ("model", "disc_hidden", [8, -1]),
+        ("variant", "sigma", "x"),
+        ("variant", "sigma", True),
+        ("variant", "sigma", float("inf")),
+    ], ids=["groups_str", "groups_float", "groups_bool", "hidden_int", "hidden_zero",
+            "hidden_bool", "hidden_float", "classifier_hidden_zero", "disc_hidden_str",
+            "disc_hidden_negative", "sigma_str", "sigma_bool", "sigma_inf"])
+    def test_mistyped_value_named(self, tmp_path, capsys, section, key, value):
+        doc = base_doc(tmp_path)
+        doc[section][key] = value
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and f"{section}.{key}" in err["detail"]
+
     @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))),
                              ids=os.path.basename)
     def test_shipped_config_parses(self, path):
@@ -157,6 +181,15 @@ class TestCmdRun:
         a = (tmp_path / "a" / "metrics.jsonl").read_bytes()
         b = (tmp_path / "b" / "metrics.jsonl").read_bytes()
         assert a == b
+
+    def test_mmd_config_determinism_byte_identical_metrics(self, tmp_path):
+        cfg = load_config(os.path.join(CONFIGS, "gaussian_mmd_metaalign.json"))
+        cfg = replace(cfg, iterations=25, batch_size=256)
+        run_training(cfg, str(tmp_path / "a"))
+        run_training(cfg, str(tmp_path / "b"))
+        a = (tmp_path / "a" / "metrics.jsonl").read_bytes()
+        b = (tmp_path / "b" / "metrics.jsonl").read_bytes()
+        assert a == b and len(a) > 0
 
     def test_config_error_exit_code_and_stderr(self, tmp_path, capsys):
         doc = base_doc(tmp_path)

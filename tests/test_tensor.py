@@ -200,6 +200,32 @@ class TestBackward:
             np.testing.assert_allclose(g[pid], fd[pid], rtol=1e-4, atol=1e-6)
 
 
+class TestPairwiseSqdist:
+    @staticmethod
+    def broadcast_oracle(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0, 1e2, 1e3])
+    @pytest.mark.parametrize("case", ["random", "one_row", "self"])
+    def test_gram_form_matches_broadcast_oracle(self, case, offset):
+        """Error within 1e-14 of the squared row norms, and never negative."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n, m, d = (int(v) for v in rng.integers(1, 65, size=3))
+            if case == "one_row":
+                n = 1
+            shift = offset * rng.normal(size=d)  # shared: distances << norms
+            a = rng.normal(size=(n, d)) + shift
+            b = rng.normal(size=(m, d)) + shift
+            if case == "self":
+                b = a.copy()
+            got = T.pairwise_sqdist(Tensor(a), Tensor(b)).values
+            scale = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] + 1.0
+            assert np.all(np.abs(got - self.broadcast_oracle(a, b)) <= 1e-14 * scale)
+            assert np.all(got >= 0.0)
+
+
 class TestDeterminism:
     def test_identical_forward_passes_bitwise(self):
         rng = np.random.default_rng(4)
