@@ -63,7 +63,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        # an entry that is not an integer stays text, for the seed rule to name
+        seeds = [int(s) if s.strip().removeprefix("-").isdecimal() else s.strip()
+                 for s in args.seeds.split(",") if s.strip() != ""]
         cfg = load_config(args.config)
         aggregate = runner.run_sweep(cfg, seeds, _out_dir(cfg.out_dir, args.out))
     except (ConfigError, CsvFormatError, ValueError) as e:

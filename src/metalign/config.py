@@ -1,43 +1,22 @@
 """Declarative experiment configuration: JSON documents parsed into
-dataclasses, validated fail-fast with unknown keys rejected by name."""
+dataclasses. One table, SCHEMA, gives every key's type, bounds and default;
+parse_config walks it, so each error names the offending section.key."""
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from . import losses
-from .optim import ROLE_POLICIES
+from . import data, losses, nn, optim
 
 
 class ConfigError(ValueError):
     """Schema violation; the message names the offending field."""
-
-
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _section(doc: dict, name: str, schema: dict[str, Any], required: tuple = ()) -> dict:
-    got = doc.get(name, {})
-    if not isinstance(got, dict):
-        raise ConfigError(f"{name} must be an object")
-    unknown = set(got) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {name}")
-    for key in required:
-        if key not in got:
-            raise ConfigError(f"missing required key {name}.{key}")
-    out = dict(schema)
-    out.update(got)
-    return out
 
 
 @dataclass
@@ -95,130 +74,149 @@ class TrainConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
 
-TOP_KEYS = {"seed", "iterations", "batch_size", "eval_every", "out_dir",
-            "standardize", "dataset", "model", "variant", "optimizer", "strategy"}
+REQUIRED = object()  # the default of a key every document must give
 
-GENERATORS = ("two_moons", "gaussian_shift")
+# One row per key: (section, key, type, bounds, default); section "" is the top
+# level. Numbers are finite; an int passes as a float, not the reverse, and a
+# bool as neither. Bounds: an interval for a number, the allowed names for a
+# str, (length, item) bounds for a list of [type]. A None default admits null.
+# The generator row comes first: it picks the dataset keys, its keyword
+# parameters or, when it is null, the csv pair.
+SCHEMA = (
+    ("", "seed", int, "[0, inf)", REQUIRED),
+    ("", "iterations", int, "[1, inf)", REQUIRED),
+    ("", "batch_size", int, "[1, inf)", REQUIRED),
+    ("", "eval_every", int, "[1, inf)", 50),
+    ("", "out_dir", str, None, "runs/run"),
+    ("", "standardize", bool, None, True),
+    ("dataset", "generator", str, tuple(data.GENERATORS), None),
+    ("dataset", "source_csv", str, None, REQUIRED),
+    ("dataset", "target_csv", str, None, REQUIRED),
+    ("dataset", "n_per_domain", int, "[2, inf)", 1000),
+    ("dataset", "noise_std", float, "[0, inf)", 0.15),
+    ("dataset", "rotation_deg", float, None, 45.0),
+    ("dataset", "translation", [float], ("[2, 2]", None), [0.0, 0.0]),
+    ("dataset", "n", int, "[1, inf)", 1000),
+    ("dataset", "num_classes", int, "[2, inf)", 3),
+    ("dataset", "dim", int, "[1, inf)", 4),
+    ("dataset", "class_sep", float, None, 2.0),
+    ("dataset", "mean_shift", float, None, 1.0),
+    ("model", "hidden", [int], ("[1, inf)", "[1, inf)"), [64, 64]),
+    ("model", "groups", int, "[1, inf)", None),
+    ("model", "classifier_hidden", [int], ("[0, inf)", "[1, inf)"), []),
+    ("model", "disc_hidden", [int], ("[2, 2]", "[1, inf)"), [64, 64]),
+    ("model", "activation", str, tuple(nn._ACTIVATIONS), "relu"),
+    ("variant", "name", str, losses.VARIANTS, "dann"),
+    ("variant", "lambda", float, "[0, inf)", 1.0),
+    ("variant", "sigma", float, "(0, inf)", None),
+    ("optimizer", "lr", float, "(0, inf)", 0.01),
+    ("optimizer", "meta_lr", float, "[0, inf)", 0.01),
+    ("optimizer", "momentum", float, "[0, 1)", 0.9),
+    ("optimizer", "weight_decay", float, "[0, inf)", 5e-4),
+    ("optimizer", "budget", float, "(0, inf)", None),
+    ("strategy", "kind", str, ("joint", "metaalign"), "joint"),
+    ("strategy", "role_policy", str, optim.ROLE_POLICIES, "alternate"),
+)
 
-_DATASET_KEYS = {
-    "generator": None, "source_csv": None, "target_csv": None,
-    "n_per_domain": 1000, "noise_std": 0.15, "rotation_deg": 45.0,
-    "translation": [0.0, 0.0],
-    "n": 1000, "num_classes": 3, "dim": 4, "class_sep": 2.0, "mean_shift": 1.0,
-}
-
-_GENERATOR_PARAMS = {
-    "two_moons": ("n_per_domain", "noise_std", "rotation_deg", "translation"),
-    "gaussian_shift": ("n", "num_classes", "dim", "class_sep", "mean_shift"),
-}
+SECTIONS = ("dataset", "model", "variant", "optimizer", "strategy")
+_ROWS = {(section, key): row for section, key, *row in SCHEMA}
 
 
-def parse_config(doc: dict) -> TrainConfig:
+def _within(v: Any, bounds: Any) -> bool:
+    """Whether v lies in bounds: None, a tuple of allowed values or an interval."""
+    if bounds is None or isinstance(bounds, tuple):
+        return bounds is None or v in bounds
+    lo, hi = (float(end) for end in bounds[1:-1].split(","))
+    return ((lo <= v if bounds[0] == "[" else lo < v)
+            and (v <= hi if bounds[-1] == "]" else v < hi))
+
+
+def _value(v: Any, typ: Any, bounds: Any) -> Any:
+    """v as typ, or None when it has another type or lies outside bounds."""
+    if isinstance(typ, list):
+        if not isinstance(v, list) or not _within(len(v), bounds[0]):
+            return None
+        out = [_value(x, typ[0], bounds[1]) for x in v]
+        return None if None in out else out
+    if typ is float and type(v) is int and abs(v) <= sys.float_info.max:
+        v = float(v)  # an int past the float range stays an int and fails below
+    if type(v) is not typ or typ is float and not math.isfinite(v):
+        return None
+    return v if _within(v, bounds) else None
+
+
+def _describe(typ: Any, bounds: Any) -> str:
+    if isinstance(typ, list):
+        return f"a list of length in {bounds[0]}, each {_describe(typ[0], bounds[1])}"
+    if isinstance(bounds, tuple):
+        return "one of " + ", ".join(json.dumps(name) for name in bounds)
+    return ({int: "an int", float: "a finite number", bool: "true or false",
+             str: "a string"}[typ] + (f" in {bounds}" if bounds else ""))
+
+
+def check_value(section: str, key: str, v: Any) -> Any:
+    """v as the SCHEMA row (section, key) types it, or a ConfigError naming
+    section.key (a bare key at top level) when v is outside the row's domain."""
+    typ, bounds, default = _ROWS[section, key]
+    where = f"{section}.{key}".lstrip(".")
+    if v is REQUIRED:
+        raise ConfigError(f"missing required key {where}")
+    if v is None and default is None:
+        return None
+    out = _value(v, typ, bounds)
+    if out is None:
+        null = " or null" if default is None else ""
+        raise ConfigError(f"{where} must be {_describe(typ, bounds)}{null}, "
+                          f"got {json.dumps(v, default=repr)}")
+    return out
+
+
+def parse_config(doc: Any) -> TrainConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} at top level")
-    for key in ("seed", "iterations", "batch_size"):
-        if key not in doc:
-            raise ConfigError(f"missing required key {key}")
-
     doc = json.loads(json.dumps(doc))  # private copy, kept as cfg.raw
-
-    ds = _section(doc, "dataset", _DATASET_KEYS)
-    ds_given = set(doc.get("dataset", {}))
-    generator = ds["generator"]
-    if generator is None and ds["source_csv"] is None:
-        raise ConfigError("dataset needs either generator or source_csv/target_csv")
-    if generator is not None:
-        if generator not in GENERATORS:
-            raise ConfigError(f"unknown generator {generator!r}")
-        allowed = {"generator"} | set(_GENERATOR_PARAMS[generator])
-        extra = ds_given - allowed
-        if extra:
-            raise ConfigError(
-                f"key {sorted(extra)[0]!r} does not apply to generator {generator!r}")
-        params = {k: ds[k] for k in _GENERATOR_PARAMS[generator]}
-    else:
-        extra = ds_given - {"generator", "source_csv", "target_csv"}
-        if extra:
-            raise ConfigError(f"key {sorted(extra)[0]!r} does not apply to csv datasets")
-        if ds["target_csv"] is None:
-            raise ConfigError("missing required key dataset.target_csv")
-        params = {}
-    dataset = DatasetConfig(generator=generator, params=params,
-                            source_csv=ds["source_csv"], target_csv=ds["target_csv"])
-
-    mc = _section(doc, "model", {
-        "hidden": [64, 64], "groups": None, "classifier_hidden": [],
-        "disc_hidden": [64, 64], "activation": "relu"})
-    for key in ("hidden", "classifier_hidden", "disc_hidden"):
-        widths = mc[key]
-        if not isinstance(widths, list) or not all(_is_int(w) and w >= 1 for w in widths):
-            raise ConfigError(f"model.{key} must be a list of positive ints")
-    if not mc["hidden"]:
-        raise ConfigError("model.hidden must list at least one layer width")
-    if mc["groups"] is not None and not (_is_int(mc["groups"]) and mc["groups"] >= 1):
-        raise ConfigError("model.groups must be null or an int >= 1")
-    model = ModelConfig(hidden=list(mc["hidden"]), groups=mc["groups"],
-                        classifier_hidden=list(mc["classifier_hidden"]),
-                        disc_hidden=list(mc["disc_hidden"]),
-                        activation=mc["activation"])
-
-    vc = _section(doc, "variant", {"name": "dann", "lambda": 1.0, "sigma": None})
-    if vc["name"] not in losses.VARIANTS:
-        raise ConfigError(f"unknown variant {vc['name']!r}")
-    sigma = vc["sigma"]
-    if sigma is not None and not (_is_number(sigma) and math.isfinite(sigma) and sigma > 0):
-        raise ConfigError("variant.sigma must be null or a positive finite number")
-    variant = VariantConfig(name=vc["name"], grl_lambda=float(vc["lambda"]),
-                            sigma=sigma)
-
-    oc = _section(doc, "optimizer", {
-        "lr": 0.01, "meta_lr": 0.01, "momentum": 0.9,
-        "weight_decay": 5e-4, "budget": None})
-    optimizer = OptimizerConfig(lr=float(oc["lr"]), meta_lr=float(oc["meta_lr"]),
-                                momentum=float(oc["momentum"]),
-                                weight_decay=float(oc["weight_decay"]),
-                                budget=oc["budget"])
-    if optimizer.lr <= 0:
-        raise ConfigError("optimizer.lr must be positive")
-    if optimizer.budget is not None and not optimizer.budget > 0:
-        raise ConfigError("optimizer.budget must be positive")
-
-    sc = _section(doc, "strategy", {"kind": "joint", "role_policy": "alternate"})
-    if sc["kind"] not in ("joint", "metaalign"):
-        raise ConfigError(f"unknown strategy kind {sc['kind']!r}")
-    if sc["role_policy"] not in ROLE_POLICIES:
-        raise ConfigError(f"unknown role_policy {sc['role_policy']!r}")
-    strategy = StrategyConfig(kind=sc["kind"], role_policy=sc["role_policy"])
-    if strategy.kind == "metaalign" and optimizer.meta_lr <= 0:
+    values: dict[str, dict] = {section: {} for section in ("", *SECTIONS)}
+    for section, key, _, _, default in SCHEMA:
+        got = doc.get(section, {}) if section else doc
+        if not isinstance(got, dict):
+            raise ConfigError(f"{section} must be an object")
+        if section == "dataset" and key != "generator" and key not in applies:
+            if key in got:
+                raise ConfigError(f"dataset.{key} does not apply to {applies_to}")
+            continue
+        values[section][key] = v = check_value(section, key, got.get(key, default))
+        if key == "generator":
+            applies = ({"source_csv", "target_csv"} if v is None else
+                       inspect.signature(data.GENERATORS[v]).parameters)
+            applies_to = f"generator {v!r}" if v else "csv datasets"
+    for section, known in values.items():
+        got = doc.get(section, {}) if section else doc
+        for key in sorted(set(got) - set(known) - set(() if section else SECTIONS)):
+            raise ConfigError("unknown key " + f"{section}.{key}".lstrip("."))
+    if values["strategy"]["kind"] == "metaalign" and values["optimizer"]["meta_lr"] <= 0:
         raise ConfigError("strategy.kind=metaalign requires optimizer.meta_lr > 0")
 
-    iterations = int(doc["iterations"])
-    if iterations < 1:
-        raise ConfigError("iterations must be >= 1")
-    eval_every = int(doc.get("eval_every", 50))
-    if eval_every < 1:
-        raise ConfigError("eval_every must be >= 1")
-
+    ds, var = values["dataset"], values["variant"]
+    var["grl_lambda"] = var.pop("lambda")
+    dataset = DatasetConfig(generator=ds.pop("generator"),
+                            source_csv=ds.pop("source_csv", None),
+                            target_csv=ds.pop("target_csv", None), params=ds)
     return TrainConfig(
-        seed=int(doc["seed"]), iterations=iterations,
-        batch_size=int(doc["batch_size"]), eval_every=eval_every,
-        out_dir=str(doc.get("out_dir", "runs/run")),
-        standardize=bool(doc.get("standardize", True)),
-        dataset=dataset, model=model, variant=variant,
-        optimizer=optimizer, strategy=strategy, raw=doc)
+        **values[""], dataset=dataset, model=ModelConfig(**values["model"]),
+        variant=VariantConfig(**var),
+        optimizer=OptimizerConfig(**values["optimizer"]),
+        strategy=StrategyConfig(**values["strategy"]), raw=doc)
 
 
 def load_config(path: str) -> TrainConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise ConfigError(f"cannot read config file {path}: {reason}") from None
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
+        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     return parse_config(doc)
 
 

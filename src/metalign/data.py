@@ -113,6 +113,10 @@ def gen_gaussian_shift(n: int, num_classes: int, dim: int, class_sep: float,
     return src, tgt
 
 
+# A generator's config keys are its keyword parameters other than seed.
+GENERATORS = {"two_moons": gen_two_moons, "gaussian_shift": gen_gaussian_shift}
+
+
 def load_csv(path: str) -> Dataset:
     """Read one domain's samples; see write_csv for the exact schema."""
     try:

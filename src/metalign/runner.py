@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, data, losses, nn, optim
 from .checkpoint import save_checkpoint
-from .config import ConfigError, TrainConfig, config_hash
+from .config import ConfigError, TrainConfig, check_value, config_hash
 from .losses import AlignmentVariant
 from .optim import NonFiniteError, OptimState
 
@@ -28,19 +28,9 @@ def derive_seed(base: int, key: int) -> int:
 
 def build_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset]:
     dc = cfg.dataset
-    if dc.generator == "two_moons":
-        src, tgt = data.gen_two_moons(
-            n_per_domain=int(dc.params["n_per_domain"]),
-            noise_std=float(dc.params["noise_std"]),
-            rotation_deg=float(dc.params["rotation_deg"]),
-            translation=tuple(dc.params["translation"]),
-            seed=derive_seed(cfg.seed, 0))
-    elif dc.generator == "gaussian_shift":
-        src, tgt = data.gen_gaussian_shift(
-            n=int(dc.params["n"]), num_classes=int(dc.params["num_classes"]),
-            dim=int(dc.params["dim"]), class_sep=float(dc.params["class_sep"]),
-            mean_shift=float(dc.params["mean_shift"]),
-            seed=derive_seed(cfg.seed, 0))
+    if dc.generator is not None:
+        src, tgt = data.GENERATORS[dc.generator](**dc.params,
+                                                 seed=derive_seed(cfg.seed, 0))
     else:
         src = data.load_csv(dc.source_csv)
         tgt = data.load_csv(dc.target_csv)
@@ -180,6 +170,7 @@ def run_sweep(cfg: TrainConfig, seeds: list[int],
     """Independent per-seed runs plus a mean/std aggregate over completions."""
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
+    seeds = [check_value("", "seed", s) for s in seeds]
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise ConfigError(f"seed {repeated[0]} is listed more than once")
@@ -187,12 +178,12 @@ def run_sweep(cfg: TrainConfig, seeds: list[int],
     per_seed: list[dict] = []
     aborted_seeds: list[int] = []
     for seed in seeds:
-        run_cfg = replace(cfg, seed=int(seed))
+        run_cfg = replace(cfg, seed=seed)
         summary = run_training(run_cfg, os.path.join(base, f"seed_{seed}"))
-        summary = {"seed": int(seed), **summary}
+        summary = {"seed": seed, **summary}
         per_seed.append(summary)
         if summary["aborted"]:
-            aborted_seeds.append(int(seed))
+            aborted_seeds.append(seed)
 
     done = [s for s in per_seed if not s["aborted"]]
 
@@ -203,7 +194,7 @@ def run_sweep(cfg: TrainConfig, seeds: list[int],
         return {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
 
     aggregate = {
-        "seeds": [int(s) for s in seeds],
+        "seeds": seeds,
         "per_seed": per_seed,
         "final_target_acc": agg("final_target_acc"),
         "mean_grad_cos": agg("mean_grad_cos"),

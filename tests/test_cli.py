@@ -1,21 +1,50 @@
 import copy
 import glob
+import inspect
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from metalign import data
 from metalign.checkpoint import load_checkpoint, save_checkpoint, CheckpointError
 from metalign.cli import main
-from metalign.config import ConfigError, config_hash, load_config, parse_config
+from metalign.config import SCHEMA, ConfigError, config_hash, load_config, parse_config
 from metalign.gradcheck import run_gradcheck
 from metalign.runner import run_training
 
 
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
+SHIPPED = sorted(glob.glob(os.path.join(CONFIGS, "*.json")))
+
+# Values outside most keys' domains, substituted for every key in the fuzz test.
+BAD_VALUES = ["x", "2", True, [1], 1.7, float("nan"), float("inf"), float("-inf"),
+              0, -1]
+# Cases once reported as crashing or silently coerced; fuzzed on top of BAD_VALUES.
+REPORTED_CASES = [
+    ("", "standardize", "false"), ("", "seed", 1.7), ("", "eval_every", "5"),
+    ("", "iterations", 1.7), ("dataset", "n_per_domain", "x"),
+    ("variant", "lambda", -1), ("variant", "lambda", [1]),
+    ("optimizer", "momentum", "0.5"), ("optimizer", "lr", [0.1]),
+    ("optimizer", "budget", "2"),
+]
+# The fuzz values that lie inside their key's documented domain.
+IN_DOMAIN = {
+    ("", "seed"): [0], ("", "out_dir"): ["x", "2"], ("", "standardize"): [True],
+    ("dataset", "noise_std"): [1.7, 0], ("dataset", "rotation_deg"): [1.7, 0, -1],
+    ("dataset", "class_sep"): [1.7, 0, -1], ("dataset", "mean_shift"): [1.7, 0, -1],
+    ("model", "hidden"): [[1]], ("model", "classifier_hidden"): [[1]],
+    ("variant", "lambda"): [1.7, 0], ("variant", "sigma"): [1.7],
+    ("optimizer", "lr"): [1.7], ("optimizer", "meta_lr"): [1.7],
+    ("optimizer", "momentum"): [0], ("optimizer", "weight_decay"): [1.7, 0],
+    ("optimizer", "budget"): [1.7],
+}
+# Annotations of numeric fields, and the type each value (or list item) must have.
+NUMERIC = {"int": int, "Optional[int]": int, "list[int]": int, "float": float,
+           "Optional[float]": float, "tuple[float, float]": float}
 
 
 def base_doc(tmp_path, **overrides):
@@ -40,6 +69,21 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def in_domain(doc, section, key, value):
+    if (section, key, value) == ("optimizer", "meta_lr", 0) and type(value) is int:
+        return doc["strategy"]["kind"] == "joint"  # metaalign needs meta_lr > 0
+    return any(type(value) is type(ok) and value == ok
+               for ok in IN_DOMAIN.get((section, key), ()))
+
+
+def field_value(cfg, section, key):
+    if section == "":
+        return getattr(cfg, key)
+    if section == "dataset":
+        return cfg.dataset.params.get(key, getattr(cfg.dataset, key, None))
+    return getattr(getattr(cfg, section), "grl_lambda" if key == "lambda" else key)
 
 
 class TestConfigParsing:
@@ -102,14 +146,73 @@ class TestConfigParsing:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config" and f"{section}.{key}" in err["detail"]
 
-    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))),
-                             ids=os.path.basename)
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
     def test_shipped_config_parses(self, path):
         cfg = load_config(path)
         if cfg.strategy.kind == "metaalign":
             assert cfg.optimizer.meta_lr == 0.5
         if cfg.variant.name == "dannpe":
             assert cfg.model.groups == 4
+        # every numeric value arrives with its annotated type, bool not an int;
+        # dataset.params are typed by the generator's own signature
+        leaves = [(f.name, getattr(part, f.name), f.type)
+                  for part in (cfg, cfg.dataset, cfg.model, cfg.variant,
+                               cfg.optimizer, cfg.strategy) for f in fields(part)]
+        signature = inspect.signature(data.GENERATORS[cfg.dataset.generator])
+        for key, value in cfg.dataset.params.items():
+            assert signature.parameters[key].annotation in NUMERIC, key
+            leaves.append((key, value, signature.parameters[key].annotation))
+        for name, value, annotation in leaves:
+            if annotation in NUMERIC and value is not None:
+                items = value if isinstance(value, list) else [value]
+                assert all(type(v) is NUMERIC[annotation] for v in items), name
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+    def test_fuzzed_values_rejected_by_name(self, path, tmp_path, capsys, monkeypatch):
+        """Every key of a shipped config, set to each bad value: a value in the
+        key's domain parses as given; any other exits 2 naming section.key,
+        before any run directory exists."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("METALIGN_OUTPUT_DIR", raising=False)
+        with open(path, encoding="utf-8") as fh:
+            shipped = json.load(fh)
+        keys = [(s, k) for s, k, *_ in SCHEMA if s != "dataset" or k in shipped["dataset"]]
+        grid = [(s, k, v) for s, k in keys for v in BAD_VALUES]
+        grid += [case for case in REPORTED_CASES if case[:2] in keys]
+        failures = []
+        for section, key, value in grid:
+            doc = copy.deepcopy(shipped)
+            (doc.setdefault(section, {}) if section else doc)[key] = value
+            case = f"{section}.{key}={json.dumps(value)}".lstrip(".")
+            try:
+                cfg = parse_config(doc)
+            except ConfigError:
+                cfg = None
+            except Exception as e:  # would exit 1 through main
+                failures.append(f"{case}: {type(e).__name__}: {e}")
+                continue
+            if in_domain(doc, section, key, value):
+                if cfg is None or field_value(cfg, section, key) != value:
+                    failures.append(f"{case}: in domain but parsed to {cfg}")
+                continue
+            if cfg is not None:
+                failures.append(f"{case}: parsed, would run")
+                continue
+            code = main(["run", write_config(tmp_path, doc)])
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            where = f"{section}.{key}".lstrip(".")
+            if code != 2 or err["error"] != "config" or where not in err["detail"]:
+                failures.append(f"{case}: exit {code}, {err}")
+            if os.listdir(tmp_path) != ["cfg.json"]:
+                failures.append(f"{case}: left {sorted(os.listdir(tmp_path))}")
+        assert failures == []
+
+    def test_readme_config_example_parses(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("### Config format", 1)[1].split("```json", 1)[1]
+        doc = json.loads(block.split("```", 1)[0])
+        assert parse_config(doc).raw == doc
 
     def test_hash_stable_under_key_reordering(self, tmp_path):
         doc = base_doc(tmp_path)
@@ -201,6 +304,18 @@ class TestCmdRun:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2
+        assert "none.json" in json.loads(capsys.readouterr().err.strip())["detail"]
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+    def test_unreadable_config_file_named(self, tmp_path, capsys, unreadable):
+        path = tmp_path / "cfg.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["run", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and str(path) in err["detail"]
 
     def test_non_finite_abort_exit_code(self, tmp_path, capsys):
         doc = base_doc(tmp_path, iterations=40)
@@ -282,6 +397,16 @@ class TestCmdSweep:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
         assert "seed 1 " in err["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["1,-1", "1.5", "1,x", "2,true"],
+                             ids=["negative", "float", "word", "bool"])
+    def test_invalid_seed_rejected_before_any_run(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--seeds", seeds, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and err["detail"].startswith("seed must be")
         assert not out.exists()
 
 
