@@ -1,9 +1,12 @@
 """Checkpoint container: parameter arrays plus a JSON meta block, stored as
-an npz archive. Float64 values round-trip bitwise."""
+an npz archive. Float64 values round-trip bitwise. Run outputs are written
+through write_atomic, so an interrupted write leaves no partial file."""
 
 from __future__ import annotations
 
 import json
+import os
+from typing import IO, Callable
 
 import numpy as np
 
@@ -14,11 +17,32 @@ class CheckpointError(ValueError):
     pass
 
 
+def write_atomic(path: str, write: Callable[[IO], None], binary: bool = False) -> None:
+    """Write path through write(fh) on a temp file in the same directory, then
+    move it into place with os.replace.
+
+    A write that raises removes the temp file and leaves path as it was, so a
+    crashed run never leaves a half-written file behind under the final name.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path: str, params: dict[str, np.ndarray], meta: dict) -> None:
     header = dict(meta)
     header["version"] = FORMAT_VERSION
     header["param_shapes"] = {pid: list(arr.shape) for pid, arr in params.items()}
-    np.savez(path, __meta__=np.array(json.dumps(header)), **params)
+    # an open file, so np.savez appends no ".npz" to the temp name
+    write_atomic(path, lambda fh: np.savez(fh, __meta__=np.array(json.dumps(header)),
+                                           **params), binary=True)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:

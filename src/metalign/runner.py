@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, data, losses, nn, optim
-from .checkpoint import save_checkpoint
+from .checkpoint import save_checkpoint, write_atomic
 from .config import ConfigError, TrainConfig, check_value, config_hash
 from .losses import AlignmentVariant
 from .optim import NonFiniteError, OptimState
@@ -88,8 +88,6 @@ def resolve_sigma(bundle: nn.ModelBundle, variant: AlignmentVariant,
 def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
     """Execute one configured run; returns the summary dict it also writes."""
     out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-
     src, tgt = build_datasets(cfg)
     if cfg.batch_size > min(len(src.features), len(tgt.features)):
         raise ConfigError("batch_size exceeds the smaller domain size")
@@ -98,6 +96,8 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
     state = OptimState(lr=cfg.optimizer.lr, meta_lr=cfg.optimizer.meta_lr,
                        momentum=cfg.optimizer.momentum,
                        weight_decay=cfg.optimizer.weight_decay)
+    # only once every config check has passed: a rejected config leaves no directory
+    os.makedirs(out, exist_ok=True)
 
     epochs = (cfg.iterations * cfg.batch_size) // len(src.features) + 2
     batches = data.batch_iter(src, tgt, cfg.batch_size,
@@ -156,9 +156,7 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
         "steps": steps_done,
         "aborted": aborted,
     }
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_atomic(os.path.join(out, "summary.json"), lambda fh: _dump_json(summary, fh))
 
     meta = {"config": run_doc, "input_dim": src.dim, "num_classes": src.num_classes}
     save_checkpoint(os.path.join(out, "checkpoint.npz"), bundle.all_params(), meta)
@@ -201,7 +199,11 @@ def run_sweep(cfg: TrainConfig, seeds: list[int],
         "aborted_seeds": aborted_seeds,
     }
     os.makedirs(base, exist_ok=True)
-    with open(os.path.join(base, "aggregate.json"), "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2)
-        fh.write("\n")
+    write_atomic(os.path.join(base, "aggregate.json"),
+                 lambda fh: _dump_json(aggregate, fh))
     return aggregate
+
+
+def _dump_json(doc: dict, fh) -> None:
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")

@@ -2,7 +2,8 @@
 
 One Tape records one forward pass; tensors created by ops are appended in
 topological order, so a single reversed sweep propagates gradients. A tape
-supports exactly one backward pass and is consumed by it. Tensors without a
+supports exactly one backward pass and is consumed by it: backward takes the
+nodes off the tape and releases them as it sweeps. Tensors without a
 tape behave as constants: ops on them still compute values eagerly, which is
 how evaluation-only forward passes work.
 """
@@ -310,9 +311,16 @@ def detach(x: Tensor) -> Tensor:
 def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
     """Reverse accumulation from a scalar loss; consumes the tape.
 
-    Returns gradients for the wanted parameter ids that participate in the
-    graph; wanted ids whose parameter leaf was never touched by the loss get
-    an explicit zero gradient.
+    The sweep takes the nodes off the tape and pops them from the end. Once a
+    node's vjp has run, its gradient slot, parents and vjp are dropped, so a
+    consumed node keeps only its values and the graph is freed by reference
+    counting as the sweep goes, not left in a Tape <-> Tensor cycle.
+    Contributions are summed as existing + arriving into a new array, never in
+    place, because a vjp may hand one array to several parents.
+
+    Returns fresh gradient arrays for the wanted parameter ids that
+    participate in the graph; wanted ids whose parameter leaf was never
+    touched by the loss get an explicit zero gradient.
     """
     tape = loss.tape
     if tape is None:
@@ -321,29 +329,35 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
         raise GraphError("stale graph: backward already ran on this tape")
     if loss.values.shape != ():
         raise GraphError(f"loss must be scalar, got shape {loss.values.shape}")
-
-    grads: list[Optional[np.ndarray]] = [None] * len(tape.nodes)
-    grads[loss._index] = np.ones((), dtype=np.float64)
-    for node in reversed(tape.nodes):
-        g = grads[node._index]
-        if g is None or node._vjp is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if parent.tape is not tape:
-                continue  # constant or detached operand: gradient stops here
-            if grads[parent._index] is None:
-                grads[parent._index] = np.array(pg, dtype=np.float64)
-            else:
-                grads[parent._index] = grads[parent._index] + pg
+    nodes, tape.nodes = tape.nodes, []
+    params, tape._params = tape._params, {}
     tape.consumed = True
+
+    grads: list[Optional[np.ndarray]] = [None] * len(nodes)
+    grads[loss._index] = np.ones((), dtype=np.float64)
+    leaf_grads: GradientMap = {}
+    while nodes:
+        node = nodes.pop()
+        g = grads.pop()
+        if g is not None:
+            if node._vjp is not None:
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if parent.tape is not tape:
+                        continue  # constant or detached operand: gradient stops here
+                    prev = grads[parent._index]
+                    grads[parent._index] = pg if prev is None else prev + pg
+            elif node.param_id is not None:
+                leaf_grads[node.param_id] = g
+        node._parents = ()
+        node._vjp = None
 
     out: GradientMap = {}
     for pid in wanted:
-        leaf = tape._params.get(pid)
+        leaf = params.get(pid)
         if leaf is None:
             continue
-        g = grads[leaf._index]
-        out[pid] = np.zeros_like(leaf.values) if g is None else np.asarray(g)
+        g = leaf_grads.get(pid)
+        out[pid] = np.zeros_like(leaf.values) if g is None else np.array(g, dtype=np.float64)
     return out
 
 

@@ -13,7 +13,7 @@ from metalign.checkpoint import load_checkpoint, save_checkpoint, CheckpointErro
 from metalign.cli import main
 from metalign.config import SCHEMA, ConfigError, config_hash, load_config, parse_config
 from metalign.gradcheck import run_gradcheck
-from metalign.runner import run_training
+from metalign.runner import run_sweep, run_training
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -62,6 +62,16 @@ def base_doc(tmp_path, **overrides):
         "strategy": {"kind": "joint"},
     }
     doc.update(overrides)
+    return doc
+
+
+def cross_key_fault(tmp_path, fault):
+    """A document that parses but fails a check made while building the run."""
+    doc = base_doc(tmp_path)
+    if fault == "batch_size":
+        doc["batch_size"] = 5000  # larger than either domain
+    else:
+        doc["model"]["hidden"] = [8]  # one layer cannot form two groups
     return doc
 
 
@@ -302,6 +312,14 @@ class TestCmdRun:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
 
+    @pytest.mark.parametrize("fault", ["batch_size", "groups"])
+    def test_config_rejected_after_parse_leaves_no_directory(self, tmp_path, capsys,
+                                                             fault):
+        code = main(["run", write_config(tmp_path, cross_key_fault(tmp_path, fault))])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == 2
         assert "none.json" in json.loads(capsys.readouterr().err.strip())["detail"]
@@ -408,6 +426,69 @@ class TestCmdSweep:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config" and err["detail"].startswith("seed must be")
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("fault", ["batch_size", "groups"])
+    def test_config_rejected_after_parse_leaves_no_directory(self, tmp_path, capsys,
+                                                             fault):
+        cfg = write_config(tmp_path, cross_key_fault(tmp_path, fault))
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--seeds", "1,2", "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+        assert not out.exists()
+
+
+class TestAtomicWrites:
+    """A write that fails midway leaves neither the final file nor a temp file."""
+
+    @staticmethod
+    def failing_after_partial_write(target):
+        if isinstance(target, str):  # np.savez also takes a path
+            target = open(target, "wb")
+        with target:
+            target.write(b"{" if "b" in target.mode else "{")
+        raise OSError("disk full")
+
+    def test_summary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(json, "dump",
+                            lambda doc, fh, **kw: self.failing_after_partial_write(fh))
+        with pytest.raises(OSError, match="disk full"):
+            run_training(parse_config(base_doc(tmp_path, iterations=2)))
+        assert sorted(os.listdir(tmp_path / "run")) == ["metrics.jsonl"]
+
+    def test_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np, "savez",
+                            lambda fh, **arrays: self.failing_after_partial_write(fh))
+        with pytest.raises(OSError, match="disk full"):
+            run_training(parse_config(base_doc(tmp_path, iterations=2)))
+        assert sorted(os.listdir(tmp_path / "run")) == ["metrics.jsonl", "summary.json"]
+
+    def test_checkpoint_failure_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ck.npz")
+        save_checkpoint(path, {"w": np.arange(3.0)}, {})
+        before = (tmp_path / "ck.npz").read_bytes()
+        monkeypatch.setattr(np, "savez",
+                            lambda fh, **arrays: self.failing_after_partial_write(fh))
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"w": np.zeros(3)}, {})
+        assert os.listdir(tmp_path) == ["ck.npz"]
+        assert (tmp_path / "ck.npz").read_bytes() == before
+
+    def test_aggregate(self, tmp_path, monkeypatch):
+        dump = json.dump
+
+        def dump_failing_on_aggregate(doc, fh, **kw):
+            if "per_seed" in doc:
+                self.failing_after_partial_write(fh)
+            dump(doc, fh, **kw)
+
+        monkeypatch.setattr(json, "dump", dump_failing_on_aggregate)
+        out = tmp_path / "sweep"
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(parse_config(base_doc(tmp_path, iterations=2)), [1], str(out))
+        assert sorted(os.listdir(out)) == ["seed_1"]
+        assert sorted(os.listdir(out / "seed_1")) == ["checkpoint.npz", "metrics.jsonl",
+                                                      "summary.json"]
 
 
 class TestCmdEval:

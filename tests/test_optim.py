@@ -1,13 +1,26 @@
+import gc
+import glob
+import os
+import weakref
+from contextlib import contextmanager
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from metalign import losses, nn, optim
 from metalign import tensor as T
+from metalign.config import load_config
 from metalign.gradcheck import quadratic_toy, random_batch, random_bundle
 from metalign.optim import (ALIGNMENT, CLASSIFICATION, NonFiniteError, OptimState,
                             Role, metaalign_grads, metaalign_step, joint_grads,
                             joint_step, role_schedule, sgd_update, virtual_update)
+from metalign.runner import run_training
 from metalign.tensor import Tape, Tensor, backward, finite_diff_grad
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
+SHIPPED = sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIGS, "*.json")))
 
 
 class TestSgd:
@@ -296,3 +309,59 @@ class TestMetaStep:
         for row in rows:
             if row.ratio is not None:
                 assert row.ratio <= TAYLOR_RATIO_BOUND
+
+
+@contextmanager
+def gc_disabled():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestGraphLifetime:
+    """A step's tapes and arrays are freed by reference counting when the step
+    returns, not left in a reference cycle for the cyclic collector."""
+
+    @pytest.mark.parametrize("config", SHIPPED)
+    def test_step_tapes_dead_when_step_returns(self, config, tmp_path, monkeypatch):
+        cfg = replace(load_config(os.path.join(CONFIGS, config)), iterations=4)
+        created: list[weakref.ref] = []
+
+        class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                created.append(weakref.ref(self))
+
+        monkeypatch.setattr(optim, "Tape", RecordingTape)
+        steps_checked = []
+        for name in ("joint_step", "metaalign_step"):
+            def checked(*args, _step=getattr(optim, name), **kwargs):
+                first = len(created)
+                report = _step(*args, **kwargs)
+                tapes = created[first:]
+                assert len(tapes) == 2
+                assert all(ref() is None for ref in tapes)
+                steps_checked.append(_step.__name__)
+                return report
+
+            monkeypatch.setattr(optim, name, checked)
+        with gc_disabled():
+            run_training(cfg, str(tmp_path / "run"))
+        kind = "joint_step" if cfg.strategy.kind == "joint" else "metaalign_step"
+        assert steps_checked == [kind] * 4
+
+    @pytest.mark.parametrize("config", SHIPPED)
+    def test_no_cyclic_garbage_grows_with_steps(self, config, tmp_path):
+        cfg = load_config(os.path.join(CONFIGS, config))
+
+        def garbage_after(steps: int) -> int:
+            with gc_disabled():
+                run_training(replace(cfg, iterations=steps),
+                             str(tmp_path / f"run_{steps}"))
+                return gc.collect()
+
+        garbage_after(5)  # the first run in a process also pays one-off set-up
+        assert garbage_after(5) == garbage_after(60)

@@ -166,6 +166,8 @@ class TestBackward:
             backward(loss, ["w"])
         with pytest.raises(GraphError):
             tape.const(np.ones(1))
+        with pytest.raises(GraphError):
+            tape.param(np.ones(3), "w")  # not the consumed leaf handed back
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -181,6 +183,53 @@ class TestBackward:
         assert w1 is w2
         g = backward(T.reduce_sum(T.add(w1, w2)), ["w"])
         np.testing.assert_array_equal(g["w"], [2.0])
+
+    # Each case builds a loss on a tape from fixed input arrays; "p" and "q"
+    # are parameter leaves, "c" is a tape constant.
+    OWNERSHIP_CASES = {
+        "fan_in_add_p_p": lambda t, x: T.reduce_sum(
+            T.mul(T.add(t.param(x["p"], "p"), t.param(x["p"], "p")), t.const(x["c"]))),
+        "pass_through_add": lambda t, x: T.reduce_sum(
+            T.add(t.param(x["p"], "p"), t.param(x["q"], "q"))),
+        "pass_through_sub": lambda t, x: T.reduce_sum(
+            T.sub(t.param(x["p"], "p"), t.param(x["q"], "q"))),
+        "pass_through_scale_grad": lambda t, x: T.reduce_sum(
+            T.add(T.scale_grad(t.param(x["p"], "p"), 1.0), t.param(x["q"], "q"))),
+        "scale_by_0d": lambda t, x: T.reduce_sum(
+            T.scale_by(t.param(x["p"], "p"), t.param(x["q"][0], "q"))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OWNERSHIP_CASES))
+    def test_returned_gradients_are_owned(self, case):
+        build = self.OWNERSHIP_CASES[case]
+        rng = np.random.default_rng(7)
+        inputs = {"p": rand(rng, 3), "q": rand(rng, 3), "c": rand(rng, 3)}
+        snapshot = {k: v.copy() for k, v in inputs.items()}
+        tape = Tape()
+        loss = build(tape, inputs)
+        node_values = [n.values for n in tape.nodes]
+        grads = backward(loss, ["p", "q"])
+        assert grads
+        for pid, g in grads.items():
+            assert isinstance(g, np.ndarray) and g.dtype == np.float64
+            assert g.flags.writeable, pid
+            others = [v for k, v in grads.items() if k != pid]
+            for arr in node_values + list(inputs.values()) + others:
+                assert not np.shares_memory(g, arr), pid
+        expected = {pid: g.copy() for pid, g in grads.items()}
+        written = set()
+        for pid, g in grads.items():
+            g[...] = 1e300
+            written.add(pid)
+            for other, h in grads.items():
+                if other not in written:
+                    np.testing.assert_array_equal(h, expected[other])
+        for k, v in inputs.items():
+            np.testing.assert_array_equal(v, snapshot[k])
+        again = backward(build(Tape(), inputs), ["p", "q"])
+        for pid, g in again.items():
+            np.testing.assert_array_equal(g, expected[pid])
+        assert again.keys() == expected.keys()
 
     def test_full_mlp_cross_entropy_matches_fd(self):
         from metalign import optim
