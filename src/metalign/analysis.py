@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Optional
 
 import numpy as np
@@ -67,12 +67,16 @@ class MetricsRecord:
     target_acc: Optional[float] = None
 
     def to_json(self) -> str:
-        # floats go through repr (shortest exact round-trip form)
-        return json.dumps(asdict(self))
+        # floats go through repr (shortest exact round-trip form); the fields
+        # are read in declaration order, without asdict's deep copy
+        return json.dumps({name: getattr(self, name) for name in _RECORD_FIELDS})
 
     @classmethod
     def from_json(cls, line: str) -> "MetricsRecord":
         return cls(**json.loads(line))
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def record_metrics(sink: IO[str], record: MetricsRecord) -> None:

@@ -204,16 +204,19 @@ def batch_iter(src: Dataset, tgt: Dataset, batch_size: int, seed: int,
         order = perm(0, epoch, len(src.features))
         for start in range(0, len(order), batch_size):
             idx = order[start:start + batch_size]
-            take = []
-            while len(take) < len(idx):
+            pieces = []
+            need = len(idx)
+            while need:
                 if tgt_pos == n_t:
                     tgt_epoch += 1
                     tgt_order = perm(1, tgt_epoch, n_t)
                     tgt_pos = 0
-                room = min(len(idx) - len(take), n_t - tgt_pos)
-                take.extend(tgt_order[tgt_pos:tgt_pos + room])
+                room = min(need, n_t - tgt_pos)
+                pieces.append(tgt_order[tgt_pos:tgt_pos + room])
                 tgt_pos += room
+                need -= room
+            # fancy indexing already returns fresh arrays
             yield PairedBatch(
-                src_features=src.features[idx].copy(),
-                src_labels=src.labels[idx].copy(),
-                tgt_features=tgt.features[np.array(take)].copy())
+                src_features=src.features[idx],
+                src_labels=src.labels[idx],
+                tgt_features=tgt.features[np.concatenate(pieces)])

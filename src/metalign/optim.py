@@ -99,7 +99,9 @@ def sgd_update(params: dict[str, np.ndarray], grads: GradientMap,
         if g.shape != p.shape:
             raise T.DimensionError(f"grad shape {g.shape} vs param {p.shape} for {pid}")
         if state.weight_decay != 0.0 and pid != BETA_ID:
-            g = g + state.weight_decay * p
+            decayed = state.weight_decay * p
+            decayed += g  # the bits of g + weight_decay * p, one temporary
+            g = decayed
         v = state.velocity.get(pid)
         if v is None:
             v = np.zeros_like(p)
@@ -199,8 +201,11 @@ def _check_finite(report_values: dict[str, float], grads: GradientMap) -> None:
     for name, v in report_values.items():
         if not np.isfinite(v):
             raise NonFiniteError(f"non-finite loss {name}={v}")
+    flat = [g.ravel() for g in grads.values()]
+    if flat and np.isfinite(np.concatenate(flat)).all():
+        return  # one pass over every gradient; the per-id pass names the culprit
     for pid, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for {pid}")
 
 

@@ -6,6 +6,11 @@ supports exactly one backward pass and is consumed by it: backward takes the
 nodes off the tape and releases them as it sweeps. Tensors without a
 tape behave as constants: ops on them still compute values eagerly, which is
 how evaluation-only forward passes work.
+
+Only parameter leaves and the results of ops on them take gradients. Tape
+constants (Tape.const, and op results whose operands are all constants) and
+tensors without a tape belong to no node: a vjp returns None for such an
+operand instead of computing its gradient, and backward keeps no slot for it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,12 @@ class Tape:
                 vjp: Optional[Callable], param_id: Optional[str] = None) -> "Tensor":
         if self.consumed:
             raise GraphError("tape already consumed by backward; build a new graph")
-        t = Tensor(values, tape=self, param_id=param_id)
+        if values.__class__ is not np.ndarray:
+            values = np.asarray(values)  # 0-d results of ufuncs and sums are numpy scalars
+        t = object.__new__(Tensor)
+        t.values = values
+        t.tape = self
+        t.param_id = param_id
         t._parents = parents
         t._vjp = vjp
         t._index = len(self.nodes)
@@ -53,7 +63,10 @@ class Tape:
         return t
 
     def const(self, values) -> "Tensor":
-        return self._record(np.asarray(values, dtype=np.float64), (), None)
+        """Enter a constant of this graph: it takes no node and no gradient."""
+        if self.consumed:
+            raise GraphError("tape already consumed by backward; build a new graph")
+        return Tensor(values, tape=self)
 
 
 class Tensor:
@@ -79,22 +92,22 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}{tag})"
 
 
-def _result_tape(tensors: Iterable[Tensor]) -> Optional[Tape]:
-    tape = None
-    for t in tensors:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise GraphError("operands belong to two different graphs")
-    return tape
-
-
 def _make(values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    tape = _result_tape(parents)
+    """The result of a one- or two-operand op: a node if some operand takes
+    gradients, else a constant of the operands' graph (or of none)."""
+    if len(parents) == 1:
+        tape = parents[0].tape
+        live = parents[0]._index is not None
+    else:
+        a, b = parents
+        tape = a.tape if a.tape is not None else b.tape
+        if b.tape is not tape and b.tape is not None:
+            raise GraphError("operands belong to two different graphs")
+        live = a._index is not None or b._index is not None
     if tape is None:
         return Tensor(values)
+    if not live:
+        return tape.const(values)
     return tape._record(values, parents, vjp)
 
 
@@ -105,20 +118,25 @@ def _make(values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes {a.shape} vs {b.shape}")
-    return _make(a.values + b.values, (a, b), lambda g: (g, g))
+    return _make(a.values + b.values, (a, b),
+                 lambda g: (None if a._index is None else g,
+                            None if b._index is None else g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"sub: shapes {a.shape} vs {b.shape}")
-    return _make(a.values - b.values, (a, b), lambda g: (g, -g))
+    return _make(a.values - b.values, (a, b),
+                 lambda g: (None if a._index is None else g,
+                            None if b._index is None else -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul: shapes {a.shape} vs {b.shape}")
     return _make(a.values * b.values, (a, b),
-                 lambda g: (g * b.values, g * a.values))
+                 lambda g: (None if a._index is None else g * b.values,
+                            None if b._index is None else g * a.values))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -134,20 +152,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):  # divergence -> inf/NaN
         out = a.values @ b.values
     return _make(out, (a, b),
-                 lambda g: (g @ b.values.T, a.values.T @ g))
+                 lambda g: (None if a._index is None else g @ b.values.T,
+                            None if b._index is None else a.values.T @ g))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Row-wise bias addition, the only broadcast this engine supports."""
     if x.values.ndim != 2 or b.values.ndim != 1 or x.shape[1] != b.shape[0]:
         raise DimensionError(f"add_bias: shapes {x.shape} vs {b.shape}")
-    return _make(x.values + b.values[None, :], (x, b),
-                 lambda g: (g, g.sum(axis=0)))
+    return _make(x.values + b.values, (x, b),
+                 lambda g: (None if x._index is None else g,
+                            None if b._index is None else g.sum(axis=0)))
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0), so a NaN input stays NaN; the gradient passes where x > 0."""
     mask = x.values > 0.0
-    return _make(np.where(mask, x.values, 0.0), (x,), lambda g: (g * mask,))
+    return _make(np.maximum(x.values, 0.0), (x,), lambda g: (g * mask,))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -155,11 +176,15 @@ def tanh(x: Tensor) -> Tensor:
     return _make(t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
+# sigmoid outputs stay strictly inside (0, 1) even where float64 saturates
+_SIGMOID_LO = np.nextafter(0.0, 1.0)
+_SIGMOID_HI = np.nextafter(1.0, 0.0)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-x.values))
-    # keep output strictly inside (0, 1) even where float64 saturates
-    s = np.clip(s, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    s = np.minimum(np.maximum(s, _SIGMOID_LO), _SIGMOID_HI)
     return _make(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -170,7 +195,7 @@ def exp(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    if np.any(x.values <= 0.0):
+    if (x.values <= 0.0).any():
         raise DimensionError("log: nonpositive input")
     return _make(np.log(x.values), (x,), lambda g: (g / x.values,))
 
@@ -202,23 +227,19 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 def reduce_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
     _check_axis(x, axis)
-    out = x.values.sum(axis=axis)
-
-    def vjp(g):
-        return (_spread(g, x.shape, axis),)
-
-    return _make(np.asarray(out, dtype=np.float64), (x,), vjp)
+    shape = x.shape
+    return _make(x.values.sum(axis=axis), (x,),
+                 lambda g: (_spread(g, shape, axis),))
 
 
 def reduce_mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
     _check_axis(x, axis)
-    count = x.values.size if axis is None else x.shape[axis]
-    out = x.values.mean(axis=axis)
-
-    def vjp(g):
-        return (_spread(g, x.shape, axis) / count,)
-
-    return _make(np.asarray(out, dtype=np.float64), (x,), vjp)
+    shape = x.shape
+    count = x.values.size if axis is None else shape[axis]
+    # sum / count has the bits of x.values.mean(axis); dividing g once before
+    # spreading it gives each element the bits of dividing after spreading
+    return _make(x.values.sum(axis=axis) / count, (x,),
+                 lambda g: (_spread(g / count, shape, axis),))
 
 
 def _check_axis(x: Tensor, axis: Optional[int]) -> None:
@@ -227,9 +248,10 @@ def _check_axis(x: Tensor, axis: Optional[int]) -> None:
 
 
 def _spread(g: np.ndarray, shape: tuple[int, ...], axis: Optional[int]) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape).copy()
-    return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
+    """A new array of the given shape holding g repeated along the reduced axis."""
+    out = np.empty(shape)
+    out[...] = g if axis is None else np.expand_dims(g, axis)
+    return out
 
 
 def pick(x: Tensor, index: np.ndarray) -> Tensor:
@@ -266,7 +288,8 @@ def scale_by(x: Tensor, s: Tensor) -> Tensor:
         raise DimensionError("scale_by expects a scalar second operand")
 
     def vjp(g):
-        return (g * s.values, np.dot(g.ravel(), x.values.ravel()))
+        return (None if x._index is None else g * s.values,
+                None if s._index is None else np.dot(g.ravel(), x.values.ravel()))
 
     return _make(x.values * s.values, (x, s), vjp)
 
@@ -292,8 +315,11 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
         np.maximum(out, 0.0, out=out)
 
     def vjp(g):
-        ga = 2.0 * (g.sum(axis=1)[:, None] * a.values - g @ b.values)
-        gb = 2.0 * (g.sum(axis=0)[:, None] * b.values - g.T @ a.values)
+        ga = gb = None
+        if a._index is not None:
+            ga = 2.0 * (g.sum(axis=1)[:, None] * a.values - g @ b.values)
+        if b._index is not None:
+            gb = 2.0 * (g.sum(axis=0)[:, None] * b.values - g.T @ a.values)
         return (ga, gb)
 
     return _make(out, (a, b), vjp)
@@ -316,7 +342,8 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
     consumed node keeps only its values and the graph is freed by reference
     counting as the sweep goes, not left in a Tape <-> Tensor cycle.
     Contributions are summed as existing + arriving into a new array, never in
-    place, because a vjp may hand one array to several parents.
+    place, because a vjp may hand one array to several parents. An operand
+    that takes no gradient gets None from the vjp and is skipped.
 
     Returns fresh gradient arrays for the wanted parameter ids that
     participate in the graph; wanted ids whose parameter leaf was never
@@ -334,20 +361,24 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
     tape.consumed = True
 
     grads: list[Optional[np.ndarray]] = [None] * len(nodes)
-    grads[loss._index] = np.ones((), dtype=np.float64)
+    if loss._index is not None:  # else the loss is a constant: every gradient is 0
+        grads[loss._index] = np.ones((), dtype=np.float64)
     leaf_grads: GradientMap = {}
+    pop_node, pop_grad = nodes.pop, grads.pop
     while nodes:
-        node = nodes.pop()
-        g = grads.pop()
-        if g is not None:
-            if node._vjp is not None:
-                for parent, pg in zip(node._parents, node._vjp(g)):
-                    if parent.tape is not tape:
-                        continue  # constant or detached operand: gradient stops here
-                    prev = grads[parent._index]
-                    grads[parent._index] = pg if prev is None else prev + pg
-            elif node.param_id is not None:
+        node = pop_node()
+        g = pop_grad()
+        vjp = node._vjp
+        if vjp is None:  # a parameter leaf: nothing to release
+            if g is not None:
                 leaf_grads[node.param_id] = g
+            continue
+        if g is not None:
+            for parent, pg in zip(node._parents, vjp(g)):
+                if pg is not None:
+                    i = parent._index
+                    prev = grads[i]
+                    grads[i] = pg if prev is None else prev + pg
         node._parents = ()
         node._vjp = None
 

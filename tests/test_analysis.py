@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -131,6 +132,12 @@ class TestMetricsStream:
                         "L_total", "grad_dot_total", "grad_cos",
                         "grad_dot_per_group", "beta", "source_acc",
                         "target_acc"]
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_same_json_as_asdict(self, i):
+        rec = self._record(i)
+        rec.grad_cos = -0.1 * i or None
+        assert rec.to_json() == json.dumps(asdict(rec))
 
     def test_serialization_keeps_full_precision(self):
         # every float parses back to the identical double, i.e. at least 15

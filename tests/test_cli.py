@@ -3,12 +3,15 @@ import glob
 import inspect
 import json
 import os
+import platform
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from metalign import data
+from metalign import data, runner
 from metalign.checkpoint import load_checkpoint, save_checkpoint, CheckpointError
 from metalign.cli import main
 from metalign.config import SCHEMA, ConfigError, config_hash, load_config, parse_config
@@ -379,6 +382,51 @@ class TestCmdRun:
         for rj, rm in zip(ja, ma):
             for key in ("L_cls", "L_dom", "grad_dot_total"):
                 assert abs(rj[key] - rm[key]) <= 1e-12
+
+
+# Allocates and frees 100 heap arrays of 64 KiB six times and prints the minor
+# page faults of each round, after settle_heap when argv[1] is "settle".
+HEAP_PROBE = """
+import json, resource, sys
+import numpy as np
+from metalign import runner
+settled = runner.settle_heap() if sys.argv[1] == "settle" else None
+faults = []
+for _ in range(6):
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(8192) for _ in range(100)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+print(json.dumps({"settled": settled, "faults": faults}))
+"""
+
+
+class TestSettleHeap:
+    @staticmethod
+    def probe(mode: str) -> dict:
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        proc = subprocess.run([sys.executable, "-c", HEAP_PROBE, mode], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        return json.loads(proc.stdout)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_freed_heap_is_reused_without_faults(self):
+        # glibc's default trims the freed top of the heap, so every round
+        # faults about 1500 pages in again; settled, only the first round does
+        default, settled = self.probe("default"), self.probe("settle")
+        assert min(default["faults"][1:]) > 1000
+        assert settled["settled"] is True
+        assert settled["faults"][0] > 1000 and max(settled["faults"][1:]) < 20
+
+    def test_without_mallopt_reports_false(self, monkeypatch):
+        monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
+        assert runner.settle_heap() is False
+
+    def test_run_training_settles_heap(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "settle_heap", lambda: calls.append(1))
+        run_training(parse_config(base_doc(tmp_path, iterations=1)))
+        assert calls == [1]
 
 
 class TestCmdSweep:

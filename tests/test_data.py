@@ -194,6 +194,48 @@ class TestBatchIter:
         assert all(b.tgt_features.shape[0] == b.src_features.shape[0]
                    for b in batches)
 
+    @staticmethod
+    def gather_oracle(src, tgt, batch_size, seed, epochs):
+        """The batches as they were gathered: target indices collected one by
+        one in a list, then every array copied after indexing."""
+        def perm(domain_idx, epoch, n):
+            return np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(domain_idx, epoch))).permutation(n)
+
+        n_t = len(tgt.features)
+        tgt_epoch, tgt_pos = 0, 0
+        tgt_order = perm(1, 0, n_t)
+        for epoch in range(epochs):
+            order = perm(0, epoch, len(src.features))
+            for start in range(0, len(order), batch_size):
+                idx = order[start:start + batch_size]
+                take = []
+                while len(take) < len(idx):
+                    if tgt_pos == n_t:
+                        tgt_epoch += 1
+                        tgt_order = perm(1, tgt_epoch, n_t)
+                        tgt_pos = 0
+                    room = min(len(idx) - len(take), n_t - tgt_pos)
+                    take.extend(tgt_order[tgt_pos:tgt_pos + room])
+                    tgt_pos += room
+                yield (src.features[idx].copy(), src.labels[idx].copy(),
+                       tgt.features[np.array(take)].copy())
+
+    @pytest.mark.parametrize("n_s,n_t,bs", [(10, 7, 3), (10, 4, 4), (6, 6, 6), (9, 2, 2)])
+    def test_same_batches_as_list_gather_oracle(self, n_s, n_t, bs):
+        src, tgt = self._sets(n_s=n_s, n_t=n_t)
+        got = list(batch_iter(src, tgt, bs, seed=5, epochs=3))
+        want = list(self.gather_oracle(src, tgt, bs, seed=5, epochs=3))
+        assert len(got) == len(want)
+        for batch, (xs, ys, xt) in zip(got, want):
+            for arr, ref in [(batch.src_features, xs), (batch.src_labels, ys),
+                             (batch.tgt_features, xt)]:
+                assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
+            for arr, owner in [(batch.src_features, src.features),
+                               (batch.src_labels, src.labels),
+                               (batch.tgt_features, tgt.features)]:
+                assert arr.flags.owndata and not np.shares_memory(arr, owner)
+
     def test_batch_size_too_large(self):
         src, tgt = self._sets(n_s=10, n_t=4)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import gc
 import glob
+import json
 import os
 import weakref
 from contextlib import contextmanager
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metalign import losses, nn, optim
+from metalign import data, losses, nn, optim
 from metalign import tensor as T
 from metalign.config import load_config
 from metalign.gradcheck import quadratic_toy, random_batch, random_bundle
@@ -55,6 +56,37 @@ class TestSgd:
         sgd_update(p, {"w": np.zeros(1), "beta": np.zeros(1)}, state)
         assert p["w"][0] == pytest.approx(1.0 - 0.1 * 0.5)
         assert p["beta"][0] == 1.0
+
+    @staticmethod
+    def sgd_oracle(params, grads, state):
+        """The update as it was written: v <- m*v + (g + wd*p); p <- p - lr*v."""
+        for pid, p in params.items():
+            g = grads[pid]
+            if state.weight_decay != 0.0 and pid != "beta":
+                g = g + state.weight_decay * p
+            v = state.velocity.setdefault(pid, np.zeros_like(p))
+            v *= state.momentum
+            v += g
+            p -= state.lr * v
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4, 0.37])
+    def test_bitwise_equal_to_oracle(self, weight_decay):
+        rng = np.random.default_rng(21)
+        shapes = {"G.l0.W": (2, 64), "G.l0.b": (64,), "C.l0.W": (64, 3), "beta": (2,)}
+        params = {pid: rng.normal(size=shape) for pid, shape in shapes.items()}
+        want = {pid: p.copy() for pid, p in params.items()}
+        state = OptimState(lr=0.05, momentum=0.5, weight_decay=weight_decay)
+        oracle = OptimState(lr=0.05, momentum=0.5, weight_decay=weight_decay)
+        for _ in range(5):
+            grads = {pid: rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3)
+                     for pid, p in params.items()}
+            sgd_update(params, grads, state)
+            self.sgd_oracle(want, grads, oracle)
+            for pid in params:
+                np.testing.assert_array_equal(params[pid].view(np.int64),
+                                              want[pid].view(np.int64))
+                np.testing.assert_array_equal(state.velocity[pid].view(np.int64),
+                                              oracle.velocity[pid].view(np.int64))
 
     def test_grads_must_cover_params(self):
         state = OptimState()
@@ -288,6 +320,42 @@ class TestMetaStep:
             for _ in range(8):
                 metaalign_step(bundle, batch, variant, state, Role(ALIGNMENT))
 
+    @pytest.mark.parametrize("field", ["src_features", "tgt_features"])
+    @pytest.mark.parametrize("step", ["joint", ALIGNMENT, CLASSIFICATION])
+    def test_nan_feature_aborts(self, step, field):
+        """relu propagates NaN, so a NaN input still ends the step in
+        NonFiniteError before any parameter moves."""
+        rng = np.random.default_rng(10)
+        bundle, variant = random_bundle(rng, "dann")
+        batch = random_batch(rng)
+        getattr(batch, field)[1, 0] = np.nan
+        before = {pid: arr.copy() for pid, arr in bundle.all_params().items()}
+        with pytest.raises(NonFiniteError):
+            if step == "joint":
+                joint_step(bundle, batch, variant, OptimState())
+            else:
+                metaalign_step(bundle, batch, variant, OptimState(), Role(step))
+        for pid, arr in bundle.all_params().items():
+            np.testing.assert_array_equal(arr, before[pid])
+
+    @pytest.mark.parametrize("config", ["moons_dann_metaalign.json", "moons_dann_joint.json"])
+    def test_nan_batch_aborts_run_without_record(self, config, tmp_path, monkeypatch):
+        cfg = replace(load_config(os.path.join(CONFIGS, config)), iterations=6)
+        real_iter = data.batch_iter
+
+        def poisoned(*args, **kwargs):
+            for i, batch in enumerate(real_iter(*args, **kwargs)):
+                if i == 3:
+                    batch.src_features[0, 0] = np.nan
+                yield batch
+
+        monkeypatch.setattr(data, "batch_iter", poisoned)
+        out = tmp_path / "run"
+        summary = run_training(cfg, str(out))
+        assert summary["aborted"] is True and summary["steps"] == 3
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["iteration"] for line in lines] == [0, 1, 2]
+
     @pytest.mark.parametrize("step", ["joint", ALIGNMENT, CLASSIFICATION])
     @pytest.mark.parametrize("saturated", [False, True], ids=["plain", "saturated"])
     def test_report_flags_clamped_discriminator(self, step, saturated):
@@ -309,6 +377,27 @@ class TestMetaStep:
         for row in rows:
             if row.ratio is not None:
                 assert row.ratio <= TAYLOR_RATIO_BOUND
+
+
+class TestCheckFinite:
+    GRADS = {"G.l0.W": np.ones((2, 3)), "beta": np.zeros(2), "C.l0.b": np.full(4, -1e300)}
+
+    def test_finite_passes(self):
+        assert optim._check_finite({"L_cls": 0.5}, self.GRADS) is None
+        assert optim._check_finite({}, {}) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pid", ["G.l0.W", "beta", "C.l0.b"])
+    def test_names_first_non_finite_gradient(self, pid, bad):
+        grads = {k: v.copy() for k, v in self.GRADS.items()}
+        grads[pid].flat[-1] = bad
+        with pytest.raises(NonFiniteError, match=f"non-finite gradient for {pid}$"):
+            optim._check_finite({"L_cls": 0.5}, grads)
+
+    def test_loss_checked_first(self):
+        grads = {"beta": np.array([np.nan])}
+        with pytest.raises(NonFiniteError, match="non-finite loss L_dom=inf"):
+            optim._check_finite({"L_cls": 0.5, "L_dom": float("inf")}, grads)
 
 
 @contextmanager

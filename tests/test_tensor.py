@@ -14,6 +14,18 @@ def rand(rng, *shape):
     return rng.uniform(-2.0, 2.0, size=shape)
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# signed zeros, infinities, subnormals and normal values of both signs
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                           2.2250738585072014e-308 / 3, -1e-310, 1e-300, -1e-300,
+                           1.0, -1.0, 1e308, -1e308])
+
+
 class TestMatmul:
     def test_identity(self):
         x = np.array([[3.0, -1.0], [0.5, 2.0]])
@@ -69,6 +81,55 @@ class TestRelu:
         g = backward(T.reduce_sum(T.relu(x)), ["x"])
         assert g["x"][0] == 0.0
 
+    @pytest.mark.parametrize("case", ["random", "special", "scalar"])
+    def test_bitwise_equal_to_where_oracle(self, case):
+        """np.maximum(x, 0) has the bits of np.where(x > 0, x, 0) off NaN, -0.0 included."""
+        rng = np.random.default_rng(11)
+        if case == "random":
+            xs = [rng.normal(size=(n, m)) * 10.0 ** rng.integers(-300, 300)
+                  for n, m in [(1, 1), (3, 5), (128, 64), (17, 33)]]
+        elif case == "special":
+            xs = [SPECIAL_VALUES, np.tile(SPECIAL_VALUES, (9, 3)), rng.permutation(SPECIAL_VALUES)]
+        else:
+            xs = [np.asarray(v) for v in SPECIAL_VALUES]
+        for x in xs:
+            assert_same_bits(T.relu(Tensor(x)).values, np.where(x > 0.0, x, 0.0))
+            tape = Tape()
+            assert_same_bits(T.relu(tape.param(x, "x")).values, np.where(x > 0.0, x, 0.0))
+
+    def test_nan_propagates(self):
+        """A NaN input gives NaN (np.where gave 0); its gradient is 0, as before."""
+        tape = Tape()
+        x = tape.param(np.array([np.nan, -1.0, 2.0]), "x")
+        out = T.relu(x)
+        assert np.isnan(out.values[0])
+        np.testing.assert_array_equal(out.values[1:], [0.0, 2.0])
+        g = backward(T.reduce_sum(T.mul(out, Tensor([0.0, 1.0, 1.0]))), ["x"])
+        np.testing.assert_array_equal(g["x"], [0.0, 0.0, 1.0])
+
+
+class TestSigmoid:
+    @staticmethod
+    def clip_oracle(x):
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-x))
+        return np.clip(s, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+    @pytest.mark.parametrize("case", ["random", "saturating", "special"])
+    def test_clamp_bitwise_equal_to_clip_oracle(self, case):
+        rng = np.random.default_rng(12)
+        if case == "random":
+            x = rng.normal(size=(64, 5)) * 8.0
+        elif case == "saturating":
+            x = np.concatenate([np.linspace(-800.0, 800.0, 401),
+                                rng.uniform(30.0, 40.0, 50), -rng.uniform(700.0, 760.0, 50)])
+        else:
+            x = np.append(SPECIAL_VALUES, np.nan)
+        got = T.sigmoid(Tensor(x)).values
+        assert_same_bits(got, self.clip_oracle(x))
+        finite = ~np.isnan(x)
+        assert np.all((got[finite] > 0.0) & (got[finite] < 1.0))
+
 
 class TestLogSoftmax:
     def test_uniform_row(self):
@@ -110,6 +171,33 @@ class TestReduceOps:
     def test_invalid_axis(self):
         with pytest.raises(DimensionError):
             T.reduce_mean(Tensor(np.ones((2, 2))), axis=5)
+
+    @staticmethod
+    def spread_oracle(g, shape, axis):
+        """The backward spread as it was: copy the broadcast, then divide."""
+        g = g if axis is None else np.expand_dims(g, axis)
+        return np.broadcast_to(g, shape).copy()
+
+    @pytest.mark.parametrize("op", ["reduce_mean", "reduce_sum"])
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_backward_bitwise_equal_to_spread_oracle(self, op, axis):
+        """d/dx sum(w * reduce(x, axis)) is w spread over x (and divided by
+        the count for the mean), with the bits of copy-then-divide."""
+        rng = np.random.default_rng(13)
+        for shape in [(1, 1), (3, 7), (128, 1), (10, 13)]:
+            x = rng.normal(size=shape)
+            reduced_shape = () if axis is None else shape[:axis] + shape[axis + 1:]
+            w = rng.normal(size=reduced_shape) * 10.0 ** rng.integers(-5, 5)
+            tape = Tape()
+            out = getattr(T, op)(tape.param(x, "x"), axis=axis)
+            g = backward(T.reduce_sum(T.mul(out, tape.const(w))), ["x"])["x"]
+            want = self.spread_oracle(w, shape, axis)
+            if op == "reduce_mean":
+                want = want / (x.size if axis is None else shape[axis])
+                assert_same_bits(out.values, x.mean(axis=axis))
+            else:
+                assert_same_bits(out.values, x.sum(axis=axis))
+            assert_same_bits(g, want)
 
 
 class TestDetach:
@@ -169,6 +257,48 @@ class TestBackward:
         with pytest.raises(GraphError):
             tape.param(np.ones(3), "w")  # not the consumed leaf handed back
 
+    def test_constant_operand_takes_no_gradient(self):
+        """matmul(tape.const(x), W): no node and no input gradient for the
+        constant, and W's gradient has the bits it has when x is a leaf too."""
+        rng = np.random.default_rng(14)
+        x, w, u = rng.normal(size=(9, 4)), rng.normal(size=(4, 6)), rng.normal(size=(9, 6))
+
+        def loss(tape, x_entry):
+            out = T.matmul(x_entry, tape.param(w, "w"))
+            return out, T.reduce_sum(T.mul(out, tape.const(u)))
+
+        tape = Tape()
+        c = tape.const(x)
+        out, total = loss(tape, c)
+        assert c.tape is tape and all(n is not c for n in tape.nodes)
+        ga, gw = out._vjp(np.ones(out.shape))
+        assert ga is None and gw is not None
+        g_const = backward(total, ["w"])
+
+        tape = Tape()
+        _, total = loss(tape, tape.param(x, "x"))
+        g_leaf = backward(total, ["w", "x"])
+        assert_same_bits(g_const["w"], g_leaf["w"])
+        assert_same_bits(g_const["w"], x.T @ u)
+        assert g_const.keys() == {"w"}
+
+    def test_ops_on_constants_are_constants(self):
+        tape = Tape()
+        c = T.relu(T.scale(tape.const(np.array([1.0, -2.0])), 3.0))
+        assert c.tape is tape and not tape.nodes
+        w = tape.param(np.array([0.5, 0.25]), "w")
+        g = backward(T.reduce_sum(T.mul(c, w)), ["w"])
+        assert_same_bits(g["w"], np.array([3.0, 0.0]))
+
+    def test_constant_loss_gives_zero_gradients(self):
+        tape = Tape()
+        tape.param(np.ones(3), "w")
+        loss = T.reduce_sum(tape.const(np.arange(3.0)))
+        g = backward(loss, ["w"])
+        np.testing.assert_array_equal(g["w"], np.zeros(3))
+        with pytest.raises(GraphError):
+            backward(loss, ["w"])
+
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
         a = t1.param(np.ones(2), "a")
@@ -185,7 +315,7 @@ class TestBackward:
         np.testing.assert_array_equal(g["w"], [2.0])
 
     # Each case builds a loss on a tape from fixed input arrays; "p" and "q"
-    # are parameter leaves, "c" is a tape constant.
+    # are parameter leaves, "c" is a tape constant (no node, no gradient).
     OWNERSHIP_CASES = {
         "fan_in_add_p_p": lambda t, x: T.reduce_sum(
             T.mul(T.add(t.param(x["p"], "p"), t.param(x["p"], "p")), t.const(x["c"]))),
@@ -197,6 +327,8 @@ class TestBackward:
             T.add(T.scale_grad(t.param(x["p"], "p"), 1.0), t.param(x["q"], "q"))),
         "scale_by_0d": lambda t, x: T.reduce_sum(
             T.scale_by(t.param(x["p"], "p"), t.param(x["q"][0], "q"))),
+        "const_operand_add": lambda t, x: T.reduce_sum(
+            T.add(T.add(t.param(x["p"], "p"), t.const(x["c"])), t.param(x["q"], "q"))),
     }
 
     @pytest.mark.parametrize("case", sorted(OWNERSHIP_CASES))
