@@ -211,6 +211,9 @@ def op_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
         "scale_by", {"x": _rng_arr(rng, 3, 2), "s": np.asarray(rng.uniform(0.5, 1.5))},
         lambda p: T.reduce_sum(T.mul(T.scale_by(p["x"], p["s"]), cw2_sb)),
         corrupt=corrupt))
+    out.append(_fd_check(
+        "rbf_mean", {"d": rng.uniform(0.0, 3.0, size=(3, 5))},
+        lambda p: T.rbf_mean(p["d"], -0.4), corrupt=corrupt))
 
     out.append(_detach_check(rng, corrupt))
     out.append(_grl_check(rng, corrupt))

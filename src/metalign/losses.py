@@ -125,9 +125,9 @@ def mmd2_rbf(fs: Tensor, ft: Tensor, sigma: float) -> Tensor:
     if fs.shape[0] == 0 or ft.shape[0] == 0:
         raise ValueError("mmd2_rbf needs at least one sample per domain")
     inv = -1.0 / (2.0 * sigma)
-    k_ss = T.reduce_mean(T.exp(T.scale(T.pairwise_sqdist(fs, fs), inv)))
-    k_tt = T.reduce_mean(T.exp(T.scale(T.pairwise_sqdist(ft, ft), inv)))
-    k_st = T.reduce_mean(T.exp(T.scale(T.pairwise_sqdist(fs, ft), inv)))
+    k_ss = T.rbf_mean(T.pairwise_sqdist(fs, fs), inv)
+    k_tt = T.rbf_mean(T.pairwise_sqdist(ft, ft), inv)
+    k_st = T.rbf_mean(T.pairwise_sqdist(fs, ft), inv)
     return T.sub(T.add(k_ss, k_tt), T.scale(k_st, 2.0))
 
 

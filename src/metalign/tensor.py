@@ -242,6 +242,28 @@ def reduce_mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
                  lambda g: (_spread(g / count, shape, axis),))
 
 
+def rbf_mean(d: Tensor, inv: float) -> Tensor:
+    """mean(exp(inv * d)) over every element: the mean of an RBF kernel
+    matrix in one node, with the bits of reduce_mean(exp(scale(d, inv))).
+
+    The forward scales and exponentiates one array in place; the vjp forms
+    e * (g / count) * inv, the old chain's (g / count) * e * inv with the
+    factors commuted, so value and gradient keep their bits.
+    """
+    inv = float(inv)
+    with np.errstate(over="ignore"):
+        e = d.values * inv
+        np.exp(e, out=e)
+    count = e.size
+
+    def vjp(g):
+        out = e * (g / count)
+        out *= inv
+        return (out,)
+
+    return _make(e.sum() / count, (d,), vjp)
+
+
 def _check_axis(x: Tensor, axis: Optional[int]) -> None:
     if axis is not None and not (0 <= axis < x.values.ndim):
         raise DimensionError(f"axis {axis} invalid for shape {x.shape}")
@@ -305,13 +327,24 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
 
     Gram form ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j, clamped at 0: cancellation
     can leave a rounding-level negative where the true distance is about 0.
+
+    The cross term is (2a) @ b.T. Doubling is exact, so for distinct operands
+    it has the bits of 2 * (a @ b.T). For a self-Gram (b is a) it also keeps
+    numpy off its syrk path for a @ a.T, which is about twice as slow as gemm
+    at the MMD shapes; syrk and gemm agree bit for bit at the shipped batch
+    shapes (n = 64 to 1000, d <= 64) but differ at the rounding level at
+    some others (n = 2, 32, 100).
     """
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"pairwise_sqdist: shapes {a.shape} vs {b.shape}")
     av, bv = a.values, b.values
     with np.errstate(over="ignore", invalid="ignore"):  # divergence -> inf/NaN
-        out = (av * av).sum(axis=1)[:, None] + (bv * bv).sum(axis=1)[None, :]
-        out -= 2.0 * (av @ bv.T)
+        na = (av * av).sum(axis=1)
+        nb = na if bv is av else (bv * bv).sum(axis=1)
+        out = na[:, None] + nb[None, :]
+        # never av @ av.T for the self-Gram: numpy sends that to syrk, which
+        # is slower and at some shapes rounds differently
+        out -= (2.0 * av) @ bv.T
         np.maximum(out, 0.0, out=out)
 
     def vjp(g):

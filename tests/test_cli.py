@@ -632,7 +632,8 @@ class TestCmdGradcheck:
         assert "meta_beta_dann_alignment" in report.failing()
 
     @pytest.mark.parametrize("check", [
-        "matmul", "detach", "grl", "mmd2_rbf", "cls_loss_mmd", "align_disc_dann",
+        "matmul", "rbf_mean", "detach", "grl", "mmd2_rbf", "cls_loss_mmd",
+        "align_disc_dann",
         "meta_theta_dannpe_classification", "meta_beta_closed_form_mmd_alignment",
         "toy_beta_alpha_0.1",
     ])

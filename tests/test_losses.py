@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -182,6 +184,37 @@ class TestMmd:
         perm = rng.permutation(7)
         pp = float(losses.mmd2_rbf(Tensor(fs[perm]), Tensor(ft), sigma).values)
         assert abs(ab - pp) < 1e-14
+
+    def test_records_nine_nodes_and_backward_frees_them(self):
+        """One evaluation is 3 pairwise_sqdist, 3 rbf_mean, add, scale and
+        sub; with gc disabled, backward leaves no node, array or tape alive."""
+        rng = np.random.default_rng(8)
+        tape = Tape()
+        fs = tape.param(rng.normal(size=(6, 3)), "fs")
+        ft = tape.param(rng.normal(size=(5, 3)), "ft")
+        first = len(tape.nodes)
+        loss = losses.mmd2_rbf(fs, ft, 1.3)
+        nodes = tape.nodes[first:]
+        kinds = sorted(node._vjp.__qualname__.split(".")[0] for node in nodes)
+        assert kinds == sorted(["pairwise_sqdist"] * 3 + ["rbf_mean"] * 3
+                               + ["add", "scale", "sub"])
+        held = []
+        for node in nodes[:-1]:
+            held.append(weakref.ref(node.values))
+            held.extend(weakref.ref(c.cell_contents) for c in node._vjp.__closure__
+                        if isinstance(c.cell_contents, np.ndarray))
+        del nodes, node
+        tape_ref = weakref.ref(tape)
+        gc.collect()
+        gc.disable()
+        try:
+            grads = backward(loss, ["fs", "ft"])
+            assert all(ref() is None for ref in held)  # while the loss still lives
+            del tape, fs, ft, loss
+            assert tape_ref() is None
+        finally:
+            gc.enable()
+        assert set(grads) == {"fs", "ft"}
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -200,6 +200,48 @@ class TestReduceOps:
             assert_same_bits(g, want)
 
 
+class TestRbfMean:
+    @staticmethod
+    def value_and_grad(build, x, w):
+        tape = Tape()
+        out = build(tape.param(x, "x"))
+        g = backward(T.scale(out, w), ["x"])["x"]
+        return out.values, g
+
+    @pytest.mark.parametrize("source", ["direct", "self_sqdist", "cross_sqdist"])
+    def test_bitwise_equal_to_scale_exp_mean_chain(self, source):
+        """Value and gradient have the bits of reduce_mean(exp(scale(d, inv))),
+        for d given directly or built by pairwise_sqdist on the tape."""
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n, m, k = (int(v) for v in rng.integers(1, 40, size=3))
+            inv = -float(rng.uniform(0.01, 3.0))
+            w = float(rng.normal() * 10.0 ** rng.integers(-3, 3))
+            if source == "direct":
+                x = rng.uniform(0.0, 5.0, size=(n, m))
+                x[rng.random(size=x.shape) < 0.1] = 0.0
+                x[rng.random(size=x.shape) < 0.05] = np.inf
+            else:
+                x = rng.normal(size=(n, k))
+            other = rng.normal(size=(m, k))
+
+            def dist(t):
+                if source == "direct":
+                    return t
+                b = t if source == "self_sqdist" else Tensor(other, tape=t.tape)
+                return T.pairwise_sqdist(t, b)
+
+            got = self.value_and_grad(lambda t: T.rbf_mean(dist(t), inv), x, w)
+            want = self.value_and_grad(
+                lambda t: T.reduce_mean(T.exp(T.scale(dist(t), inv))), x, w)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+    def test_on_constants_is_constant(self):
+        out = T.rbf_mean(Tensor(np.zeros((2, 3))), -1.0)
+        assert float(out.values) == 1.0 and out.tape is None
+
+
 class TestDetach:
     def test_values_preserved(self):
         x = Tensor(np.array([1.0, -2.0]))
@@ -405,6 +447,32 @@ class TestPairwiseSqdist:
             scale = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] + 1.0
             assert np.all(np.abs(got - self.broadcast_oracle(a, b)) <= 1e-14 * scale)
             assert np.all(got >= 0.0)
+
+    @staticmethod
+    def old_self_gram_form(a):
+        """The self-distances as computed before the doubled-operand product:
+        2 * (a @ a.T), which numpy sends to syrk."""
+        n = (a * a).sum(axis=1)
+        out = n[:, None] + n[None, :]
+        out -= 2.0 * (a @ a.T)
+        return np.maximum(out, 0.0)
+
+    def test_doubled_operand_product_is_bitwise_for_distinct_operands(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n, m, d = (int(v) for v in rng.integers(1, 130, size=3))
+            a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+            assert_same_bits((2.0 * a) @ b.T, 2.0 * (a @ b.T))
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_self_gram_bitwise_at_shipped_shapes(self, n):
+        """The MMD batch shapes (batch 64 and 256, pooled 128 and 512, width
+        32) give the old syrk bits through the gemm path."""
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a = rng.normal(size=(n, 32)) * rng.uniform(0.1, 10.0)
+            t = Tensor(a)
+            assert_same_bits(T.pairwise_sqdist(t, t).values, self.old_self_gram_form(a))
 
 
 class TestDeterminism:
