@@ -2,7 +2,8 @@
 
 Subcommands: run <config>, gradcheck, sweep <config> --seeds a,b,c,
 eval <checkpoint> <config>. METALIGN_OUTPUT_DIR overrides the output
-directory. Exit codes: 0 ok, 2 config error, 3 runtime abort, 4 check failure.
+directory. Exit codes: 0 ok, 2 config error, 3 runtime abort (for sweep: any
+seed aborted or failed), 4 check failure.
 """
 
 from __future__ import annotations
@@ -72,7 +73,11 @@ def cmd_sweep(args) -> int:
         return _fail("config", str(e), EXIT_CONFIG)
     print(json.dumps({k: aggregate[k] for k in
                       ("seeds", "final_target_acc", "mean_grad_cos",
-                       "aborted_seeds")}))
+                       "aborted_seeds", "failed_seeds")}))
+    failed = [f["seed"] for f in aggregate["failed_seeds"]]
+    if failed:
+        return _fail("failed", f"failed seeds: {failed}, aborted seeds: "
+                               f"{aggregate['aborted_seeds']}", EXIT_ABORT)
     if aggregate["aborted_seeds"]:
         return _fail("non_finite",
                      f"aborted seeds: {aggregate['aborted_seeds']}", EXIT_ABORT)

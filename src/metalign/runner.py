@@ -7,8 +7,10 @@ import ctypes
 import json
 import logging
 import os
+import signal
+import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -194,9 +196,162 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
     return summary
 
 
+# Faults of the sweep's input, raised before a run creates its directory and
+# the same for every seed: they end the sweep instead of failing one seed.
+_INPUT_ERRORS = (ConfigError, data.CsvFormatError)
+
+
+def blas_threads():
+    """(getter, setter) of the thread count of the OpenBLAS numpy links, or None.
+
+    Looked up by name in numpy's own extension module: the scipy-openblas
+    wheels export the symbols with a 64_ suffix, older builds without one.
+    """
+    try:
+        umath = getattr(np, "_core", None) or np.core
+        lib = ctypes.CDLL(umath._multiarray_umath.__file__)
+    except (AttributeError, OSError, TypeError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+def sweep_workers(n_seeds: int) -> int:
+    """How many processes share a sweep of n_seeds: one per usable CPU, at
+    most one per seed, and 1 where there is no fork or no BLAS thread setter
+    (two processes with a multi-threaded BLAS each would oversubscribe)."""
+    if n_seeds < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    workers = min(n_seeds, len(os.sched_getaffinity(0)))
+    return workers if workers > 1 and blas_threads() is not None else 1
+
+
+def _run_share(cfg: TrainConfig, seeds: list[int], base: str) -> Iterator[tuple]:
+    """Run seeds one after another, yielding (seed, result) for each. An input
+    fault propagates; any other exception fails only its seed."""
+    for seed in seeds:
+        try:
+            summary = run_training(replace(cfg, seed=seed),
+                                   os.path.join(base, f"seed_{seed}"))
+        except _INPUT_ERRORS:
+            raise
+        except Exception as e:  # one bad seed must not lose the sweep
+            log.exception("seed %d failed", seed)
+            yield seed, {"error": f"{type(e).__name__}: {e}"}
+        else:
+            yield seed, {"summary": summary}
+
+
+def _worker(cfg: TrainConfig, seeds: list[int], base: str, fd: int) -> None:
+    """Body of a forked worker: one JSON line per seed on fd, then _exit.
+
+    os._exit keeps the parent's atexit handlers, test teardown and stdio
+    buffers from running a second time in the child.
+    """
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+            def send(seed, result):
+                pipe.write(json.dumps([seed, result]).encode() + b"\n")
+                pipe.flush()  # the line is out before the next seed starts
+            try:
+                for seed, result in _run_share(cfg, seeds, base):
+                    send(seed, result)
+            except _INPUT_ERRORS as e:
+                send(None, {"input_error": [type(e).__name__, str(e)]})
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _worker_results(seeds: list[int], out: bytes, status: int) -> dict:
+    """A finished worker's results by seed, from its pipe output and wait
+    status; a seed it did not report (it died by a signal or a non-zero
+    exit) is failed, and an input fault it reported is raised here."""
+    # a line cut short by the worker's death has no newline and is dropped
+    lines = [json.loads(line) for line in out.split(b"\n")[:-1]]
+    for seed, result in lines:
+        if seed is None:
+            name, message = result["input_error"]
+            raise {c.__name__: c for c in _INPUT_ERRORS}[name](message)
+    results = dict(lines)
+    code = os.waitstatus_to_exitcode(status)
+    how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    for seed in seeds:
+        results.setdefault(seed, {"error": f"WorkerError: the worker running "
+                                           f"seed {seed} {how}"})
+    return results
+
+
+def _run_seeds(cfg: TrainConfig, seeds: list[int], base: str) -> dict:
+    """Every seed's result, from sweep_workers(len(seeds)) processes.
+
+    The caller is worker 0 and runs seeds[0::W]; worker k is a forked child
+    that runs seeds[k::W], so the same process runs the same seeds every
+    time. BLAS runs one thread per worker for the whole sweep and gets its
+    count back afterwards; the bits of a run do not depend on it.
+    """
+    workers = sweep_workers(len(seeds))
+    if workers == 1:
+        return dict(_run_share(cfg, seeds, base))
+    get_threads, set_threads = blas_threads()
+    threads = get_threads()
+    set_threads(1)
+    children: list[tuple] = []  # (pid, read end of its pipe, its seeds), not yet reaped
+    try:
+        # flushed now, so that a worker's logging does not write the caller's
+        # pending output a second time
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _worker(cfg, seeds[k::workers], base, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), seeds[k::workers]))
+        # a worker's lines (about 200 bytes a seed) wait in its pipe until the
+        # caller's share is done; past the pipe's 64 KiB the worker waits too
+        results = dict(_run_share(cfg, seeds[0::workers], base))
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                out = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            results.update(_worker_results(share, out, status))
+    finally:
+        for pid, pipe, _ in children:  # left only when something raised
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        set_threads(threads)
+    return results
+
+
 def run_sweep(cfg: TrainConfig, seeds: list[int],
               out_dir: Optional[str] = None) -> dict:
-    """Independent per-seed runs plus a mean/std aggregate over completions."""
+    """Independent per-seed runs plus a mean/std aggregate over completions.
+
+    The seeds run in sweep_workers(len(seeds)) processes, and every file is
+    byte-identical to a one-process sweep. A seed whose run raises (an input
+    fault aside) or whose worker dies is listed in failed_seeds and, like an
+    aborted seed, left out of the means; the other seeds finish.
+    """
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     seeds = [check_value("", "seed", s) for s in seeds]
@@ -204,12 +359,16 @@ def run_sweep(cfg: TrainConfig, seeds: list[int],
     if repeated:
         raise ConfigError(f"seed {repeated[0]} is listed more than once")
     base = out_dir or cfg.out_dir
+    results = _run_seeds(cfg, seeds, base)
     per_seed: list[dict] = []
     aborted_seeds: list[int] = []
+    failed_seeds: list[dict] = []
     for seed in seeds:
-        run_cfg = replace(cfg, seed=seed)
-        summary = run_training(run_cfg, os.path.join(base, f"seed_{seed}"))
-        summary = {"seed": seed, **summary}
+        result = results[seed]
+        if "error" in result:
+            failed_seeds.append({"seed": seed, "error": result["error"]})
+            continue
+        summary = {"seed": seed, **result["summary"]}
         per_seed.append(summary)
         if summary["aborted"]:
             aborted_seeds.append(seed)
@@ -228,6 +387,7 @@ def run_sweep(cfg: TrainConfig, seeds: list[int],
         "final_target_acc": agg("final_target_acc"),
         "mean_grad_cos": agg("mean_grad_cos"),
         "aborted_seeds": aborted_seeds,
+        "failed_seeds": failed_seeds,
     }
     os.makedirs(base, exist_ok=True)
     write_atomic(os.path.join(base, "aggregate.json"),

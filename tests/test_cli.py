@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -478,12 +479,199 @@ class TestCmdSweep:
 
     @pytest.mark.parametrize("fault", ["batch_size", "groups"])
     def test_config_rejected_after_parse_leaves_no_directory(self, tmp_path, capsys,
-                                                             fault):
+                                                             monkeypatch, fault):
+        use_cpus(monkeypatch, 2)  # the caller and a forked worker both reject it
         cfg = write_config(tmp_path, cross_key_fault(tmp_path, fault))
         out = tmp_path / "sweep"
         assert main(["sweep", cfg, "--seeds", "1,2", "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
         assert not out.exists()
+
+
+def use_cpus(monkeypatch, n):
+    """Make n CPUs usable as runner sees them, so a sweep forks n - 1 workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def tree_bytes(root):
+    """Every file under root by relative path, with its bytes."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_workers = pytest.mark.skipif(
+    not hasattr(os, "fork") or runner.blas_threads() is None,
+    reason="a sweep forks workers only with os.fork and a BLAS thread setter")
+
+
+@pytest.fixture
+def blas_count():
+    """Set the BLAS thread count for a test; the count before comes back after."""
+    get, put = runner.blas_threads()
+    before = get()
+    yield put
+    put(before)
+
+
+def sweep_doc(tmp_path):
+    doc = base_doc(tmp_path, iterations=8)
+    doc["strategy"] = {"kind": "metaalign", "role_policy": "alternate"}
+    return doc
+
+
+@needs_workers
+class TestParallelSweep:
+    @pytest.mark.parametrize("seeds", [[5, 1, 3], [2, 7, 4, 6]],
+                             ids=["3_seeds", "4_seeds"])
+    def test_byte_identical_to_serial(self, tmp_path, monkeypatch, blas_count, seeds):
+        cfg = parse_config(sweep_doc(tmp_path))
+        use_cpus(monkeypatch, 1)
+        blas_count(2)  # the serial sweep keeps the caller's BLAS threads
+        serial = run_sweep(cfg, seeds, str(tmp_path / "serial"))
+        use_cpus(monkeypatch, 2)
+        parallel = run_sweep(cfg, seeds, str(tmp_path / "parallel"))
+        assert_no_child_left()
+        assert parallel == serial
+        assert [s["seed"] for s in parallel["per_seed"]] == seeds
+        assert parallel["failed_seeds"] == [] and parallel["aborted_seeds"] == []
+        a, b = tree_bytes(tmp_path / "serial"), tree_bytes(tmp_path / "parallel")
+        names = {"aggregate.json"} | {f"seed_{s}/{f}" for s in seeds for f in
+                                      ("metrics.jsonl", "summary.json",
+                                       "checkpoint.npz")}
+        assert set(a) == names and a == b
+
+    @pytest.mark.parametrize("case", ["one_seed", "one_cpu", "no_fork", "no_blas_setter"])
+    def test_serial_path_forks_nothing(self, tmp_path, monkeypatch, case):
+        def fork():
+            raise AssertionError("os.fork called")
+        use_cpus(monkeypatch, 1 if case == "one_cpu" else 2)
+        seeds = [4] if case == "one_seed" else [4, 8]
+        if case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", fork)
+        if case == "no_blas_setter":
+            monkeypatch.setattr(runner, "blas_threads", lambda: None)
+        agg = run_sweep(parse_config(base_doc(tmp_path, iterations=2)), seeds,
+                        str(tmp_path / "sweep"))
+        assert [s["seed"] for s in agg["per_seed"]] == seeds
+
+    def test_workers_run_one_blas_thread_and_caller_gets_its_count_back(
+            self, tmp_path, monkeypatch, blas_count):
+        get, _ = runner.blas_threads()
+        blas_count(2)
+        train = runner.run_training
+
+        def recording(cfg, out_dir=None):
+            (tmp_path / f"threads_{cfg.seed}").write_text(str(get()))
+            return train(cfg, out_dir)
+
+        monkeypatch.setattr(runner, "run_training", recording)
+        use_cpus(monkeypatch, 2)
+        run_sweep(parse_config(base_doc(tmp_path, iterations=2)), [1, 2, 3],
+                  str(tmp_path / "sweep"))
+        assert_no_child_left()
+        assert [(tmp_path / f"threads_{s}").read_text() for s in (1, 2, 3)] == ["1"] * 3
+        assert get() == 2
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_raising_seed_is_failed_and_others_finish(self, tmp_path, monkeypatch,
+                                                      capsys, where):
+        # with two workers the caller runs seeds 1 and 3, the forked worker seed 2
+        bad = 3 if where == "caller" else 2
+        doc = sweep_doc(tmp_path)
+        cfg_path = write_config(tmp_path, doc)
+        use_cpus(monkeypatch, 2)
+        run_sweep(parse_config(doc), [1, 2, 3], str(tmp_path / "clean"))
+        train = runner.run_training
+
+        def failing(cfg, out_dir=None):
+            if cfg.seed == bad:
+                raise RuntimeError("boom")
+            return train(cfg, out_dir)
+
+        monkeypatch.setattr(runner, "run_training", failing)
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg_path, "--seeds", "1,2,3", "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] \
+            == "failed"
+        assert_no_child_left()
+        agg = json.loads((out / "aggregate.json").read_text())
+        assert agg["failed_seeds"] == [{"seed": bad, "error": "RuntimeError: boom"}]
+        good = [s for s in (1, 2, 3) if s != bad]
+        assert [s["seed"] for s in agg["per_seed"]] == good
+        assert agg["final_target_acc"]["mean"] == float(
+            np.mean([s["final_target_acc"] for s in agg["per_seed"]]))
+        clean = tree_bytes(tmp_path / "clean")
+        got = tree_bytes(out)
+        assert {k for k in got if k != "aggregate.json"} == \
+            {k for k in clean if k.split("/")[0] in {f"seed_{s}" for s in good}}
+        assert all(got[k] == clean[k] for k in got if k != "aggregate.json")
+        # the serial sweep records the same failure in the same bytes
+        use_cpus(monkeypatch, 1)
+        run_sweep(parse_config(doc), [1, 2, 3], str(tmp_path / "serial"))
+        assert (tmp_path / "serial" / "aggregate.json").read_bytes() == \
+            (out / "aggregate.json").read_bytes()
+
+    @pytest.mark.parametrize("death", ["sigkill", "exit_status"])
+    def test_dead_worker_fails_only_its_unreported_seeds(self, tmp_path, monkeypatch,
+                                                         death):
+        # the worker runs seeds 2 and 4, reports 2, then dies in 4
+        cfg = parse_config(sweep_doc(tmp_path))
+        use_cpus(monkeypatch, 2)
+        run_sweep(cfg, [1, 2, 3, 4], str(tmp_path / "clean"))
+        caller, train = os.getpid(), runner.run_training
+
+        def dying(cfg, out_dir=None):
+            if cfg.seed == 4 and os.getpid() != caller:
+                if death == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(7)
+            return train(cfg, out_dir)
+
+        monkeypatch.setattr(runner, "run_training", dying)
+        out = tmp_path / "sweep"
+        agg = run_sweep(cfg, [1, 2, 3, 4], str(out))
+        assert_no_child_left()
+        how = (f"killed by signal {int(signal.SIGKILL)}" if death == "sigkill"
+               else "exited with status 7")
+        assert agg["failed_seeds"] == [
+            {"seed": 4, "error": f"WorkerError: the worker running seed 4 {how}"}]
+        assert [s["seed"] for s in agg["per_seed"]] == [1, 2, 3]
+        clean, got = tree_bytes(tmp_path / "clean"), tree_bytes(out)
+        assert {k.split("/")[0] for k in got} == {"aggregate.json", "seed_1", "seed_2",
+                                                  "seed_3"}
+        assert all(got[k] == clean[k] for k in got if k != "aggregate.json")
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_input_error_ends_the_sweep(self, tmp_path, monkeypatch, where):
+        # the caller runs seed 1, the forked worker seed 2
+        bad = 1 if where == "caller" else 2
+        train = runner.run_training
+
+        def rejecting(cfg, out_dir=None):
+            if cfg.seed == bad:
+                raise ConfigError(f"model.groups: rejected in the {where}")
+            return train(cfg, out_dir)
+
+        monkeypatch.setattr(runner, "run_training", rejecting)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ConfigError, match=f"rejected in the {where}"):
+            run_sweep(parse_config(base_doc(tmp_path, iterations=2)), [1, 2],
+                      str(tmp_path / "sweep"))
+        assert_no_child_left()
+        assert not (tmp_path / "sweep" / "aggregate.json").exists()
 
 
 class TestAtomicWrites:
