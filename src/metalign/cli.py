@@ -1,9 +1,11 @@
 """Command-line experiment runner.
 
 Subcommands: run <config>, gradcheck, sweep <config> --seeds a,b,c,
-eval <checkpoint> <config>. METALIGN_OUTPUT_DIR overrides the output
-directory. Exit codes: 0 ok, 2 config error, 3 runtime abort (for sweep: any
-seed aborted or failed), 4 check failure.
+study <config> --seeds a,b,c (a sweep of each arm of runner.study_arms into
+<out>/<arm>), eval <checkpoint> <config>. METALIGN_OUTPUT_DIR overrides the
+output directory. Exit codes: 0 ok, 2 config error (for study: in any arm,
+before any arm runs), 3 runtime abort (for sweep and study: any seed aborted
+or failed), 4 check failure.
 """
 
 from __future__ import annotations
@@ -62,26 +64,47 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK
 
 
-def cmd_sweep(args) -> int:
+# what a sweep prints of each aggregate
+_HEADLINE = ("seeds", "final_target_acc", "mean_grad_cos", "aborted_seeds",
+             "failed_seeds")
+
+
+def _sweep_arms(args, arms) -> int:
+    """Sweep --seeds over each (name, config) that arms makes of the loaded
+    config, into <out>/<name>; every arm is made before any runs. Exit 3 names
+    each arm with a failed or aborted seed."""
     try:
         # an entry that is not an integer stays text, for the seed rule to name
         seeds = [int(s) if s.strip().removeprefix("-").isdecimal() else s.strip()
                  for s in args.seeds.split(",") if s.strip() != ""]
         cfg = load_config(args.config)
-        aggregate = runner.run_sweep(cfg, seeds, _out_dir(cfg.out_dir, args.out))
+        out = _out_dir(cfg.out_dir, args.out)
+        aggregates = {name: runner.run_sweep(arm, seeds, os.path.join(out, name))
+                      for name, arm in arms(cfg)}
     except (ConfigError, CsvFormatError, ValueError) as e:
         return _fail("config", str(e), EXIT_CONFIG)
-    print(json.dumps({k: aggregate[k] for k in
-                      ("seeds", "final_target_acc", "mean_grad_cos",
-                       "aborted_seeds", "failed_seeds")}))
-    failed = [f["seed"] for f in aggregate["failed_seeds"]]
-    if failed:
-        return _fail("failed", f"failed seeds: {failed}, aborted seeds: "
-                               f"{aggregate['aborted_seeds']}", EXIT_ABORT)
-    if aggregate["aborted_seeds"]:
-        return _fail("non_finite",
-                     f"aborted seeds: {aggregate['aborted_seeds']}", EXIT_ABORT)
+    shown = {name: {k: agg[k] for k in _HEADLINE} for name, agg in aggregates.items()}
+    print(json.dumps(shown[""] if "" in shown else shown))  # a sweep's one arm is bare
+    faults = []
+    for name, agg in aggregates.items():
+        failed = [f["seed"] for f in agg["failed_seeds"]]
+        if failed or agg["aborted_seeds"]:
+            faults.append((f"{name}: " if name else "")
+                          + (f"failed seeds: {failed}, " if failed else "")
+                          + f"aborted seeds: {agg['aborted_seeds']}")
+    if faults:
+        kind = ("failed" if any(agg["failed_seeds"] for agg in aggregates.values())
+                else "non_finite")
+        return _fail(kind, "; ".join(faults), EXIT_ABORT)
     return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    return _sweep_arms(args, lambda cfg: [("", cfg)])
+
+
+def cmd_study(args) -> int:
+    return _sweep_arms(args, runner.study_arms)
 
 
 def _checkpoint_bundle(meta: dict):
@@ -139,11 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.set_defaults(fn=cmd_gradcheck)
 
-    p_sw = sub.add_parser("sweep", help="run one config over several seeds")
-    p_sw.add_argument("config")
-    p_sw.add_argument("--seeds", required=True, help="comma-separated seed list")
-    p_sw.add_argument("--out", help="output directory override")
-    p_sw.set_defaults(fn=cmd_sweep)
+    for name, fn, about in (
+            ("sweep", cmd_sweep, "run one config over several seeds"),
+            ("study", cmd_study, "sweep the joint baseline and the meta step "
+                                 "under each role policy")):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("config")
+        p.add_argument("--seeds", required=True, help="comma-separated seed list")
+        p.add_argument("--out", help="output directory override")
+        p.set_defaults(fn=fn)
 
     p_ev = sub.add_parser("eval", help="evaluate a checkpoint on a config's data")
     p_ev.add_argument("checkpoint")

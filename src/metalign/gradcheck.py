@@ -296,7 +296,7 @@ def random_bundle(rng, variant_name: str, d: int = 4, width: int = 8,
     # nonzero biases make the finite-difference surface less symmetric
     nets = [bundle.extractor, bundle.classifier]
     if bundle.discriminator is not None:
-        nets.append(bundle.discriminator.net)
+        nets.append(bundle.discriminator)
     for net in nets:
         for layer in net.layers:
             layer.bias[...] = rng.uniform(-0.3, 0.3, size=layer.bias.shape)

@@ -102,26 +102,19 @@ class ClassifierHead(MLP):
         self.num_classes = num_classes
 
 
-class DomainDiscriminator:
+class DomainDiscriminator(MLP):
     """Three fully connected layers with ReLU, sigmoid output in (0, 1)."""
 
     def __init__(self, in_dim: int, hidden: Sequence[int] = (64, 64)) -> None:
         if len(hidden) != 2:
             raise ValueError("discriminator uses exactly two hidden widths")
-        self.net = MLP([in_dim, hidden[0], hidden[1], 1], "D", activation="relu")
+        super().__init__([in_dim, hidden[0], hidden[1], 1], "D", activation="relu")
 
-    @property
-    def param_ids(self) -> list[str]:
-        return self.net.param_ids
-
-    def params(self) -> dict[str, np.ndarray]:
-        return self.net.params()
-
-    def forward(self, z: Tensor, override: Optional[dict[str, Tensor]] = None) -> Tensor:
-        if z.values.ndim != 2 or z.shape[1] != self.net.widths[0]:
+    def forward(self, z: Tensor) -> Tensor:
+        if z.values.ndim != 2 or z.shape[1] != self.widths[0]:
             raise T.DimensionError(
-                f"discriminator expects n x {self.net.widths[0]} input, got {z.shape}")
-        return T.sigmoid(self.net.forward(z, override))
+                f"discriminator expects n x {self.widths[0]} input, got {z.shape}")
+        return T.sigmoid(super().forward(z))
 
 
 # parameter id of the group weights in gradient maps, parameter dicts and
@@ -203,7 +196,7 @@ def init_params(bundle: ModelBundle, seed: int) -> None:
     rng = np.random.default_rng(seed)
     nets = [bundle.extractor, bundle.classifier]
     if bundle.discriminator is not None:
-        nets.append(bundle.discriminator.net)
+        nets.append(bundle.discriminator)
     for net in nets:
         for layer in net.layers:
             bound = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))

@@ -1,5 +1,6 @@
 """Experiment execution: dataset/model construction from a TrainConfig, the
-training loop with metric streaming, and multi-seed sweeps."""
+training loop with metric streaming, multi-seed sweeps and the arms of the
+directional experiment."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import analysis, data, losses, nn, optim
 from .checkpoint import save_checkpoint, write_atomic
-from .config import ConfigError, TrainConfig, check_value, config_hash
+from .config import (ConfigError, TrainConfig, check_value, config_hash,
+                     parse_config)
 from .losses import AlignmentVariant
 from .optim import NonFiniteError, OptimState
 
@@ -196,13 +198,29 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
     return summary
 
 
+def study_arms(cfg: TrainConfig) -> list[tuple[str, TrainConfig]]:
+    """The arms of the directional experiment on cfg: the joint baseline, named
+    "joint", then the meta step under each role policy, named by the policy.
+
+    Each arm is cfg's document with only its strategy section replaced. Every
+    arm is parsed here, so a document that one arm rejects fails before any
+    arm runs.
+    """
+    strategies = [("joint", {"kind": "joint"})] + [
+        (policy, {"kind": "metaalign", "role_policy": policy})
+        for policy in optim.ROLE_POLICIES]
+    return [(name, parse_config({**cfg.raw, "strategy": strategy}))
+            for name, strategy in strategies]
+
+
 # Faults of the sweep's input, raised before a run creates its directory and
 # the same for every seed: they end the sweep instead of failing one seed.
 _INPUT_ERRORS = (ConfigError, data.CsvFormatError)
 
 
-def blas_threads():
-    """(getter, setter) of the thread count of the OpenBLAS numpy links, or None.
+def _openblas(name: str, restype, *argtypes):
+    """The OpenBLAS function name (say "get_num_threads") that numpy links,
+    typed with restype and argtypes, or None.
 
     Looked up by name in numpy's own extension module: the scipy-openblas
     wheels export the symbols with a 64_ suffix, older builds without one.
@@ -213,15 +231,24 @@ def blas_threads():
     except (AttributeError, OSError, TypeError):
         return None
     for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-        try:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
+        fn = getattr(lib, f"{prefix}{name}{suffix}", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = list(argtypes), restype
+            return fn
     return None
+
+
+def blas_threads():
+    """(getter, setter) of the thread count of the OpenBLAS numpy links, or None."""
+    get = _openblas("get_num_threads", ctypes.c_int)
+    put = _openblas("set_num_threads", None, ctypes.c_int)
+    return None if get is None or put is None else (get, put)
+
+
+def blas_core() -> Optional[str]:
+    """The CPU core OpenBLAS chose its kernels for (say "SkylakeX"), or None."""
+    name = _openblas("get_corename", ctypes.c_char_p)
+    return None if name is None else name().decode()
 
 
 def sweep_workers(n_seeds: int) -> int:

@@ -674,6 +674,90 @@ class TestParallelSweep:
         assert not (tmp_path / "sweep" / "aggregate.json").exists()
 
 
+def shipped_doc(name, **overrides):
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        return {**json.load(fh), **overrides}
+
+
+class TestCmdStudy:
+    ARMS = ["joint", "align_train", "cls_train", "alternate"]
+
+    def test_each_arm_is_a_sweep_of_its_document(self, tmp_path):
+        doc = shipped_doc("moons_dann_metaalign.json", iterations=3, eval_every=2)
+        out = tmp_path / "study"
+        assert main(["study", write_config(tmp_path, doc), "--seeds", "1,2",
+                     "--out", str(out)]) == 0
+        arms = runner.study_arms(parse_config(doc))
+        assert [name for name, _ in arms] == self.ARMS
+        assert sorted(os.listdir(out)) == sorted(self.ARMS)
+        for name, arm in arms:
+            assert arm.raw == {**doc, "strategy": arm.raw["strategy"]}
+            path = write_config(tmp_path, arm.raw, f"{name}.json")
+            assert main(["sweep", path, "--seeds", "1,2",
+                         "--out", str(tmp_path / name)]) == 0
+            assert tree_bytes(out / name) == tree_bytes(tmp_path / name), name
+
+    def test_alternate_arm_is_a_sweep_of_the_config_itself(self, tmp_path):
+        path = write_config(tmp_path, shipped_doc("moons_dann_metaalign.json",
+                                                  iterations=3, eval_every=2))
+        assert main(["study", path, "--seeds", "1,2",
+                     "--out", str(tmp_path / "study")]) == 0
+        assert main(["sweep", path, "--seeds", "1,2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        got, want = tree_bytes(tmp_path / "study" / "alternate"), \
+            tree_bytes(tmp_path / "sweep")
+        assert got == want and "seed_1/summary.json" in got
+
+    def test_arm_rejected_before_any_arm_runs(self, tmp_path, capsys):
+        doc = base_doc(tmp_path)  # joint parses with meta_lr 0, the meta arms do not
+        doc["optimizer"]["meta_lr"] = 0
+        out = tmp_path / "study"
+        assert main(["study", write_config(tmp_path, doc), "--seeds", "1,2",
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "optimizer.meta_lr" in err["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["failed", "non_finite"])
+    def test_faulty_seed_in_one_arm_exits_3(self, tmp_path, monkeypatch, capsys,
+                                            fault):
+        train = runner.run_training
+
+        def faulty(cfg, out_dir=None):
+            if cfg.strategy.role_policy == "cls_train" and cfg.seed == 2:
+                if fault == "failed":
+                    raise RuntimeError("boom")
+                cfg = replace(cfg, optimizer=replace(cfg.optimizer, lr=1e120,
+                                                     momentum=0.0))
+            return train(cfg, out_dir)
+
+        monkeypatch.setattr(runner, "run_training", faulty)
+        out = tmp_path / "study"
+        assert main(["study", write_config(tmp_path, base_doc(tmp_path)),
+                     "--seeds", "1,2", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == fault
+        assert err["detail"].startswith("cls_train: ") and ";" not in err["detail"]
+        shown = json.loads(captured.out)
+        assert list(shown) == self.ARMS
+        key = "failed_seeds" if fault == "failed" else "aborted_seeds"
+        assert [bool(shown[arm][key]) for arm in self.ARMS] == \
+            [arm == "cls_train" for arm in self.ARMS]
+        assert all((out / arm / "aggregate.json").exists() for arm in self.ARMS)
+
+    @pytest.mark.parametrize("where", ["out", "env"])
+    def test_output_directory_rule_is_sweeps(self, tmp_path, monkeypatch, where):
+        path = write_config(tmp_path, base_doc(tmp_path, iterations=1))
+        monkeypatch.setenv("METALIGN_OUTPUT_DIR", str(tmp_path / "envout"))
+        args = ["--out", str(tmp_path / "cli")] if where == "out" else []
+        assert main(["study", path, "--seeds", "1", *args]) == 0
+        assert main(["sweep", path, "--seeds", "1", *args]) == 0
+        root = tmp_path / "cli" if where == "out" else tmp_path / "envout" / "run"
+        assert sorted(os.listdir(root)) == sorted(
+            self.ARMS + ["aggregate.json", "seed_1"])
+
+
 class TestAtomicWrites:
     """A write that fails midway leaves neither the final file nor a temp file."""
 

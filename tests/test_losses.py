@@ -287,7 +287,7 @@ class TestAlignmentLoss:
         batch = random_batch(rng)
         pairs = []
         for _ in range(5):
-            for layer in bundle.discriminator.net.layers:
+            for layer in bundle.discriminator.layers:
                 layer.weight[...] += rng.normal(0, 0.3, size=layer.weight.shape)
             _, info = optim._align_loss(bundle, batch, variant, None)
             pairs.append((info.dom_cls, info.dom))
@@ -299,7 +299,7 @@ class TestAlignmentLoss:
         rng = np.random.default_rng(10)
         bundle, variant = random_bundle(rng, "dannpe")
         batch = random_batch(rng)
-        assert bundle.discriminator.net.widths[0] == bundle.classifier.num_classes
+        assert bundle.discriminator.widths[0] == bundle.classifier.num_classes
         loss, info = optim._align_loss(bundle, batch, variant, None)
         assert np.isfinite(float(loss.values))
         assert info.dom == -info.dom_cls
@@ -312,7 +312,7 @@ class TestAlignmentLoss:
         bundle, variant = random_bundle(rng, "dann")
         batch = random_batch(rng)
         if last_bias is not None:
-            bundle.discriminator.net.layers[-1].bias[...] = last_bias
+            bundle.discriminator.layers[-1].bias[...] = last_bias
         _, info = optim._align_loss(bundle, batch, variant, Tape())
         assert info.clamped is clamped
 

@@ -363,7 +363,7 @@ class TestMetaStep:
         bundle, variant = random_bundle(rng, "dann")
         batch = random_batch(rng)
         if saturated:
-            bundle.discriminator.net.layers[-1].bias[...] = 50.0
+            bundle.discriminator.layers[-1].bias[...] = 50.0
         if step == "joint":
             _, report = joint_grads(bundle, batch, variant)
         else:
