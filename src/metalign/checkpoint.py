@@ -45,17 +45,33 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray], meta: dict) -> Non
                                            **params), binary=True)
 
 
-def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+def _read_entries(path: str) -> dict[str, np.ndarray]:
+    """Every entry of the archive at path. A failure to open or read the
+    archive or an entry is a CheckpointError naming path and the entry."""
+    entry = None
     try:
-        archive = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as archive:
+            entries = {}
+            for entry in archive.files:
+                entries[entry] = archive[entry]
+            return entries
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
-    except (ValueError, OSError) as e:
-        raise CheckpointError(f"corrupt checkpoint {path}: {e}") from None
-    if "__meta__" not in archive:
+    except Exception as e:
+        # damaged bytes fail in zipfile, zlib, or numpy's header tokenizer and
+        # array reader, with many unrelated types (BadZipFile, EOFError,
+        # NotImplementedError, TokenError, ...), and each means the file is damaged
+        where = "" if entry is None else f" entry {entry!r}"
+        raise CheckpointError(f"corrupt checkpoint {path}{where}: "
+                              f"{type(e).__name__}: {e}") from None
+
+
+def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    params = _read_entries(path)
+    if "__meta__" not in params:
         raise CheckpointError(f"corrupt checkpoint {path}: missing meta block")
     try:
-        meta = json.loads(str(archive["__meta__"]))
+        meta = json.loads(str(params.pop("__meta__")))
     except ValueError as e:
         raise CheckpointError(f"corrupt checkpoint {path}: meta block: {e}") from None
     if not isinstance(meta, dict):
@@ -65,7 +81,6 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     shapes = meta.get("param_shapes")
     if not isinstance(shapes, dict):
         raise CheckpointError(f"corrupt checkpoint {path}: meta block lacks param_shapes")
-    params = {pid: archive[pid] for pid in archive.files if pid != "__meta__"}
     for pid, shape in shapes.items():
         if pid not in params or list(params[pid].shape) != shape:
             raise CheckpointError(f"corrupt checkpoint {path}: bad entry {pid!r}")

@@ -120,43 +120,46 @@ GENERATORS = {"two_moons": gen_two_moons, "gaussian_shift": gen_gaussian_shift}
 def load_csv(path: str) -> Dataset:
     """Read one domain's samples; see write_csv for the exact schema."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise CsvFormatError(f"dataset file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path}: empty file")
-        dim = len(header) - 2
-        expected = [f"feature_{i}" for i in range(dim)] + ["label", "domain"]
-        if dim < 1 or header != expected:
-            missing = [c for c in ("label", "domain") if c not in header]
-            if missing:
-                raise CsvFormatError(f"{path}: header missing column {missing[0]!r}")
-            raise CsvFormatError(f"{path}: header must be {','.join(expected)}")
-        feats, labels, domains = [], [], []
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise CsvFormatError(f"{path}: row {i} has {len(row)} fields")
-            try:
-                vals = [float(v) for v in row[:dim]]
-                label = int(row[dim])
-            except ValueError:
-                raise CsvFormatError(f"{path}: row {i} has a non-numeric field") from None
-            if any(math.isnan(v) or math.isinf(v) for v in vals):
-                raise CsvFormatError(f"{path}: row {i} has a non-finite feature")
-            if label < 0:
-                raise CsvFormatError(f"{path}: row {i} label out of range")
-            if row[dim + 1] not in (SOURCE, TARGET):
-                raise CsvFormatError(f"{path}: row {i} domain must be source|target")
-            feats.append(vals)
-            labels.append(label)
-            domains.append(row[dim + 1])
-        if not feats:
-            raise CsvFormatError(f"{path}: no data rows")
-        if len(set(domains)) != 1:
-            raise CsvFormatError(f"{path}: mixed domain tags in one file")
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise CsvFormatError(f"cannot read dataset file {path}: {reason}") from None
+    reader = iter(rows)
+    header = next(reader, None)
+    if header is None:
+        raise CsvFormatError(f"{path}: empty file")
+    dim = len(header) - 2
+    expected = [f"feature_{i}" for i in range(dim)] + ["label", "domain"]
+    if dim < 1 or header != expected:
+        missing = [c for c in ("label", "domain") if c not in header]
+        if missing:
+            raise CsvFormatError(f"{path}: header missing column {missing[0]!r}")
+        raise CsvFormatError(f"{path}: header must be {','.join(expected)}")
+    feats, labels, domains = [], [], []
+    for i, row in enumerate(reader):
+        if len(row) != len(header):
+            raise CsvFormatError(f"{path}: row {i} has {len(row)} fields")
+        try:
+            vals = [float(v) for v in row[:dim]]
+            label = int(row[dim])
+        except ValueError:
+            raise CsvFormatError(f"{path}: row {i} has a non-numeric field") from None
+        if any(math.isnan(v) or math.isinf(v) for v in vals):
+            raise CsvFormatError(f"{path}: row {i} has a non-finite feature")
+        if label < 0:
+            raise CsvFormatError(f"{path}: row {i} label out of range")
+        if row[dim + 1] not in (SOURCE, TARGET):
+            raise CsvFormatError(f"{path}: row {i} domain must be source|target")
+        feats.append(vals)
+        labels.append(label)
+        domains.append(row[dim + 1])
+    if not feats:
+        raise CsvFormatError(f"{path}: no data rows")
+    if len(set(domains)) != 1:
+        raise CsvFormatError(f"{path}: mixed domain tags in one file")
     return Dataset(np.array(feats), np.array(labels), domains[0])
 
 

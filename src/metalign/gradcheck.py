@@ -5,12 +5,14 @@ quadratic toy), and the first-order expansion residual test.
 A check passes when |analytic - fd| <= tol * max(|analytic|, |fd|) + 0.01*tol
 per coordinate; the reported error is the scaled form
 |a - f| / (max(|a|, |f|) + 0.01), so "err <= tol" is the same condition.
+Each check carries its negative control, the same comparison with the
+analytic side corrupted; GradcheckReport.with_fault(name) swaps it in.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +40,9 @@ class CheckResult:
     name: str
     err: float
     tol: float
+    # the negative control: err of the same comparison with the analytic side
+    # corrupted, which must fail
+    corrupted: Callable[[], float] = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -50,6 +55,10 @@ class TaylorRow:
     residual: float
     ratio: Optional[float]  # |R(alpha)| / |R(2*alpha)|, None for the first row
 
+    @property
+    def ok(self) -> bool:
+        return self.ratio is None or self.ratio <= TAYLOR_RATIO_BOUND
+
 
 @dataclass
 class GradcheckReport:
@@ -59,17 +68,20 @@ class GradcheckReport:
 
     @property
     def ok(self) -> bool:
-        checks_ok = all(r.ok for r in self.results)
-        taylor_ok = all(row.ratio is None or row.ratio <= TAYLOR_RATIO_BOUND
-                        for row in self.taylor)
-        return checks_ok and taylor_ok
+        return not self.failing()
 
     def failing(self) -> list[str]:
         names = [r.name for r in self.results if not r.ok]
-        if any(row.ratio is not None and row.ratio > TAYLOR_RATIO_BOUND
-               for row in self.taylor):
+        if not all(row.ok for row in self.taylor):
             names.append("taylor_residual_ratio")
         return names
+
+    def with_fault(self, name: str) -> GradcheckReport:
+        """This report with the named check's error replaced by its negative
+        control's; an unknown name raises KeyError."""
+        hit = {r.name: r for r in self.results}[name]
+        return replace(self, results=[replace(r, err=r.corrupted()) if r is hit else r
+                                      for r in self.results])
 
 
 def scaled_error(analytic: GradientMap, fd: GradientMap) -> float:
@@ -83,27 +95,22 @@ def scaled_error(analytic: GradientMap, fd: GradientMap) -> float:
 
 def _fd_compare(name: str, analytic: GradientMap,
                 f: Callable[[dict[str, np.ndarray]], float],
-                params: dict[str, np.ndarray], tol: float = DEFAULT_TOL,
-                corrupt: Optional[str] = None) -> CheckResult:
+                params: dict[str, np.ndarray], tol: float = DEFAULT_TOL) -> CheckResult:
     """Score analytic gradients against central finite differences of f over
     params; analytic may hold more ids than params."""
     fd = finite_diff_grad(f, params, h=FD_H)
-    if corrupt == name:  # fault injection for the negative control
-        analytic = {pid: analytic[pid] * 1.01 + 1e-3 for pid in fd}
-    return CheckResult(name, scaled_error(analytic, fd), tol)
+    return CheckResult(name, scaled_error(analytic, fd), tol, lambda: scaled_error(
+        {pid: analytic[pid] * 1.01 + 1e-3 for pid in fd}, fd))
 
 
-def _exact(name: str, err: float, tol: float,
-           corrupt: Optional[str] = None) -> CheckResult:
+def _exact(name: str, err: float, tol: float) -> CheckResult:
     """An exactness contract with its measured error."""
-    if corrupt == name:  # fault injection for the negative control
-        err += 1.0
-    return CheckResult(name, err, tol)
+    return CheckResult(name, err, tol, lambda: err + 1.0)
 
 
 def _fd_check(name: str, params: dict[str, np.ndarray],
               build: Callable[[dict[str, Tensor]], Tensor],
-              tol: float = DEFAULT_TOL, corrupt: Optional[str] = None) -> CheckResult:
+              tol: float = DEFAULT_TOL) -> CheckResult:
     """Compare tape gradients of build(...) against finite differences."""
     tape = Tape()
     leaves = {pid: tape.param(arr, pid) for pid, arr in params.items()}
@@ -112,7 +119,7 @@ def _fd_check(name: str, params: dict[str, np.ndarray],
     def f(work: dict[str, np.ndarray]) -> float:
         return float(build({pid: Tensor(arr) for pid, arr in work.items()}).values)
 
-    return _fd_compare(name, analytic, f, params, tol, corrupt)
+    return _fd_compare(name, analytic, f, params, tol)
 
 
 def _rng_arr(rng, *shape, lo=-2.0, hi=2.0, away=0.0):
@@ -122,112 +129,71 @@ def _rng_arr(rng, *shape, lo=-2.0, hi=2.0, away=0.0):
     return arr
 
 
-def op_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
+# weights of the reduce_mean, reduce_sum and scale_by checks, the same for every seed
+_consts = np.random.default_rng(12345)
+_W_MEAN, _W_SUM, _W_SCALE_BY = (Tensor(_consts.uniform(-1, 1, size=shape))
+                                for shape in (4, 3, (3, 2)))
+
+
+def op_checks(seed: int) -> list[CheckResult]:
+    """One check per tape op, in table order: (name, params, loss). The params
+    are drawn from the seed's generator in that order."""
     rng = np.random.default_rng(seed)
-    out: list[CheckResult] = []
 
     def k(*shape):
         return Tensor(rng.uniform(-1.0, 1.0, size=shape))
 
-    # weighting each output by a random constant makes the upstream gradient
-    # informative instead of all-ones
-    cw = {"mm": k(3, 2), "bias": k(4, 3), "sq": k(3, 5), "ls": k(4, 5), "el": k(3, 4)}
+    def x(*shape, **kw):
+        return {"x": _rng_arr(rng, *shape, **kw)}
 
-    out.append(_fd_check(
-        "matmul", {"a": _rng_arr(rng, 3, 4), "b": _rng_arr(rng, 4, 2)},
-        lambda p: T.reduce_sum(T.mul(T.matmul(p["a"], p["b"]), cw["mm"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "add_bias", {"x": _rng_arr(rng, 4, 3), "b": _rng_arr(rng, 3)},
-        lambda p: T.reduce_sum(T.mul(T.add_bias(p["x"], p["b"]), cw["bias"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "relu", {"x": _rng_arr(rng, 3, 4, away=0.05)},
-        lambda p: T.reduce_sum(T.mul(T.relu(p["x"]), cw["el"])), corrupt=corrupt))
-    out.append(_fd_check(
-        "tanh", {"x": _rng_arr(rng, 3, 4)},
-        lambda p: T.reduce_sum(T.mul(T.tanh(p["x"]), cw["el"])), corrupt=corrupt))
-    out.append(_fd_check(
-        "sigmoid", {"x": _rng_arr(rng, 3, 4)},
-        lambda p: T.reduce_sum(T.mul(T.sigmoid(p["x"]), cw["el"])), corrupt=corrupt))
-    out.append(_fd_check(
-        "exp", {"x": _rng_arr(rng, 3, 4)},
-        lambda p: T.reduce_sum(T.mul(T.exp(p["x"]), cw["el"])), corrupt=corrupt))
-    out.append(_fd_check(
-        "log", {"x": rng.uniform(0.3, 2.5, size=(3, 4))},
-        lambda p: T.reduce_sum(T.mul(T.log(p["x"]), cw["el"])), corrupt=corrupt))
-    out.append(_fd_check(
-        "log_softmax", {"x": _rng_arr(rng, 4, 5)},
-        lambda p: T.reduce_sum(T.mul(T.log_softmax(p["x"]), cw["ls"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "reduce_mean", {"x": _rng_arr(rng, 3, 4)},
-        lambda p: T.add(T.reduce_mean(p["x"]),
-                        T.reduce_sum(T.mul(T.reduce_mean(p["x"], axis=0), k1_mean))),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "reduce_sum", {"x": _rng_arr(rng, 3, 4)},
-        lambda p: T.add(T.scale(T.reduce_sum(p["x"]), 0.3),
-                        T.reduce_sum(T.mul(T.reduce_sum(p["x"], axis=1), k1_sum))),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "add", {"a": _rng_arr(rng, 3, 4), "b": _rng_arr(rng, 3, 4)},
-        lambda p: T.reduce_sum(T.mul(T.add(p["a"], p["b"]), cw["el"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "sub", {"a": _rng_arr(rng, 3, 4), "b": _rng_arr(rng, 3, 4)},
-        lambda p: T.reduce_sum(T.mul(T.sub(p["a"], p["b"]), cw["el"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "mul", {"a": _rng_arr(rng, 3, 4), "b": _rng_arr(rng, 3, 4)},
-        lambda p: T.reduce_sum(T.mul(T.mul(p["a"], p["b"]), cw["el"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "scale", {"x": _rng_arr(rng, 3, 4)},
-        lambda p: T.reduce_sum(T.mul(T.scale(p["x"], 1.7), cw["el"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "absolute", {"x": _rng_arr(rng, 3, 4, away=0.05)},
-        lambda p: T.reduce_sum(T.mul(T.absolute(p["x"]), cw["el"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "clip", {"x": _rng_arr(rng, 3, 4, away=0.05)},
-        lambda p: T.reduce_sum(T.mul(T.clip(p["x"], -1.05, 1.05), cw["el"])),
-        corrupt=corrupt))
+    def ab(rows, cols):
+        return {"a": _rng_arr(rng, 3, 4), "b": _rng_arr(rng, rows, cols)}
+
+    def wsum(w, op):
+        """sum(w * op(*params)); a random weight w makes the upstream gradient
+        informative instead of all-ones."""
+        return lambda p: T.reduce_sum(T.mul(op(*p.values()), w))
+
+    mm, bias, sq, ls, el = k(3, 2), k(4, 3), k(3, 5), k(4, 5), k(3, 4)
+    table = [
+        ("matmul", ab(4, 2), wsum(mm, T.matmul)),
+        ("add_bias", {"x": _rng_arr(rng, 4, 3), "b": _rng_arr(rng, 3)},
+         wsum(bias, T.add_bias)),
+        ("relu", x(3, 4, away=0.05), wsum(el, T.relu)),
+        ("tanh", x(3, 4), wsum(el, T.tanh)),
+        ("sigmoid", x(3, 4), wsum(el, T.sigmoid)),
+        ("exp", x(3, 4), wsum(el, T.exp)),
+        ("log", x(3, 4, lo=0.3, hi=2.5), wsum(el, T.log)),
+        ("log_softmax", x(4, 5), wsum(ls, T.log_softmax)),
+        ("reduce_mean", x(3, 4), lambda p: T.add(
+            T.reduce_mean(p["x"]),
+            T.reduce_sum(T.mul(T.reduce_mean(p["x"], axis=0), _W_MEAN)))),
+        ("reduce_sum", x(3, 4), lambda p: T.add(
+            T.scale(T.reduce_sum(p["x"]), 0.3),
+            T.reduce_sum(T.mul(T.reduce_sum(p["x"], axis=1), _W_SUM)))),
+        ("add", ab(3, 4), wsum(el, T.add)),
+        ("sub", ab(3, 4), wsum(el, T.sub)),
+        ("mul", ab(3, 4), wsum(el, T.mul)),
+        ("scale", x(3, 4), wsum(el, lambda v: T.scale(v, 1.7))),
+        ("absolute", x(3, 4, away=0.05), wsum(el, T.absolute)),
+        ("clip", x(3, 4, away=0.05), wsum(el, lambda v: T.clip(v, -1.05, 1.05))),
+    ]
     labels = rng.integers(0, 5, size=4)
-    out.append(_fd_check(
-        "pick", {"x": _rng_arr(rng, 4, 5)},
-        lambda p: T.reduce_mean(T.pick(p["x"], labels)), corrupt=corrupt))
-    out.append(_fd_check(
-        "pairwise_sqdist", {"a": _rng_arr(rng, 3, 4), "b": _rng_arr(rng, 5, 4)},
-        lambda p: T.reduce_sum(T.mul(T.pairwise_sqdist(p["a"], p["b"]), cw["sq"])),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "select1", {"x": _rng_arr(rng, 4)},
-        lambda p: T.add(T.scale(T.mul(T.select1(p["x"], 2), T.select1(p["x"], 2)), 0.5),
-                        T.scale(T.select1(p["x"], 0), 1.3)),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "scale_by", {"x": _rng_arr(rng, 3, 2), "s": np.asarray(rng.uniform(0.5, 1.5))},
-        lambda p: T.reduce_sum(T.mul(T.scale_by(p["x"], p["s"]), cw2_sb)),
-        corrupt=corrupt))
-    out.append(_fd_check(
-        "rbf_mean", {"d": rng.uniform(0.0, 3.0, size=(3, 5))},
-        lambda p: T.rbf_mean(p["d"], -0.4), corrupt=corrupt))
-
-    out.append(_detach_check(rng, corrupt))
-    out.append(_grl_check(rng, corrupt))
-    return out
+    table += [
+        ("pick", x(4, 5), lambda p: T.reduce_mean(T.pick(p["x"], labels))),
+        ("pairwise_sqdist", ab(5, 4), wsum(sq, T.pairwise_sqdist)),
+        ("select1", x(4), lambda p: T.add(
+            T.scale(T.mul(T.select1(p["x"], 2), T.select1(p["x"], 2)), 0.5),
+            T.scale(T.select1(p["x"], 0), 1.3))),
+        ("scale_by", {"x": _rng_arr(rng, 3, 2), "s": np.asarray(rng.uniform(0.5, 1.5))},
+         wsum(_W_SCALE_BY, T.scale_by)),
+        ("rbf_mean", x(3, 5, lo=0.0, hi=3.0), lambda p: T.rbf_mean(p["x"], -0.4)),
+    ]
+    return ([_fd_check(name, params, loss) for name, params, loss in table]
+            + [_detach_check(rng), _grl_check(rng)])
 
 
-# constants for the closures above; module-level so both calls see one value
-_crng = np.random.default_rng(12345)
-k1_mean = Tensor(_crng.uniform(-1, 1, size=4))
-k1_sum = Tensor(_crng.uniform(-1, 1, size=3))
-cw2_sb = Tensor(_crng.uniform(-1, 1, size=(3, 2)))
-
-
-def _detach_check(rng, corrupt: Optional[str]) -> CheckResult:
+def _detach_check(rng) -> CheckResult:
     """d/dx sum(detach(x) * x) == x, and a leaf reached only through detach
     gets exactly zero gradient."""
     x = rng.uniform(-2, 2, size=6)
@@ -244,10 +210,10 @@ def _detach_check(rng, corrupt: Optional[str]) -> CheckResult:
     g2 = backward(T.reduce_sum(T.mul(T.detach(a_leaf), b_leaf)), ["a", "b"])
     err = max(err, float(np.max(np.abs(g2["a"]))))
     err = max(err, float(np.max(np.abs(g2["b"] - a))))
-    return _exact("detach", err, 0.0, corrupt)
+    return _exact("detach", err, 0.0)
 
 
-def _grl_check(rng, corrupt: Optional[str]) -> CheckResult:
+def _grl_check(rng) -> CheckResult:
     """Gradients of parameters below a gradient reversal equal -lambda times
     the gradients without it, exactly (lambda restricted to powers of two so
     the scaling itself is exact); parameters above it are untouched."""
@@ -274,24 +240,28 @@ def _grl_check(rng, corrupt: Optional[str]) -> CheckResult:
             worst = max(worst, float(np.max(np.abs(g_flip[pid] + lam * g_plain[pid]))))
         for pid in upper.param_ids:
             worst = max(worst, float(np.max(np.abs(g_flip[pid] - g_plain[pid]))))
-    return _exact("grl", worst, 0.0, corrupt)
+    return _exact("grl", worst, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # loss and meta-step checks on randomized MLPs
 
 
-def random_bundle(rng, variant_name: str, d: int = 4, width: int = 8,
-                  num_classes: int = 3, num_groups: int = 2,
+# input width and class count of every random bundle and batch
+_DIM, _CLASSES = 4, 3
+
+
+def random_bundle(rng, variant_name: str,
                   activation: str = "relu") -> tuple[ModelBundle, AlignmentVariant]:
+    """Two hidden layers of 8 in 2 groups, with random biases."""
     # parse_config needs a dataset section; build_bundle never reads it
     doc = {"seed": 0, "iterations": 1, "batch_size": 1,
            "dataset": {"generator": "two_moons"},
-           "model": {"hidden": [width, width], "groups": num_groups,
+           "model": {"hidden": [8, 8], "groups": 2,
                      "disc_hidden": [8, 8], "activation": activation},
            "variant": {"name": variant_name, "lambda": 1.3,
                        "sigma": 1.5 if variant_name == losses.MMD else None}}
-    bundle, variant = runner.build_bundle(parse_config(doc), d, num_classes,
+    bundle, variant = runner.build_bundle(parse_config(doc), _DIM, _CLASSES,
                                           init_seed=int(rng.integers(0, 2**31)))
     # nonzero biases make the finite-difference surface less symmetric
     nets = [bundle.extractor, bundle.classifier]
@@ -303,11 +273,11 @@ def random_bundle(rng, variant_name: str, d: int = 4, width: int = 8,
     return bundle, variant
 
 
-def random_batch(rng, d: int = 4, num_classes: int = 3, n: int = 6) -> PairedBatch:
+def random_batch(rng, n: int = 6) -> PairedBatch:
     return PairedBatch(
-        src_features=rng.uniform(-2, 2, size=(n, d)),
-        src_labels=rng.integers(0, num_classes, size=n),
-        tgt_features=rng.uniform(-2, 2, size=(n, d)))
+        src_features=rng.uniform(-2, 2, size=(n, _DIM)),
+        src_labels=rng.integers(0, _CLASSES, size=n),
+        tgt_features=rng.uniform(-2, 2, size=(n, _DIM)))
 
 
 def _frozen_weights(bundle, batch, theta_override=None):
@@ -320,28 +290,26 @@ def _frozen_weights(bundle, batch, theta_override=None):
     return ws.values.copy(), wt.values.copy()
 
 
-def loss_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
+def loss_checks(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed + 1)
     out: list[CheckResult] = []
 
     out.append(_fd_check(
         "cross_entropy", {"logits": _rng_arr(rng, 4, 5)},
-        lambda p: losses.cross_entropy(p["logits"], np.array([0, 2, 4, 1])),
-        corrupt=corrupt))
+        lambda p: losses.cross_entropy(p["logits"], np.array([0, 2, 4, 1]))))
     wsrc = Tensor(rng.uniform(0.2, 1.5, size=5))
     wtgt = Tensor(rng.uniform(0.2, 1.5, size=4))
     out.append(_fd_check(
         "domain_cls_loss",
         {"ds": rng.uniform(0.05, 0.95, size=(5, 1)),
          "dt": rng.uniform(0.05, 0.95, size=(4, 1))},
-        lambda p: losses.domain_cls_loss(p["ds"], p["dt"], wsrc, wtgt),
-        corrupt=corrupt))
+        lambda p: losses.domain_cls_loss(p["ds"], p["dt"], wsrc, wtgt)))
     out.append(_fd_check(
         "mmd2_rbf", {"fs": _rng_arr(rng, 5, 3), "ft": _rng_arr(rng, 4, 3)},
-        lambda p: losses.mmd2_rbf(p["fs"], p["ft"], sigma=1.2), corrupt=corrupt))
+        lambda p: losses.mmd2_rbf(p["fs"], p["ft"], sigma=1.2)))
     out.append(_fd_check(
         "beta_penalty", {"beta": rng.uniform(0.2, 1.8, size=4)},
-        lambda p: losses.beta_penalty(p["beta"], budget=3.0), corrupt=corrupt))
+        lambda p: losses.beta_penalty(p["beta"], budget=3.0)))
 
     # full-model gradients, every parameter
     for variant_name in losses.VARIANTS:
@@ -357,7 +325,7 @@ def loss_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
             f"cls_loss_{variant_name}", analytic,
             lambda _: float(optim._cls_loss(bundle, batch, None).values),
             {pid: arr for pid, arr in bundle.network_params().items()
-             if pid in cls_ids}, corrupt=corrupt))
+             if pid in cls_ids}))
 
         tape = Tape()
         align, _ = optim._align_loss(bundle, batch, variant, tape,
@@ -368,17 +336,17 @@ def loss_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
             f"align_theta_{variant_name}", analytic,
             lambda _: optim._task_value(bundle, batch, variant, optim.ALIGNMENT,
                                         weights_override=frozen),
-            bundle.extractor.params(), corrupt=corrupt))
+            bundle.extractor.params()))
         if variant.adversarial:
             out.append(_fd_compare(
                 f"align_disc_{variant_name}", analytic,
                 lambda _: float(optim._align_loss(bundle, batch, variant, None,
                                                   weights_override=frozen)[0].values),
-                bundle.discriminator.params(), corrupt=corrupt))
+                bundle.discriminator.params()))
     return out
 
 
-def meta_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
+def meta_checks(seed: int) -> list[CheckResult]:
     """The meta step's theta and beta gradients against finite differences of
     optim.meta_total_value, L(theta, beta) with g_train frozen."""
     rng = np.random.default_rng(seed + 2)
@@ -408,17 +376,17 @@ def meta_checks(seed: int, corrupt: Optional[str] = None) -> list[CheckResult]:
 
             out.append(_fd_compare(f"meta_theta_{tag}", applied,
                                    lambda _: total(beta0),
-                                   bundle.extractor.params(), corrupt=corrupt))
+                                   bundle.extractor.params()))
             out.append(_fd_compare(f"meta_beta_{tag}", applied,
                                    lambda p: total(p[nn.BETA_ID]),
-                                   {nn.BETA_ID: beta0.copy()}, BETA_TOL, corrupt))
+                                   {nn.BETA_ID: beta0.copy()}, BETA_TOL))
 
             # bookkeeping: applied beta gradient reproduces the closed form
             sign = float(np.sign(beta0.sum() - bundle.group_weights.budget))
             closed = np.array([-alpha * d + sign for d in report.grad_dot_per_group])
             out.append(_exact(f"meta_beta_closed_form_{tag}",
                               float(np.max(np.abs(applied[nn.BETA_ID] - closed))),
-                              0.0, corrupt))
+                              0.0))
     return out
 
 
@@ -453,14 +421,12 @@ def quadratic_toy(alpha: float) -> dict[str, float]:
     }
 
 
-def toy_checks(corrupt: Optional[str] = None) -> list[CheckResult]:
+def toy_checks() -> list[CheckResult]:
     out = []
     for alpha in (0.01, 0.1, 0.5):
         r = quadratic_toy(alpha)
-        out.append(_exact(f"toy_theta_alpha_{alpha}", r["theta_err"], EXACT_TOL,
-                          corrupt))
-        out.append(_exact(f"toy_beta_alpha_{alpha}", r["beta_err"], EXACT_TOL,
-                          corrupt))
+        out.append(_exact(f"toy_theta_alpha_{alpha}", r["theta_err"], EXACT_TOL))
+        out.append(_exact(f"toy_beta_alpha_{alpha}", r["beta_err"], EXACT_TOL))
     return out
 
 
@@ -498,16 +464,11 @@ def taylor_residuals(seed: int = 0) -> list[TaylorRow]:
     return rows
 
 
-def run_gradcheck(seed: int = 0, corrupt: Optional[str] = None) -> GradcheckReport:
+def run_gradcheck(seed: int = 0) -> GradcheckReport:
     t0 = time.perf_counter()
-    report = GradcheckReport()
-    report.results.extend(op_checks(seed, corrupt))
-    report.results.extend(loss_checks(seed, corrupt))
-    report.results.extend(meta_checks(seed, corrupt))
-    report.results.extend(toy_checks(corrupt))
-    report.taylor = taylor_residuals(seed)
-    report.runtime_s = time.perf_counter() - t0
-    return report
+    results = op_checks(seed) + loss_checks(seed) + meta_checks(seed) + toy_checks()
+    taylor = taylor_residuals(seed)
+    return GradcheckReport(results, taylor, time.perf_counter() - t0)
 
 
 def format_report(report: GradcheckReport) -> str:

@@ -12,11 +12,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from metalign import data, runner
+from metalign import cli, data, runner
+from metalign import tensor as T
 from metalign.checkpoint import load_checkpoint, save_checkpoint, CheckpointError
 from metalign.cli import main
 from metalign.config import SCHEMA, ConfigError, config_hash, load_config, parse_config
-from metalign.gradcheck import run_gradcheck
+from metalign.gradcheck import TAYLOR_RATIO_BOUND, TaylorRow, run_gradcheck
 from metalign.runner import run_sweep, run_training
 
 
@@ -263,6 +264,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "flipped_byte",
+                                        "object_entry"])
+    def test_damaged_archive(self, tmp_path, capsys, damage):
+        path = tmp_path / "ck.npz"
+        save_checkpoint(str(path), {"G.l0.W": np.full(8, 1.5)}, {"note": "x"})
+        raw = path.read_bytes()
+        if damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "truncated":
+            path.write_bytes(raw[:len(raw) // 2])
+        elif damage == "flipped_byte":
+            at = raw.index(np.full(8, 1.5).tobytes()) + 3
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:])
+        else:
+            meta = {"version": 2, "param_shapes": {"G.l0.W": [2]}}
+            np.savez(path, __meta__=np.array(json.dumps(meta)),
+                     **{"G.l0.W": np.array([1, "a"], dtype=object)})
+        with pytest.raises(CheckpointError, match="ck.npz") as info:
+            load_checkpoint(str(path))
+        if damage == "object_entry":
+            assert "'G.l0.W'" in str(info.value)
+        cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
+        assert main(["eval", str(path), cfg]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "checkpoint" and str(path) in err["detail"]
+
     @pytest.mark.parametrize("meta_block", [
         json.dumps({"version": 2}), "{not json", json.dumps([1, 2]),
     ], ids=["no_param_shapes", "not_json", "not_object"])
@@ -486,6 +513,29 @@ class TestCmdSweep:
         assert main(["sweep", cfg, "--seeds", "1,2", "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
         assert not out.exists()
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8", "long_field"])
+    def test_unreadable_csv_named_by_run_and_sweep(self, tmp_path, capsys, monkeypatch,
+                                                   unreadable):
+        use_cpus(monkeypatch, 2)  # the caller and a forked worker both reject it
+        good = tmp_path / "tgt.csv"
+        good.write_text("feature_0,label,domain\n0.5,0,target\n-0.5,1,target\n")
+        bad = tmp_path / "src.csv"
+        if unreadable == "directory":
+            bad.mkdir()
+        elif unreadable == "not_utf8":
+            bad.write_bytes(b"feature_0,label,domain\n0.5,0,sour\xffce\n")
+        else:
+            bad.write_text("feature_0,label,domain\n" + "1" * 200_000 + ",0,source\n")
+        doc = base_doc(tmp_path, batch_size=1)
+        doc["dataset"] = {"source_csv": str(bad), "target_csv": str(good)}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sweep"
+        for argv in (["run", cfg], ["sweep", cfg, "--seeds", "1,2", "--out", str(out)]):
+            assert main(argv) == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "config" and str(bad) in err["detail"]
+        assert not (tmp_path / "run").exists() and not out.exists()
 
 
 def use_cpus(monkeypatch, n):
@@ -886,6 +936,11 @@ class TestCmdEval:
         assert got["target_acc"] in (0.0, 1.0)
 
 
+@pytest.fixture(scope="module")
+def gradcheck_report():
+    return run_gradcheck(seed=0)
+
+
 class TestCmdGradcheck:
     def test_cli_exit_zero(self, capsys):
         assert main(["gradcheck", "--seed", "1"]) == 0
@@ -893,21 +948,44 @@ class TestCmdGradcheck:
         assert "taylor residual" in out
         assert "all checks passed" in out
 
-    def test_corrupted_op_fails_and_is_named(self):
-        report = run_gradcheck(seed=0, corrupt="relu")
-        assert not report.ok
-        assert "relu" in report.failing()
-
-    def test_corrupted_meta_beta_detected(self):
-        report = run_gradcheck(seed=0, corrupt="meta_beta_dann_alignment")
-        assert not report.ok
-        assert "meta_beta_dann_alignment" in report.failing()
-
     @pytest.mark.parametrize("check", [
         "matmul", "rbf_mean", "detach", "grl", "mmd2_rbf", "cls_loss_mmd",
         "align_disc_dann",
         "meta_theta_dannpe_classification", "meta_beta_closed_form_mmd_alignment",
         "toy_beta_alpha_0.1",
     ])
-    def test_negative_control_fails_only_its_check(self, check):
-        assert run_gradcheck(seed=0, corrupt=check).failing() == [check]
+    def test_negative_control_fails_only_its_check(self, gradcheck_report, check):
+        assert gradcheck_report.with_fault(check).failing() == [check]
+
+    def test_every_negative_control_fails_only_its_check(self, gradcheck_report):
+        assert gradcheck_report.ok
+        names = [r.name for r in gradcheck_report.results]
+        assert [n for n in names
+                if gradcheck_report.with_fault(n).failing() != [n]] == []
+        assert gradcheck_report.ok  # with_fault leaves the report it is called on
+        with pytest.raises(KeyError):
+            gradcheck_report.with_fault("relu ")
+
+    def test_every_tensor_op_has_a_check(self, gradcheck_report):
+        # perfbench's rule for an op: a public function defined in metalign.tensor
+        ops = [name for name, obj in vars(T).items()
+               if inspect.isfunction(obj) and obj.__module__ == T.__name__
+               and not name.startswith("_") and name not in ("backward",
+                                                              "finite_diff_grad")]
+        checked = {r.name for r in gradcheck_report.results}
+        through = {"scale_grad": "grl"}  # nn.grl is scale_grad with a negative factor
+        assert [op for op in ops if through.get(op, op) not in checked] == []
+
+    def test_failed_check_exits_4_and_is_named(self, gradcheck_report, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(cli, "run_gradcheck",
+                            lambda seed: gradcheck_report.with_fault("matmul"))
+        assert main(["gradcheck"]) == 4
+        assert "FAILED: matmul" in capsys.readouterr().out
+
+    def test_taylor_ratio_above_bound_fails(self, gradcheck_report):
+        assert TaylorRow(1e-3, 1e-8, TAYLOR_RATIO_BOUND).ok
+        slow = replace(gradcheck_report,
+                       taylor=gradcheck_report.taylor + [TaylorRow(1e-3, 1e-8, 0.7)])
+        assert not slow.ok
+        assert slow.failing()[-1] == "taylor_residual_ratio"
