@@ -948,6 +948,16 @@ class TestCmdGradcheck:
         assert "taylor residual" in out
         assert "all checks passed" in out
 
+    def test_corrupted_op_fails_and_is_named(self, gradcheck_report):
+        report = gradcheck_report.with_fault("relu")
+        assert not report.ok
+        assert "relu" in report.failing()
+
+    def test_corrupted_meta_beta_detected(self, gradcheck_report):
+        report = gradcheck_report.with_fault("meta_beta_dann_alignment")
+        assert not report.ok
+        assert "meta_beta_dann_alignment" in report.failing()
+
     @pytest.mark.parametrize("check", [
         "matmul", "rbf_mean", "detach", "grl", "mmd2_rbf", "cls_loss_mmd",
         "align_disc_dann",
