@@ -49,11 +49,13 @@ def evaluate(extractor, classifier, dataset) -> float:
     return float(np.mean(pred == dataset.labels))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MetricsRecord:
-    """One JSONL line of the metrics stream."""
+    """What one training step reports: its losses and gradient-consistency
+    diagnostics, and one JSONL line of the metrics stream. The step builds it;
+    the run loop sets iteration and, on eval steps, the accuracies."""
 
-    iteration: int
+    iteration: Optional[int] = None
     L_cls: float
     L_dom_cls: Optional[float]
     L_dom: float
@@ -65,6 +67,7 @@ class MetricsRecord:
     beta: list[float]
     source_acc: Optional[float] = None
     target_acc: Optional[float] = None
+    clamped: bool = False  # the discriminator's outputs were clamped; not streamed
 
     def to_json(self) -> str:
         # floats go through repr (shortest exact round-trip form); the fields
@@ -76,7 +79,7 @@ class MetricsRecord:
         return cls(**json.loads(line))
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(MetricsRecord))
+_RECORD_FIELDS = tuple(f.name for f in fields(MetricsRecord) if f.name != "clamped")
 
 
 def record_metrics(sink: IO[str], record: MetricsRecord) -> None:

@@ -77,7 +77,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(meta, dict):
         raise CheckpointError(f"corrupt checkpoint {path}: meta block is not an object")
     if meta.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
+        raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}: {path}")
     shapes = meta.get("param_shapes")
     if not isinstance(shapes, dict):
         raise CheckpointError(f"corrupt checkpoint {path}: meta block lacks param_shapes")

@@ -37,13 +37,6 @@ class ModelConfig:
 
 
 @dataclass
-class VariantConfig:
-    name: str
-    grl_lambda: float
-    sigma: Optional[float]
-
-
-@dataclass
 class OptimizerConfig:
     lr: float
     meta_lr: float
@@ -68,7 +61,7 @@ class TrainConfig:
     standardize: bool
     dataset: DatasetConfig
     model: ModelConfig
-    variant: VariantConfig
+    variant: losses.AlignmentVariant
     optimizer: OptimizerConfig
     strategy: StrategyConfig
     raw: dict = field(default_factory=dict, repr=False)
@@ -115,7 +108,7 @@ SCHEMA = (
     ("optimizer", "weight_decay", float, "[0, inf)", 5e-4),
     ("optimizer", "budget", float, "(0, inf)", None),
     ("strategy", "kind", str, ("joint", "metaalign"), "joint"),
-    ("strategy", "role_policy", str, optim.ROLE_POLICIES, "alternate"),
+    ("strategy", "role_policy", str, tuple(optim.ROLE_POLICIES), "alternate"),
 )
 
 SECTIONS = ("dataset", "model", "variant", "optimizer", "strategy")
@@ -203,7 +196,7 @@ def parse_config(doc: Any) -> TrainConfig:
                             target_csv=ds.pop("target_csv", None), params=ds)
     return TrainConfig(
         **values[""], dataset=dataset, model=ModelConfig(**values["model"]),
-        variant=VariantConfig(**var),
+        variant=losses.AlignmentVariant(**var),
         optimizer=OptimizerConfig(**values["optimizer"]),
         strategy=StrategyConfig(**values["strategy"]), raw=doc)
 

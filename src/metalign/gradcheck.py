@@ -353,26 +353,27 @@ def meta_checks(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     alpha = 0.05
     for variant_name in losses.VARIANTS:
-        for role in (optim.Role(optim.ALIGNMENT), optim.Role(optim.CLASSIFICATION)):
+        for meta_train in (optim.ALIGNMENT, optim.CLASSIFICATION):
             bundle, variant = random_bundle(rng, variant_name)
             batch = random_batch(rng)
             beta0 = bundle.group_weights.beta.copy()
-            applied, report, g_train = optim.metaalign_grads(
-                bundle, batch, variant, alpha, role)
-            tag = f"{variant_name}_{role.meta_train}"
+            applied, record, g_train = optim.metaalign_grads(
+                bundle, batch, variant, alpha, meta_train)
+            tag = f"{variant_name}_{meta_train}"
 
             frozen = None
             if variant_name == losses.DANNPE:
                 # weights at the point where the alignment task is scored
                 at = None
-                if role.meta_test == optim.ALIGNMENT:
+                if optim.META_TEST[meta_train] == optim.ALIGNMENT:
                     at = optim.theta_prime(bundle.extractor.params(), g_train,
                                            alpha, beta0, bundle.groups)
                 frozen = _frozen_weights(bundle, batch, theta_override=at)
 
             def total(beta):
                 return optim.meta_total_value(bundle, batch, variant, alpha, beta,
-                                              g_train, role, weights_override=frozen)
+                                              g_train, meta_train,
+                                              weights_override=frozen)
 
             out.append(_fd_compare(f"meta_theta_{tag}", applied,
                                    lambda _: total(beta0),
@@ -383,7 +384,7 @@ def meta_checks(seed: int) -> list[CheckResult]:
 
             # bookkeeping: applied beta gradient reproduces the closed form
             sign = float(np.sign(beta0.sum() - bundle.group_weights.budget))
-            closed = np.array([-alpha * d + sign for d in report.grad_dot_per_group])
+            closed = np.array([-alpha * d + sign for d in record.grad_dot_per_group])
             out.append(_exact(f"meta_beta_closed_form_{tag}",
                               float(np.max(np.abs(applied[nn.BETA_ID] - closed))),
                               0.0))

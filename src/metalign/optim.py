@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis, losses
 from . import tensor as T
+from .analysis import MetricsRecord
 from .losses import AlignmentInfo, AlignmentVariant
 from .nn import BETA_ID, ModelBundle
 from .tensor import GradientMap, Tape, Tensor, backward
@@ -23,35 +24,15 @@ from .tensor import GradientMap, Tape, Tensor, backward
 ALIGNMENT = "alignment"
 CLASSIFICATION = "classification"
 
-ROLE_POLICIES = ("align_train", "cls_train", "alternate")
+# Each policy's cycle of meta-train tasks: step `it` gives the meta-train role
+# to cycle[it % len(cycle)] and scores META_TEST of it at the updated point.
+ROLE_POLICIES = {"align_train": (ALIGNMENT,), "cls_train": (CLASSIFICATION,),
+                 "alternate": (ALIGNMENT, CLASSIFICATION)}
+META_TEST = {ALIGNMENT: CLASSIFICATION, CLASSIFICATION: ALIGNMENT}
 
 
 class NonFiniteError(RuntimeError):
     """A loss or gradient left the finite range; the run must abort."""
-
-
-@dataclass
-class Role:
-    meta_train: str
-
-    def __post_init__(self) -> None:
-        if self.meta_train not in (ALIGNMENT, CLASSIFICATION):
-            raise ValueError(f"unknown meta-train task {self.meta_train!r}")
-
-    @property
-    def meta_test(self) -> str:
-        return CLASSIFICATION if self.meta_train == ALIGNMENT else ALIGNMENT
-
-
-def role_schedule(policy: str, iteration: int) -> Role:
-    """Deterministic role assignment; "alternate" flips parity each step."""
-    if policy == "align_train":
-        return Role(ALIGNMENT)
-    if policy == "cls_train":
-        return Role(CLASSIFICATION)
-    if policy == "alternate":
-        return Role(ALIGNMENT if iteration % 2 == 0 else CLASSIFICATION)
-    raise ValueError(f"unknown role policy {policy!r}")
 
 
 @dataclass
@@ -71,22 +52,6 @@ class OptimState:
             raise ValueError("meta_lr must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
-
-
-@dataclass
-class StepReport:
-    """Losses and gradient-consistency diagnostics for one step."""
-
-    L_cls: float
-    L_dom_cls: Optional[float]
-    L_dom: float
-    L_beta: float
-    L_total: float
-    grad_dot_per_group: list[float]
-    grad_dot_total: float
-    grad_cos: Optional[float]
-    beta: list[float]
-    clamped: bool = False
 
 
 def sgd_update(params: dict[str, np.ndarray], grads: GradientMap,
@@ -218,7 +183,7 @@ def _task_param_ids(bundle: ModelBundle, task: str, variant: AlignmentVariant) -
 
 
 def joint_grads(bundle: ModelBundle, batch,
-                variant: AlignmentVariant) -> tuple[GradientMap, StepReport]:
+                variant: AlignmentVariant) -> tuple[GradientMap, MetricsRecord]:
     """Gradients for one combined-objective step, without applying them.
 
     The two objectives run on separate tapes so the per-task gradients are
@@ -251,45 +216,54 @@ def joint_grads(bundle: ModelBundle, batch,
     for pid in disc_ids:
         applied[pid] = g_align[pid]
 
-    report = StepReport(
+    record = MetricsRecord(
         L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,
         L_total=l_cls + info.dom,
         grad_dot_per_group=per_group, grad_dot_total=total_dot, grad_cos=cos,
         beta=gw.beta.tolist(), clamped=info.clamped)
-    return applied, report
+    return applied, record
+
+
+def _apply(bundle: ModelBundle, applied: GradientMap, record: MetricsRecord,
+           state: OptimState) -> None:
+    """End a step: raise on a non-finite loss or gradient, else apply the update."""
+    _check_finite({"L_cls": record.L_cls, "L_dom": record.L_dom,
+                   "L_beta": record.L_beta}, applied)
+    params = bundle.all_params()
+    sgd_update({pid: params[pid] for pid in applied}, applied, state)
 
 
 def joint_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
-               state: OptimState) -> StepReport:
+               state: OptimState) -> MetricsRecord:
     """One combined-objective update of theta, phi_c and (if present) phi_d."""
-    applied, report = joint_grads(bundle, batch, variant)
-    _check_finite({"L_cls": report.L_cls, "L_dom": report.L_dom}, applied)
-    params = bundle.network_params()
-    sgd_update({pid: params[pid] for pid in applied}, applied, state)
-    return report
+    applied, record = joint_grads(bundle, batch, variant)
+    _apply(bundle, applied, record, state)
+    return record
 
 
 def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
-                    alpha: float, role: Role) -> tuple[GradientMap, StepReport, GradientMap]:
+                    alpha: float,
+                    meta_train: str) -> tuple[GradientMap, MetricsRecord, GradientMap]:
     """First-order meta-step gradients, without applying them.
 
-    Phase 1 computes the meta-train loss at theta and keeps its gradient both
-    as the (detached) direction for the virtual update and as the live
+    Phase 1 computes the meta_train task's loss at theta and keeps its gradient
+    both as the (detached) direction for the virtual update and as the live
     meta-train contribution to theta's update. Phase 2 scores the meta-test
-    task at theta' on the same batch; a single backward on
+    task (the other one) at theta' on the same batch; a single backward on
     meta-test + budget-penalty yields the first-order gradients:
     theta gets g_train + grad(L_test at theta'), each task head gets its own
     loss gradient, and beta_m gets -alpha * <g_train_m, g_test_m> plus the
-    budget subgradient.
+    budget subgradient. An unknown meta_train raises KeyError.
 
-    Returns (applied gradients, report, g_train over theta).
+    Returns (applied gradients, record, g_train over theta).
     """
+    meta_test = META_TEST[meta_train]
     theta_ids = bundle.theta_ids
     gw = bundle.group_weights
 
     tape1 = Tape()
-    train_loss, train_info = _task_loss(bundle, batch, variant, role.meta_train, tape1)
-    extra1 = _task_param_ids(bundle, role.meta_train, variant)
+    train_loss, train_info = _task_loss(bundle, batch, variant, meta_train, tape1)
+    extra1 = _task_param_ids(bundle, meta_train, variant)
     g1 = backward(train_loss, theta_ids + extra1)
     g_train = {pid: g1[pid] for pid in theta_ids}
 
@@ -297,9 +271,9 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
     beta_leaf = tape2.param(gw.beta, BETA_ID)
     prime = virtual_update(tape2, bundle.extractor.params(), g_train,
                            alpha, beta_leaf, bundle.groups)
-    test_loss, test_info = _task_loss(bundle, batch, variant, role.meta_test,
+    test_loss, test_info = _task_loss(bundle, batch, variant, meta_test,
                                       tape2, theta_override=prime)
-    extra2 = _task_param_ids(bundle, role.meta_test, variant)
+    extra2 = _task_param_ids(bundle, meta_test, variant)
     l_beta_t = losses.beta_penalty(beta_leaf, gw.budget)
     total2 = T.add(test_loss, l_beta_t)
     g2 = backward(total2, theta_ids + extra2 + [BETA_ID])
@@ -314,34 +288,32 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
         applied[pid] = g2[pid]
     applied[BETA_ID] = g2[BETA_ID]
 
-    by_task = {role.meta_train: (train_loss, train_info),
-               role.meta_test: (test_loss, test_info)}
+    by_task = {meta_train: (train_loss, train_info),
+               meta_test: (test_loss, test_info)}
     l_cls = float(by_task[CLASSIFICATION][0].values)
     info = by_task[ALIGNMENT][1]
     l_beta = float(l_beta_t.values)
 
-    report = StepReport(
+    record = MetricsRecord(
         L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,
         L_total=l_cls + info.dom + l_beta,
         grad_dot_per_group=per_group, grad_dot_total=total_dot, grad_cos=cos,
         beta=gw.beta.tolist(), clamped=info.clamped)
-    return applied, report, g_train
+    return applied, record, g_train
 
 
 def metaalign_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
-                   state: OptimState, role: Role) -> StepReport:
+                   state: OptimState, meta_train: str) -> MetricsRecord:
     """One meta-optimization update of theta, phi_c, phi_d and beta."""
-    applied, report, _ = metaalign_grads(bundle, batch, variant, state.meta_lr, role)
-    _check_finite({"L_cls": report.L_cls, "L_dom": report.L_dom,
-                   "L_beta": report.L_beta}, applied)
-    params = bundle.all_params()
-    sgd_update({pid: params[pid] for pid in applied}, applied, state)
-    return report
+    applied, record, _ = metaalign_grads(bundle, batch, variant, state.meta_lr,
+                                         meta_train)
+    _apply(bundle, applied, record, state)
+    return record
 
 
 def meta_total_value(bundle: ModelBundle, batch, variant: AlignmentVariant,
                      alpha: float, beta_values: np.ndarray,
-                     g_train: GradientMap, role: Role,
+                     g_train: GradientMap, meta_train: str,
                      weights_override=None) -> float:
     """Forward-only L(theta, beta) = L_train(theta) + L_test(theta') + |sum(beta) - B|,
     with theta' built from the frozen g_train.
@@ -351,12 +323,13 @@ def meta_total_value(bundle: ModelBundle, batch, variant: AlignmentVariant,
     over theta (reading the live extractor parameters) or over beta. Each task
     contributes the objective the shared parameters descend (_task_value).
     """
+    meta_test = META_TEST[meta_train]
     beta_values = np.asarray(beta_values, dtype=np.float64)
     prime = theta_prime(bundle.extractor.params(), g_train, alpha, beta_values,
                         bundle.groups)
-    train_val = _task_value(bundle, batch, variant, role.meta_train,
+    train_val = _task_value(bundle, batch, variant, meta_train,
                             weights_override=weights_override)
-    test_val = _task_value(bundle, batch, variant, role.meta_test,
+    test_val = _task_value(bundle, batch, variant, meta_test,
                            theta_override=prime, weights_override=weights_override)
     budget = bundle.group_weights.budget
     return train_val + test_val + abs(float(beta_values.sum()) - budget)

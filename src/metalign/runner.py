@@ -72,6 +72,9 @@ def build_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset]:
             raise ConfigError("source_csv/target_csv domain tags are swapped")
         if src.dim != tgt.dim:
             raise ConfigError("source and target feature dimensions differ")
+    if src.num_classes < 2:  # the classifier's log_softmax needs two logits
+        where = dc.source_csv if dc.generator is None else f"generator {dc.generator!r}"
+        raise ConfigError(f"the source domain from {where} holds fewer than 2 classes")
     if cfg.standardize:
         scaler = data.Standardizer(src)
         src, tgt = scaler.apply(src), scaler.apply(tgt)
@@ -92,9 +95,7 @@ def build_bundle(cfg: TrainConfig, input_dim: int, num_classes: int,
     classifier = nn.ClassifierHead(extractor.out_dim, num_classes,
                                    hidden=mc.classifier_hidden,
                                    activation=mc.activation)
-    variant = AlignmentVariant(name=cfg.variant.name,
-                               grl_lambda=cfg.variant.grl_lambda,
-                               sigma=cfg.variant.sigma)
+    variant = replace(cfg.variant)  # resolve_sigma writes to it; seeds share cfg
     discriminator = None
     if variant.adversarial:
         in_dim = num_classes if variant.name == losses.DANNPE else extractor.out_dim
@@ -139,6 +140,8 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
                               seed=derive_seed(cfg.seed, 2), epochs=epochs)
 
     run_doc = {**cfg.raw, "seed": cfg.seed}
+    cycle = (None if cfg.strategy.kind == "joint"
+             else optim.ROLE_POLICIES[cfg.strategy.role_policy])
     records: list[analysis.MetricsRecord] = []
     aborted = False
     steps_done = 0
@@ -150,23 +153,18 @@ def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
             if it == 0:
                 resolve_sigma(bundle, variant, batch)
             try:
-                if cfg.strategy.kind == "joint":
-                    report = optim.joint_step(bundle, batch, variant, state)
+                if cycle is None:
+                    rec = optim.joint_step(bundle, batch, variant, state)
                 else:
-                    role = optim.role_schedule(cfg.strategy.role_policy, it)
-                    report = optim.metaalign_step(bundle, batch, variant, state, role)
+                    rec = optim.metaalign_step(bundle, batch, variant, state,
+                                               cycle[it % len(cycle)])
             except NonFiniteError as e:
                 log.error("aborting at iteration %d: %s", it, e)
                 aborted = True
                 break
             steps_done = it + 1
-            clamp_steps += int(report.clamped)
-
-            rec = analysis.MetricsRecord(
-                iteration=it, L_cls=report.L_cls, L_dom_cls=report.L_dom_cls,
-                L_dom=report.L_dom, L_beta=report.L_beta, L_total=report.L_total,
-                grad_dot_total=report.grad_dot_total, grad_cos=report.grad_cos,
-                grad_dot_per_group=report.grad_dot_per_group, beta=report.beta)
+            clamp_steps += rec.clamped
+            rec.iteration = it
             if (it + 1) % cfg.eval_every == 0 or it == cfg.iterations - 1:
                 rec.source_acc = analysis.evaluate(bundle.extractor,
                                                    bundle.classifier, src)

@@ -15,8 +15,7 @@ from metalign.config import load_config
 from metalign.gradcheck import (TAYLOR_RATIO_BOUND, quadratic_toy, random_batch,
                                 random_bundle, run_gradcheck, taylor_residuals)
 from metalign.losses import mmd2_rbf
-from metalign.optim import ALIGNMENT, CLASSIFICATION, Role, joint_grads, \
-    metaalign_grads
+from metalign.optim import ALIGNMENT, CLASSIFICATION, joint_grads, metaalign_grads
 from metalign.tensor import Tensor, finite_diff_grad
 
 SEEDS = list(range(1, 11))
@@ -72,7 +71,7 @@ def test_criterion_3_alpha_zero_reduction():
         bundle, variant = random_bundle(rng, variant_name)
         batch = random_batch(rng)
         gj, _ = joint_grads(bundle, batch, variant)
-        gm, _, _ = metaalign_grads(bundle, batch, variant, 0.0, Role(role_name))
+        gm, _, _ = metaalign_grads(bundle, batch, variant, 0.0, role_name)
         for pid in gj:
             worst = max(worst, float(np.max(np.abs(gj[pid] - gm[pid]))))
     ok = worst <= 1e-12
@@ -92,7 +91,7 @@ def test_criterion_4_beta_gradient_closed_form():
             bundle, variant = random_bundle(rng, variant_name)
             batch = random_batch(rng)
             applied, report, g_train = metaalign_grads(
-                bundle, batch, variant, alpha, Role(ALIGNMENT))
+                bundle, batch, variant, alpha, ALIGNMENT)
             gw = bundle.group_weights
             sign = float(np.sign(gw.beta.sum() - gw.budget))
             closed = np.array([-alpha * d + sign
@@ -102,7 +101,7 @@ def test_criterion_4_beta_gradient_closed_form():
             fd = finite_diff_grad(
                 lambda p: optim.meta_total_value(bundle, batch, variant, alpha,
                                                  p["beta"], g_train,
-                                                 Role(ALIGNMENT)),
+                                                 ALIGNMENT),
                 {"beta": gw.beta.copy()}, h=1e-5)
             rel = np.abs(applied["beta"] - fd["beta"]) / (
                 np.maximum(np.abs(applied["beta"]), np.abs(fd["beta"])) + 1e-8)

@@ -126,18 +126,24 @@ class TestMetricsStream:
         assert back.grad_dot_total == rec.grad_dot_total
         assert back.L_cls == rec.L_cls
 
+    STREAMED = ["iteration", "L_cls", "L_dom_cls", "L_dom", "L_beta", "L_total",
+                "grad_dot_total", "grad_cos", "grad_dot_per_group", "beta",
+                "source_acc", "target_acc"]
+
     def test_field_names_are_exact(self):
-        keys = list(json.loads(self._record().to_json()))
-        assert keys == ["iteration", "L_cls", "L_dom_cls", "L_dom", "L_beta",
-                        "L_total", "grad_dot_total", "grad_cos",
-                        "grad_dot_per_group", "beta", "source_acc",
-                        "target_acc"]
+        assert list(json.loads(self._record().to_json())) == self.STREAMED
+
+    def test_clamped_is_not_streamed(self):
+        rec = self._record()
+        rec.clamped = True
+        assert list(json.loads(rec.to_json())) == self.STREAMED
 
     @pytest.mark.parametrize("i", [0, 3])
     def test_same_json_as_asdict(self, i):
         rec = self._record(i)
         rec.grad_cos = -0.1 * i or None
-        assert rec.to_json() == json.dumps(asdict(rec))
+        streamed = {k: v for k, v in asdict(rec).items() if k != "clamped"}
+        assert rec.to_json() == json.dumps(streamed)
 
     def test_serialization_keeps_full_precision(self):
         # every float parses back to the identical double, i.e. at least 15

@@ -457,6 +457,22 @@ class TestSettleHeap:
         assert calls == [1]
 
 
+RUN_PATH_MODULES = ["metalign", "metalign.analysis", "metalign.checkpoint",
+                    "metalign.config", "metalign.data", "metalign.losses", "metalign.nn",
+                    "metalign.optim", "metalign.runner", "metalign.tensor"]
+
+
+def test_run_path_imports_only_its_modules():
+    """Every run pays for importing the run path (and compiling it, where no
+    bytecode is cached), so a module joins it only through an edit here."""
+    code = ("import json, sys; from metalign import data, runner; print(json.dumps("
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'metalign')))")
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert json.loads(proc.stdout) == RUN_PATH_MODULES
+
+
 class TestCmdSweep:
     def test_single_seed_aggregate_equals_summary(self, tmp_path, capsys):
         doc = base_doc(tmp_path, iterations=4)
@@ -535,6 +551,28 @@ class TestCmdSweep:
             assert main(argv) == 2
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == "config" and str(bad) in err["detail"]
+        assert not (tmp_path / "run").exists() and not out.exists()
+
+    @pytest.mark.parametrize("source", ["csv", "generator"])
+    def test_single_class_source_named_by_run_and_sweep(self, tmp_path, capsys,
+                                                        monkeypatch, source):
+        use_cpus(monkeypatch, 2)  # the caller and a forked worker both reject it
+        doc = base_doc(tmp_path, batch_size=1)
+        if source == "csv":
+            src, tgt = tmp_path / "src.csv", tmp_path / "tgt.csv"
+            src.write_text("feature_0,label,domain\n0.5,0,source\n-0.5,0,source\n")
+            tgt.write_text("feature_0,label,domain\n0.5,0,target\n-0.5,1,target\n")
+            doc["dataset"] = {"source_csv": str(src), "target_csv": str(tgt)}
+            named = str(src)
+        else:
+            doc["dataset"] = {"generator": "gaussian_shift", "n": 1}
+            named = "gaussian_shift"
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sweep"
+        for argv in (["run", cfg], ["sweep", cfg, "--seeds", "1,2", "--out", str(out)]):
+            assert main(argv) == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "config" and named in err["detail"]
         assert not (tmp_path / "run").exists() and not out.exists()
 
 
@@ -912,6 +950,17 @@ class TestCmdEval:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "checkpoint"
         assert named in err["detail"]
+
+    def test_unsupported_version_names_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
+        assert main(["run", cfg]) == 0
+        path = str(tmp_path / "run" / "checkpoint.npz")
+        params, _ = load_checkpoint(path)
+        np.savez(path, __meta__=np.array(json.dumps({"version": 1})), **params)
+        capsys.readouterr()
+        assert main(["eval", path, cfg]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "checkpoint" and path in err["detail"]
 
     def test_missing_checkpoint_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))

@@ -3,22 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metalign import nn
+from metalign import nn, runner
 from metalign import tensor as T
+from metalign.config import parse_config
 from metalign.tensor import Tape, Tensor, backward, finite_diff_grad
 
 
-def make_bundle(seed=0, hidden=(8, 8), d=3, k=4, variant="dann"):
-    extractor = nn.FeatureExtractor([d, *hidden])
-    classifier = nn.ClassifierHead(extractor.out_dim, k)
-    disc_in = k if variant == "dannpe" else extractor.out_dim
-    disc = None if variant == "mmd" else nn.DomainDiscriminator(disc_in, (8, 8))
-    bundle = nn.ModelBundle(
-        extractor=extractor, classifier=classifier, discriminator=disc,
-        group_weights=nn.GroupWeights.init(2),
-        groups=nn.group_params(extractor, 2))
-    nn.init_params(bundle, seed)
-    return bundle
+def make_bundle(seed=0):
+    """Hidden layers of 8 and 8 in 2 groups on 3 inputs and 4 classes, dann."""
+    doc = {"seed": 0, "iterations": 1, "batch_size": 1,
+           "dataset": {"generator": "two_moons"},
+           "model": {"hidden": [8, 8], "groups": 2, "disc_hidden": [8, 8]}}
+    return runner.build_bundle(parse_config(doc), 3, 4, init_seed=seed)[0]
 
 
 class TestInit:

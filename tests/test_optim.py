@@ -13,9 +13,10 @@ from metalign import data, losses, nn, optim
 from metalign import tensor as T
 from metalign.config import load_config
 from metalign.gradcheck import quadratic_toy, random_batch, random_bundle
-from metalign.optim import (ALIGNMENT, CLASSIFICATION, NonFiniteError, OptimState,
-                            Role, metaalign_grads, metaalign_step, joint_grads,
-                            joint_step, role_schedule, sgd_update, virtual_update)
+from metalign.optim import (ALIGNMENT, CLASSIFICATION, META_TEST, NonFiniteError,
+                            OptimState, ROLE_POLICIES, metaalign_grads,
+                            metaalign_step, joint_grads, joint_step, sgd_update,
+                            virtual_update)
 from metalign.runner import run_training
 from metalign.tensor import Tape, Tensor, backward, finite_diff_grad
 
@@ -147,24 +148,29 @@ class TestVirtualUpdate:
 
 class TestRoleSchedule:
     def test_align_train_constant(self):
-        assert all(role_schedule("align_train", i).meta_train == ALIGNMENT
-                   for i in range(5))
+        assert ROLE_POLICIES["align_train"] == (ALIGNMENT,)
 
     def test_cls_train_constant(self):
-        assert all(role_schedule("cls_train", i).meta_train == CLASSIFICATION
-                   for i in range(5))
+        assert ROLE_POLICIES["cls_train"] == (CLASSIFICATION,)
 
     def test_alternate_parity(self):
-        got = [role_schedule("alternate", i).meta_train for i in range(3)]
-        assert got == [ALIGNMENT, CLASSIFICATION, ALIGNMENT]
+        cycle = ROLE_POLICIES["alternate"]
+        assert cycle == (ALIGNMENT, CLASSIFICATION)
+        assert [cycle[i % len(cycle)] for i in range(3)] == [ALIGNMENT, CLASSIFICATION,
+                                                             ALIGNMENT]
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            role_schedule("sometimes", 0)
+        with pytest.raises(KeyError):
+            ROLE_POLICIES["sometimes"]
 
     def test_meta_test_is_other_task(self):
-        assert Role(ALIGNMENT).meta_test == CLASSIFICATION
-        assert Role(CLASSIFICATION).meta_test == ALIGNMENT
+        assert META_TEST == {ALIGNMENT: CLASSIFICATION, CLASSIFICATION: ALIGNMENT}
+
+    def test_unknown_meta_train_task(self):
+        rng = np.random.default_rng(0)
+        bundle, variant = random_bundle(rng, "dann")
+        with pytest.raises(KeyError):
+            metaalign_grads(bundle, random_batch(rng), variant, 0.1, "alignmnet")
 
 
 class TestJointStep:
@@ -216,7 +222,7 @@ class TestMetaStep:
         bundle, variant = random_bundle(rng, variant_name)
         batch = random_batch(rng)
         gj, _ = joint_grads(bundle, batch, variant)
-        gm, _, _ = metaalign_grads(bundle, batch, variant, 0.0, Role(role_name))
+        gm, _, _ = metaalign_grads(bundle, batch, variant, 0.0, role_name)
         for pid in gj:
             assert float(np.max(np.abs(gj[pid] - gm[pid]))) <= 1e-12
         # beta receives only the budget subgradient
@@ -234,7 +240,7 @@ class TestMetaStep:
 
         def gap(alpha):
             gm, _, _ = metaalign_grads(bundle, batch, variant, alpha,
-                                       Role(ALIGNMENT))
+                                       ALIGNMENT)
             return max(float(np.max(np.abs(gm[pid] - gj[pid])))
                        for pid in bundle.theta_ids)
 
@@ -247,9 +253,9 @@ class TestMetaStep:
         rng = np.random.default_rng(5)
         bundle, variant = random_bundle(rng, "dannpe")
         batch = random_batch(rng)
-        ga, _, _ = metaalign_grads(bundle, batch, variant, 0.0, Role(ALIGNMENT))
+        ga, _, _ = metaalign_grads(bundle, batch, variant, 0.0, ALIGNMENT)
         gc, _, _ = metaalign_grads(bundle, batch, variant, 0.0,
-                                   Role(CLASSIFICATION))
+                                   CLASSIFICATION)
         for pid in ga:
             assert float(np.max(np.abs(ga[pid] - gc[pid]))) <= 1e-12
 
@@ -260,7 +266,7 @@ class TestMetaStep:
         batch = random_batch(rng)
         alpha = 0.05
         applied, report, _ = metaalign_grads(bundle, batch, variant, alpha,
-                                             Role(ALIGNMENT))
+                                             ALIGNMENT)
         gw = bundle.group_weights
         sign = float(np.sign(gw.beta.sum() - gw.budget))
         closed = np.array([-alpha * d + sign for d in report.grad_dot_per_group])
@@ -272,11 +278,11 @@ class TestMetaStep:
         batch = random_batch(rng)
         alpha = 0.05
         applied, _, g_train = metaalign_grads(bundle, batch, variant, alpha,
-                                              Role(ALIGNMENT))
+                                              ALIGNMENT)
         beta0 = bundle.group_weights.beta.copy()
         fd = finite_diff_grad(
             lambda p: optim.meta_total_value(bundle, batch, variant, alpha,
-                                             p["beta"], g_train, Role(ALIGNMENT)),
+                                             p["beta"], g_train, ALIGNMENT),
             {"beta": beta0}, h=1e-5)
         np.testing.assert_allclose(applied["beta"], fd["beta"],
                                    rtol=1e-6, atol=1e-9)
@@ -285,7 +291,7 @@ class TestMetaStep:
         rng = np.random.default_rng(8)
         bundle, variant = random_bundle(rng, "dann")
         _, report, _ = metaalign_grads(bundle, random_batch(rng), variant, 0.1,
-                                       Role(ALIGNMENT))
+                                       ALIGNMENT)
         assert report.grad_dot_total == sum(report.grad_dot_per_group)
 
     def test_quadratic_toy_hand_values(self):
@@ -302,7 +308,7 @@ class TestMetaStep:
         # ensure a nonzero beta gradient: move beta off the budget
         bundle.group_weights.beta[0] += 0.2
         metaalign_step(bundle, batch, variant, OptimState(momentum=0.0),
-                       Role(ALIGNMENT))
+                       ALIGNMENT)
         after = bundle.all_params()
         changed = [pid for pid in before if not np.array_equal(before[pid],
                                                                after[pid])]
@@ -318,7 +324,7 @@ class TestMetaStep:
         state = OptimState(lr=1e150, momentum=0.0, weight_decay=0.0)
         with pytest.raises(NonFiniteError):
             for _ in range(8):
-                metaalign_step(bundle, batch, variant, state, Role(ALIGNMENT))
+                metaalign_step(bundle, batch, variant, state, ALIGNMENT)
 
     @pytest.mark.parametrize("field", ["src_features", "tgt_features"])
     @pytest.mark.parametrize("step", ["joint", ALIGNMENT, CLASSIFICATION])
@@ -334,7 +340,7 @@ class TestMetaStep:
             if step == "joint":
                 joint_step(bundle, batch, variant, OptimState())
             else:
-                metaalign_step(bundle, batch, variant, OptimState(), Role(step))
+                metaalign_step(bundle, batch, variant, OptimState(), step)
         for pid, arr in bundle.all_params().items():
             np.testing.assert_array_equal(arr, before[pid])
 
@@ -367,7 +373,7 @@ class TestMetaStep:
         if step == "joint":
             _, report = joint_grads(bundle, batch, variant)
         else:
-            _, report, _ = metaalign_grads(bundle, batch, variant, 0.1, Role(step))
+            _, report, _ = metaalign_grads(bundle, batch, variant, 0.1, step)
         assert report.clamped is saturated
 
     def test_taylor_residual_ratio(self):
