@@ -9,6 +9,7 @@ from typing import IO, Optional
 
 import numpy as np
 
+from .nn import Params
 from .tensor import GradientMap, Tensor
 
 NORM_FLOOR = 1e-15
@@ -43,8 +44,9 @@ def grad_dot(a: GradientMap, b: GradientMap,
 
 def evaluate(extractor, classifier, dataset) -> float:
     """Argmax accuracy; np.argmax ties break toward the lowest class index."""
-    feats = extractor.forward(Tensor(dataset.features))
-    logits = classifier.forward(feats).values
+    params = Params({**extractor.params(), **classifier.params()})
+    feats = extractor.forward(Tensor(dataset.features), params)
+    logits = classifier.forward(feats, params).values
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == dataset.labels))
 

@@ -137,6 +137,9 @@ def cmd_eval(args) -> int:
                     f"checkpoint parameter {pid!r} is {got}, its model's is {want}")
         for pid, arr in target.items():
             arr[...] = params[pid]
+        if src.dim != bundle.extractor.widths[0]:
+            raise ConfigError(f"the config's data has {src.dim} features; the checkpoint's "
+                              f"model takes {bundle.extractor.widths[0]}")
     except (ConfigError, CsvFormatError, CheckpointError, ValueError) as e:
         kind = "checkpoint" if isinstance(e, CheckpointError) else "config"
         return _fail(kind, str(e), EXIT_CONFIG)

@@ -1,6 +1,6 @@
 """Verification harness: every analytic gradient against central finite
-differences, exactness contracts (detach, gradient reversal, the scalar
-quadratic toy), and the first-order expansion residual test.
+differences, exactness contracts (gradient reversal, the scalar quadratic
+toy), and the first-order expansion residual test.
 
 A check passes when |analytic - fd| <= tol * max(|analytic|, |fd|) + 0.01*tol
 per coordinate; the reported error is the scaled form
@@ -22,7 +22,7 @@ from . import tensor as T
 from .config import parse_config
 from .data import PairedBatch
 from .losses import AlignmentVariant
-from .nn import ModelBundle
+from .nn import ModelBundle, Params
 from .tensor import GradientMap, Tape, Tensor, backward, finite_diff_grad
 
 FD_H = 1e-5
@@ -190,27 +190,7 @@ def op_checks(seed: int) -> list[CheckResult]:
         ("rbf_mean", x(3, 5, lo=0.0, hi=3.0), lambda p: T.rbf_mean(p["x"], -0.4)),
     ]
     return ([_fd_check(name, params, loss) for name, params, loss in table]
-            + [_detach_check(rng), _grl_check(rng)])
-
-
-def _detach_check(rng) -> CheckResult:
-    """d/dx sum(detach(x) * x) == x, and a leaf reached only through detach
-    gets exactly zero gradient."""
-    x = rng.uniform(-2, 2, size=6)
-    tape = Tape()
-    leaf = tape.param(x, "x")
-    loss = T.reduce_sum(T.mul(T.detach(leaf), leaf))
-    g = backward(loss, ["x"])["x"]
-    err = float(np.max(np.abs(g - x)))
-
-    a = rng.uniform(-2, 2, size=6)
-    tape2 = Tape()
-    a_leaf = tape2.param(a, "a")
-    b_leaf = tape2.param(x, "b")
-    g2 = backward(T.reduce_sum(T.mul(T.detach(a_leaf), b_leaf)), ["a", "b"])
-    err = max(err, float(np.max(np.abs(g2["a"]))))
-    err = max(err, float(np.max(np.abs(g2["b"] - a))))
-    return _exact("detach", err, 0.0)
+            + [_grl_check(rng)])
 
 
 def _grl_check(rng) -> CheckResult:
@@ -229,10 +209,10 @@ def _grl_check(rng) -> CheckResult:
         wanted = lower.param_ids + upper.param_ids
 
         def grads(use_grl: bool) -> GradientMap:
-            tape = Tape()
-            feats = lower.forward(tape.const(x))
+            params = Params({**lower.params(), **upper.params()}, Tape())
+            feats = lower.forward(Tensor(x), params)
             head_in = nn.grl(feats, lam) if use_grl else feats
-            out = upper.forward(head_in)
+            out = upper.forward(head_in, params)
             return backward(T.reduce_mean(T.mul(out, out)), wanted)
 
         g_flip, g_plain = grads(True), grads(False)
@@ -264,12 +244,9 @@ def random_bundle(rng, variant_name: str,
     bundle, variant = runner.build_bundle(parse_config(doc), _DIM, _CLASSES,
                                           init_seed=int(rng.integers(0, 2**31)))
     # nonzero biases make the finite-difference surface less symmetric
-    nets = [bundle.extractor, bundle.classifier]
-    if bundle.discriminator is not None:
-        nets.append(bundle.discriminator)
-    for net in nets:
-        for layer in net.layers:
-            layer.bias[...] = rng.uniform(-0.3, 0.3, size=layer.bias.shape)
+    for pid, arr in bundle.network_params().items():
+        if pid.endswith(".b"):
+            arr[...] = rng.uniform(-0.3, 0.3, size=arr.shape)
     return bundle, variant
 
 
@@ -280,14 +257,18 @@ def random_batch(rng, n: int = 6) -> PairedBatch:
         tgt_features=rng.uniform(-2, 2, size=(n, _DIM)))
 
 
-def _frozen_weights(bundle, batch, theta_override=None):
-    """Entropy weights at the current parameters; the analytic gradient treats
+def _params(bundle: ModelBundle, tape: Optional[Tape] = None, given=None) -> Params:
+    """The parameters of a forward pass over the bundle's live arrays."""
+    return Params(bundle.network_params(), tape, given)
+
+
+def _frozen_weights(bundle, batch, params: Params):
+    """Entropy weights at the given parameters; the analytic gradient treats
     them as constants, so finite differences must too."""
-    fs = bundle.extractor.forward(Tensor(batch.src_features), theta_override)
-    ft = bundle.extractor.forward(Tensor(batch.tgt_features), theta_override)
-    ws = losses.entropy_weights(T.exp(T.log_softmax(bundle.classifier.forward(fs))))
-    wt = losses.entropy_weights(T.exp(T.log_softmax(bundle.classifier.forward(ft))))
-    return ws.values.copy(), wt.values.copy()
+    feats = [bundle.extractor.forward(Tensor(x), params)
+             for x in (batch.src_features, batch.tgt_features)]
+    return tuple(losses.entropy_weights(T.exp(T.log_softmax(
+        bundle.classifier.forward(f, params)))).values.copy() for f in feats)
 
 
 def loss_checks(seed: int) -> list[CheckResult]:
@@ -315,32 +296,30 @@ def loss_checks(seed: int) -> list[CheckResult]:
     for variant_name in losses.VARIANTS:
         bundle, variant = random_bundle(rng, variant_name)
         batch = random_batch(rng)
-        frozen = (_frozen_weights(bundle, batch)
+        frozen = (_frozen_weights(bundle, batch, _params(bundle))
                   if variant_name == losses.DANNPE else None)
 
-        tape = Tape()
         cls_ids = bundle.theta_ids + bundle.classifier.param_ids
-        analytic = backward(optim._cls_loss(bundle, batch, tape), cls_ids)
+        analytic = backward(optim._cls_loss(bundle, batch, _params(bundle, Tape())), cls_ids)
         out.append(_fd_compare(
             f"cls_loss_{variant_name}", analytic,
-            lambda _: float(optim._cls_loss(bundle, batch, None).values),
+            lambda _: float(optim._cls_loss(bundle, batch, _params(bundle)).values),
             {pid: arr for pid, arr in bundle.network_params().items()
              if pid in cls_ids}))
 
-        tape = Tape()
-        align, _ = optim._align_loss(bundle, batch, variant, tape,
+        align, _ = optim._align_loss(bundle, batch, variant, _params(bundle, Tape()),
                                      weights_override=frozen)
         disc_ids = (bundle.discriminator.param_ids if variant.adversarial else [])
         analytic = backward(align, bundle.theta_ids + disc_ids)
         out.append(_fd_compare(
             f"align_theta_{variant_name}", analytic,
             lambda _: optim._task_value(bundle, batch, variant, optim.ALIGNMENT,
-                                        weights_override=frozen),
+                                        _params(bundle), weights_override=frozen),
             bundle.extractor.params()))
         if variant.adversarial:
             out.append(_fd_compare(
                 f"align_disc_{variant_name}", analytic,
-                lambda _: float(optim._align_loss(bundle, batch, variant, None,
+                lambda _: float(optim._align_loss(bundle, batch, variant, _params(bundle),
                                                   weights_override=frozen)[0].values),
                 bundle.discriminator.params()))
     return out
@@ -368,7 +347,7 @@ def meta_checks(seed: int) -> list[CheckResult]:
                 if optim.META_TEST[meta_train] == optim.ALIGNMENT:
                     at = optim.theta_prime(bundle.extractor.params(), g_train,
                                            alpha, beta0, bundle.groups)
-                frozen = _frozen_weights(bundle, batch, theta_override=at)
+                frozen = _frozen_weights(bundle, batch, _params(bundle, given=at))
 
             def total(beta):
                 return optim.meta_total_value(bundle, batch, variant, alpha, beta,
@@ -438,12 +417,10 @@ def taylor_residuals(seed: int = 0) -> list[TaylorRow]:
     bundle, variant = random_bundle(rng, losses.DANN, activation="tanh")
     batch = random_batch(rng, n=8)
 
-    tape = Tape()
-    align, _ = optim._align_loss(bundle, batch, variant, tape)
+    align, _ = optim._align_loss(bundle, batch, variant, _params(bundle, Tape()))
     g_dom = backward(align, bundle.theta_ids)
 
-    tape = Tape()
-    cls = optim._cls_loss(bundle, batch, tape)
+    cls = optim._cls_loss(bundle, batch, _params(bundle, Tape()))
     base = float(cls.values)
     g_cls = backward(cls, bundle.theta_ids)
     dot, _, _ = analysis.grad_dot(g_cls, g_dom, bundle.groups)
@@ -455,8 +432,7 @@ def taylor_residuals(seed: int = 0) -> list[TaylorRow]:
     prev: Optional[float] = None
     while alpha >= TAYLOR_ALPHA_MIN / 2:
         prime = optim.theta_prime(theta, g_dom, alpha, unit, bundle.groups)
-        moved = float(optim._cls_loss(bundle, batch, None,
-                                      theta_override=prime).values)
+        moved = float(optim._cls_loss(bundle, batch, _params(bundle, given=prime)).values)
         resid = abs(moved - base + alpha * dot)
         ratio = None if prev is None else (resid / prev if prev > 0 else 0.0)
         rows.append(TaylorRow(alpha=alpha, residual=resid, ratio=ratio))

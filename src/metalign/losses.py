@@ -67,7 +67,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def entropy_weights(probs: Tensor) -> Tensor:
-    """Per-sample weights exp(-entropy); detached so no gradient reaches C."""
+    """Per-sample weights exp(-entropy), a constant, so no gradient reaches C."""
     p = probs.values
     if p.ndim != 2:
         raise ValueError("entropy_weights expects n x K probabilities")
@@ -148,6 +148,7 @@ def beta_penalty(beta: Tensor, budget: float) -> Tensor:
 
 
 def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
+                   params: Optional[nn.Params] = None,
                    classifier: Optional[nn.ClassifierHead] = None,
                    discriminator: Optional[nn.DomainDiscriminator] = None,
                    weights_override: Optional[tuple[np.ndarray, np.ndarray]] = None,
@@ -161,7 +162,7 @@ def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
 
     weights_override pins the entropy weights to given arrays instead of
     recomputing them from the live probabilities; finite-difference checks use
-    it because the weights are detached from the gradient by design.
+    it because the analytic gradient treats the weights as constants.
     """
     if variant.name == MMD:
         if variant.sigma is None:
@@ -170,14 +171,14 @@ def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
         loss = T.scale(raw, variant.grl_lambda) if variant.grl_lambda != 1.0 else raw
         return loss, AlignmentInfo(dom_cls=None, dom=float(raw.values))
 
-    if discriminator is None:
-        raise ValueError("adversarial variants need a discriminator")
+    if discriminator is None or params is None:
+        raise ValueError("adversarial variants need a discriminator and params")
     w_src = w_tgt = None
     if variant.name == DANNPE:
         if classifier is None:
             raise ValueError("dannpe needs the classifier for probability inputs")
-        zs = T.exp(T.log_softmax(classifier.forward(fs)))
-        zt = T.exp(T.log_softmax(classifier.forward(ft)))
+        zs = T.exp(T.log_softmax(classifier.forward(fs, params)))
+        zt = T.exp(T.log_softmax(classifier.forward(ft, params)))
         if weights_override is not None:
             w_src, w_tgt = Tensor(weights_override[0]), Tensor(weights_override[1])
         else:
@@ -185,8 +186,8 @@ def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
             w_tgt = entropy_weights(zt)
     else:
         zs, zt = fs, ft
-    d_src = discriminator.forward(nn.grl(zs, variant.grl_lambda))
-    d_tgt = discriminator.forward(nn.grl(zt, variant.grl_lambda))
+    d_src = discriminator.forward(nn.grl(zs, variant.grl_lambda), params)
+    d_tgt = discriminator.forward(nn.grl(zt, variant.grl_lambda), params)
     loss = domain_cls_loss(d_src, d_tgt, w_src, w_tgt)
     dom_cls = float(loss.values)
     clamped = _is_clamped(d_src) or _is_clamped(d_tgt)

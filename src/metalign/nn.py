@@ -9,7 +9,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tape, Tensor
+
+
+class Params(dict):
+    """Parameter id -> Tensor, what one forward pass reads. The given tensors
+    (say theta') are read as they are; any other id is entered from arrays on
+    its first read, as a leaf of tape or else as a constant, and then kept."""
+
+    __slots__ = ("arrays", "tape")
+
+    def __init__(self, arrays: dict[str, np.ndarray], tape: Optional[Tape] = None,
+                 given: Optional[dict[str, Tensor]] = None) -> None:
+        super().__init__(given or ())
+        self.arrays, self.tape = arrays, tape
+
+    def __missing__(self, pid: str) -> Tensor:
+        arr = self.arrays[pid]
+        t = self[pid] = Tensor(arr) if self.tape is None else self.tape.param(arr, pid)
+        return t
 
 
 class Linear:
@@ -31,14 +49,8 @@ class Linear:
     def params(self) -> dict[str, np.ndarray]:
         return {self.weight_id: self.weight, self.bias_id: self.bias}
 
-    def forward(self, x: Tensor, override: Optional[dict[str, Tensor]] = None) -> Tensor:
-        if override is not None and self.weight_id in override:
-            w, b = override[self.weight_id], override[self.bias_id]
-        elif x.tape is not None:
-            w = x.tape.param(self.weight, self.weight_id)
-            b = x.tape.param(self.bias, self.bias_id)
-        else:
-            w, b = Tensor(self.weight), Tensor(self.bias)
+    def forward(self, x: Tensor, params: Params) -> Tensor:
+        w, b = params[self.weight_id], params[self.bias_id]
         return T.add_bias(T.matmul(x, w), b)
 
 
@@ -66,13 +78,13 @@ class MLP:
             out.update(layer.params())
         return out
 
-    def forward(self, x: Tensor, override: Optional[dict[str, Tensor]] = None) -> Tensor:
+    def forward(self, x: Tensor, params: Params) -> Tensor:
         act = _ACTIVATIONS[self.activation]
         out = x
         for i, layer in enumerate(self.layers):
             if i > 0:
                 out = act(out)
-            out = layer.forward(out, override)
+            out = layer.forward(out, params)
         return out
 
 
@@ -86,11 +98,11 @@ class FeatureExtractor(MLP):
     def out_dim(self) -> int:
         return self.widths[-1]
 
-    def forward(self, x: Tensor, override: Optional[dict[str, Tensor]] = None) -> Tensor:
+    def forward(self, x: Tensor, params: Params) -> Tensor:
         if x.values.ndim != 2 or x.shape[1] != self.widths[0]:
             raise T.DimensionError(
                 f"extractor expects n x {self.widths[0]} input, got {x.shape}")
-        return super().forward(x, override)
+        return super().forward(x, params)
 
 
 class ClassifierHead(MLP):
@@ -110,11 +122,11 @@ class DomainDiscriminator(MLP):
             raise ValueError("discriminator uses exactly two hidden widths")
         super().__init__([in_dim, hidden[0], hidden[1], 1], "D", activation="relu")
 
-    def forward(self, z: Tensor) -> Tensor:
+    def forward(self, z: Tensor, params: Params) -> Tensor:
         if z.values.ndim != 2 or z.shape[1] != self.widths[0]:
             raise T.DimensionError(
                 f"discriminator expects n x {self.widths[0]} input, got {z.shape}")
-        return T.sigmoid(super().forward(z))
+        return T.sigmoid(super().forward(z, params))
 
 
 # parameter id of the group weights in gradient maps, parameter dicts and

@@ -18,7 +18,7 @@ from . import analysis, losses
 from . import tensor as T
 from .analysis import MetricsRecord
 from .losses import AlignmentInfo, AlignmentVariant
-from .nn import BETA_ID, ModelBundle
+from .nn import BETA_ID, ModelBundle, Params
 from .tensor import GradientMap, Tape, Tensor, backward
 
 ALIGNMENT = "alignment"
@@ -108,55 +108,43 @@ def theta_prime(theta: dict[str, np.ndarray], g_train: GradientMap, alpha: float
 
 
 # ---------------------------------------------------------------------------
-# loss builders shared by both step kinds (tape=None gives a plain forward)
+# loss builders shared by both step kinds (Params without a tape: a plain forward)
 
 
-def _const(tape: Optional[Tape], values: np.ndarray) -> Tensor:
-    return tape.const(values) if tape is not None else Tensor(values)
-
-
-def _cls_loss(bundle: ModelBundle, batch, tape: Optional[Tape],
-              theta_override: Optional[dict[str, Tensor]] = None) -> Tensor:
-    x = _const(tape, batch.src_features)
-    feats = bundle.extractor.forward(x, theta_override)
-    logits = bundle.classifier.forward(feats)
+def _cls_loss(bundle: ModelBundle, batch, params: Params) -> Tensor:
+    feats = bundle.extractor.forward(Tensor(batch.src_features), params)
+    logits = bundle.classifier.forward(feats, params)
     return losses.cross_entropy(logits, batch.src_labels)
 
 
 def _align_loss(bundle: ModelBundle, batch, variant: AlignmentVariant,
-                tape: Optional[Tape],
-                theta_override: Optional[dict[str, Tensor]] = None,
-                weights_override=None) -> tuple[Tensor, AlignmentInfo]:
-    fs = bundle.extractor.forward(_const(tape, batch.src_features), theta_override)
-    ft = bundle.extractor.forward(_const(tape, batch.tgt_features), theta_override)
-    return losses.alignment_loss(variant, fs, ft,
+                params: Params, weights_override=None) -> tuple[Tensor, AlignmentInfo]:
+    fs = bundle.extractor.forward(Tensor(batch.src_features), params)
+    ft = bundle.extractor.forward(Tensor(batch.tgt_features), params)
+    return losses.alignment_loss(variant, fs, ft, params,
                                  classifier=bundle.classifier,
                                  discriminator=bundle.discriminator,
                                  weights_override=weights_override)
 
 
 def _task_loss(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str,
-               tape: Optional[Tape],
-               theta_override: Optional[dict[str, Tensor]] = None,
+               params: Params,
                weights_override=None) -> tuple[Tensor, Optional[AlignmentInfo]]:
     """The loss of one task; the alignment info is None for classification."""
     if task == CLASSIFICATION:
-        return _cls_loss(bundle, batch, tape, theta_override), None
-    return _align_loss(bundle, batch, variant, tape, theta_override,
-                       weights_override=weights_override)
+        return _cls_loss(bundle, batch, params), None
+    return _align_loss(bundle, batch, variant, params, weights_override)
 
 
 def _task_value(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str,
-                theta_override: Optional[dict[str, Tensor]] = None,
-                weights_override=None) -> float:
+                params: Params, weights_override=None) -> float:
     """Forward-only value of the objective the shared parameters descend.
 
     For an adversarial alignment task that is the effective objective
     lambda * (-L_dom_cls), which the gradient reversal turns the discriminator
     BCE into; otherwise it is the task's loss.
     """
-    loss, info = _task_loss(bundle, batch, variant, task, None, theta_override,
-                            weights_override=weights_override)
+    loss, info = _task_loss(bundle, batch, variant, task, params, weights_override)
     if info is not None and variant.adversarial:
         return variant.grl_lambda * info.dom
     return float(loss.values)
@@ -193,13 +181,12 @@ def joint_grads(bundle: ModelBundle, batch,
     theta_ids = bundle.theta_ids
     disc_ids = _task_param_ids(bundle, ALIGNMENT, variant)
     cls_ids = bundle.classifier.param_ids
+    arrays = bundle.network_params()
 
-    tape_a = Tape()
-    align, info = _align_loss(bundle, batch, variant, tape_a)
+    align, info = _align_loss(bundle, batch, variant, Params(arrays, Tape()))
     g_align = backward(align, theta_ids + disc_ids)
 
-    tape_c = Tape()
-    cls = _cls_loss(bundle, batch, tape_c)
+    cls = _cls_loss(bundle, batch, Params(arrays, Tape()))
     g_cls = backward(cls, theta_ids + cls_ids)
 
     gw = bundle.group_weights
@@ -247,7 +234,7 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
     """First-order meta-step gradients, without applying them.
 
     Phase 1 computes the meta_train task's loss at theta and keeps its gradient
-    both as the (detached) direction for the virtual update and as the live
+    both as the (constant) direction for the virtual update and as the live
     meta-train contribution to theta's update. Phase 2 scores the meta-test
     task (the other one) at theta' on the same batch; a single backward on
     meta-test + budget-penalty yields the first-order gradients:
@@ -260,9 +247,10 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
     meta_test = META_TEST[meta_train]
     theta_ids = bundle.theta_ids
     gw = bundle.group_weights
+    arrays = bundle.network_params()
 
-    tape1 = Tape()
-    train_loss, train_info = _task_loss(bundle, batch, variant, meta_train, tape1)
+    train_loss, train_info = _task_loss(bundle, batch, variant, meta_train,
+                                        Params(arrays, Tape()))
     extra1 = _task_param_ids(bundle, meta_train, variant)
     g1 = backward(train_loss, theta_ids + extra1)
     g_train = {pid: g1[pid] for pid in theta_ids}
@@ -272,7 +260,7 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
     prime = virtual_update(tape2, bundle.extractor.params(), g_train,
                            alpha, beta_leaf, bundle.groups)
     test_loss, test_info = _task_loss(bundle, batch, variant, meta_test,
-                                      tape2, theta_override=prime)
+                                      Params(arrays, tape2, given=prime))
     extra2 = _task_param_ids(bundle, meta_test, variant)
     l_beta_t = losses.beta_penalty(beta_leaf, gw.budget)
     total2 = T.add(test_loss, l_beta_t)
@@ -325,11 +313,12 @@ def meta_total_value(bundle: ModelBundle, batch, variant: AlignmentVariant,
     """
     meta_test = META_TEST[meta_train]
     beta_values = np.asarray(beta_values, dtype=np.float64)
+    arrays = bundle.network_params()
     prime = theta_prime(bundle.extractor.params(), g_train, alpha, beta_values,
                         bundle.groups)
-    train_val = _task_value(bundle, batch, variant, meta_train,
-                            weights_override=weights_override)
+    train_val = _task_value(bundle, batch, variant, meta_train, Params(arrays),
+                            weights_override)
     test_val = _task_value(bundle, batch, variant, meta_test,
-                           theta_override=prime, weights_override=weights_override)
+                           Params(arrays, given=prime), weights_override)
     budget = bundle.group_weights.budget
     return train_val + test_val + abs(float(beta_values.sum()) - budget)

@@ -21,6 +21,7 @@ from .config import (ConfigError, TrainConfig, check_value, config_hash,
                      parse_config)
 from .losses import AlignmentVariant
 from .optim import NonFiniteError, OptimState
+from .tensor import Tensor
 
 log = logging.getLogger("metalign")
 
@@ -113,15 +114,30 @@ def resolve_sigma(bundle: nn.ModelBundle, variant: AlignmentVariant,
     """Median-heuristic bandwidth from the first batch's features, then frozen."""
     if variant.name != losses.MMD or variant.sigma is not None:
         return
-    from .tensor import Tensor
-    fs = bundle.extractor.forward(Tensor(batch.src_features)).values
-    ft = bundle.extractor.forward(Tensor(batch.tgt_features)).values
+    params = nn.Params(bundle.extractor.params())
+    fs = bundle.extractor.forward(Tensor(batch.src_features), params).values
+    ft = bundle.extractor.forward(Tensor(batch.tgt_features), params).values
     variant.sigma = losses.median_sq_dist(fs, ft)
     log.info("resolved mmd bandwidth sigma=%.6g", variant.sigma)
 
 
 def run_training(cfg: TrainConfig, out_dir: Optional[str] = None) -> dict:
-    """Execute one configured run; returns the summary dict it also writes."""
+    """Execute one configured run; returns the summary dict it also writes.
+    BLAS runs one thread for the whole run, as under some kernels (OpenBLAS's
+    Nehalem) a product's bits change with the thread count."""
+    blas = blas_threads()
+    if blas is None:
+        return _train(cfg, out_dir)
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        return _train(cfg, out_dir)
+    finally:
+        set_threads(threads)
+
+
+def _train(cfg: TrainConfig, out_dir: Optional[str]) -> dict:
     settle_heap()
     out = out_dir or cfg.out_dir
     src, tgt = build_datasets(cfg)
@@ -321,15 +337,11 @@ def _run_seeds(cfg: TrainConfig, seeds: list[int], base: str) -> dict:
 
     The caller is worker 0 and runs seeds[0::W]; worker k is a forked child
     that runs seeds[k::W], so the same process runs the same seeds every
-    time. BLAS runs one thread per worker for the whole sweep and gets its
-    count back afterwards; the bits of a run do not depend on it.
+    time. Each run sets its own BLAS thread count (run_training).
     """
     workers = sweep_workers(len(seeds))
     if workers == 1:
         return dict(_run_share(cfg, seeds, base))
-    get_threads, set_threads = blas_threads()
-    threads = get_threads()
-    set_threads(1)
     children: list[tuple] = []  # (pid, read end of its pipe, its seeds), not yet reaped
     try:
         # flushed now, so that a worker's logging does not write the caller's
@@ -364,7 +376,6 @@ def _run_seeds(cfg: TrainConfig, seeds: list[int], base: str) -> dict:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        set_threads(threads)
     return results
 
 

@@ -3,13 +3,12 @@
 One Tape records one forward pass; tensors created by ops are appended in
 topological order, so a single reversed sweep propagates gradients. A tape
 supports exactly one backward pass and is consumed by it: backward takes the
-nodes off the tape and releases them as it sweeps. Tensors without a
-tape behave as constants: ops on them still compute values eagerly, which is
-how evaluation-only forward passes work.
+nodes off the tape and releases them as it sweeps.
 
-Only parameter leaves and the results of ops on them take gradients. Tape
-constants (Tape.const, and op results whose operands are all constants) and
-tensors without a tape belong to no node: a vjp returns None for such an
+The nodes of a tape are its parameter leaves and the results of ops on them;
+only they take gradients. Every other tensor is a constant: it has no tape,
+and an op whose operands are all constants computes a constant eagerly, which
+is how evaluation-only forward passes work. A vjp returns None for a constant
 operand instead of computing its gradient, and backward keeps no slot for it.
 """
 
@@ -62,23 +61,16 @@ class Tape:
         self._params[param_id] = t
         return t
 
-    def const(self, values) -> "Tensor":
-        """Enter a constant of this graph: it takes no node and no gradient."""
-        if self.consumed:
-            raise GraphError("tape already consumed by backward; build a new graph")
-        return Tensor(values, tape=self)
-
 
 class Tensor:
-    """Dense float64 array, optionally attached to a tape."""
+    """Dense float64 array: a node of a tape (made by Tape), else a constant."""
 
     __slots__ = ("values", "tape", "param_id", "_parents", "_vjp", "_index")
 
-    def __init__(self, values, tape: Optional[Tape] = None,
-                 param_id: Optional[str] = None) -> None:
+    def __init__(self, values) -> None:
         self.values = np.asarray(values, dtype=np.float64)
-        self.tape = tape
-        self.param_id = param_id
+        self.tape: Optional[Tape] = None
+        self.param_id: Optional[str] = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Optional[Callable] = None
         self._index: Optional[int] = None
@@ -93,21 +85,17 @@ class Tensor:
 
 
 def _make(values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """The result of a one- or two-operand op: a node if some operand takes
-    gradients, else a constant of the operands' graph (or of none)."""
-    if len(parents) == 1:
-        tape = parents[0].tape
-        live = parents[0]._index is not None
-    else:
-        a, b = parents
-        tape = a.tape if a.tape is not None else b.tape
-        if b.tape is not tape and b.tape is not None:
+    """The result of a one- or two-operand op: a node of the operands' tape
+    when an operand is a node, else a constant."""
+    tape = parents[0].tape
+    if len(parents) == 2:
+        other = parents[1].tape
+        if tape is None:
+            tape = other
+        elif other is not tape and other is not None:
             raise GraphError("operands belong to two different graphs")
-        live = a._index is not None or b._index is not None
     if tape is None:
         return Tensor(values)
-    if not live:
-        return tape.const(values)
     return tape._record(values, parents, vjp)
 
 
@@ -358,11 +346,6 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def detach(x: Tensor) -> Tensor:
-    """Same values, no graph handle; gradients never flow through the result."""
-    return Tensor(x.values.copy())
-
-
 # ---------------------------------------------------------------------------
 # backward and the finite-difference oracle
 
@@ -384,7 +367,7 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
     """
     tape = loss.tape
     if tape is None:
-        raise GraphError("loss is not attached to a graph")
+        raise GraphError("loss is a constant: it reads no parameter")
     if tape.consumed:
         raise GraphError("stale graph: backward already ran on this tape")
     if loss.values.shape != ():
@@ -394,8 +377,7 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
     tape.consumed = True
 
     grads: list[Optional[np.ndarray]] = [None] * len(nodes)
-    if loss._index is not None:  # else the loss is a constant: every gradient is 0
-        grads[loss._index] = np.ones((), dtype=np.float64)
+    grads[loss._index] = np.ones((), dtype=np.float64)
     leaf_grads: GradientMap = {}
     pop_node, pop_grad = nodes.pop, grads.pop
     while nodes:

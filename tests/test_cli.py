@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from metalign import cli, data, runner
+from metalign import cli, data, optim, runner
 from metalign import tensor as T
 from metalign.checkpoint import load_checkpoint, save_checkpoint, CheckpointError
 from metalign.cli import main
@@ -657,20 +657,29 @@ class TestParallelSweep:
 
     def test_workers_run_one_blas_thread_and_caller_gets_its_count_back(
             self, tmp_path, monkeypatch, blas_count):
+        """Every step runs at one BLAS thread: in a forked worker, in the
+        caller's share of a sweep and in a run of its own."""
         get, _ = runner.blas_threads()
         blas_count(2)
-        train = runner.run_training
+        seen = tmp_path / "threads"
+        step = optim.joint_step
 
-        def recording(cfg, out_dir=None):
-            (tmp_path / f"threads_{cfg.seed}").write_text(str(get()))
-            return train(cfg, out_dir)
+        def recording(*args, **kwargs):
+            with open(seen, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {get()}\n")
+            return step(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "run_training", recording)
+        monkeypatch.setattr(optim, "joint_step", recording)
         use_cpus(monkeypatch, 2)
-        run_sweep(parse_config(base_doc(tmp_path, iterations=2)), [1, 2, 3],
-                  str(tmp_path / "sweep"))
+        doc = base_doc(tmp_path, iterations=2)
+        run_sweep(parse_config(doc), [1, 2, 3], str(tmp_path / "sweep"))
         assert_no_child_left()
-        assert [(tmp_path / f"threads_{s}").read_text() for s in (1, 2, 3)] == ["1"] * 3
+        assert get() == 2
+        run_training(parse_config(doc), str(tmp_path / "run"))
+        lines = [line.split() for line in seen.read_text().splitlines()]
+        assert len(lines) == 8  # four runs of two steps
+        assert {threads for _, threads in lines} == {"1"}
+        assert len({pid for pid, _ in lines}) == 2  # the caller and one worker
         assert get() == 2
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
@@ -951,6 +960,17 @@ class TestCmdEval:
         assert err["error"] == "checkpoint"
         assert named in err["detail"]
 
+    def test_data_of_another_width_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_doc(tmp_path, iterations=3))
+        assert main(["run", cfg]) == 0
+        capsys.readouterr()
+        wide = write_config(tmp_path, shipped_doc("gaussian_mmd_metaalign.json"),
+                            "wide.json")
+        assert main(["eval", str(tmp_path / "run" / "checkpoint.npz"), wide]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "4 features" in err["detail"] and "takes 2" in err["detail"]
+
     def test_unsupported_version_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
         assert main(["run", cfg]) == 0
@@ -1008,7 +1028,7 @@ class TestCmdGradcheck:
         assert "meta_beta_dann_alignment" in report.failing()
 
     @pytest.mark.parametrize("check", [
-        "matmul", "rbf_mean", "detach", "grl", "mmd2_rbf", "cls_loss_mmd",
+        "matmul", "rbf_mean", "grl", "mmd2_rbf", "cls_loss_mmd",
         "align_disc_dann",
         "meta_theta_dannpe_classification", "meta_beta_closed_form_mmd_alignment",
         "toy_beta_alpha_0.1",

@@ -5,21 +5,36 @@ The bits of a run depend on the BLAS kernels and numpy, so golden.json keys
 its entries by OpenBLAS core name and numpy version. On a key with no entry
 the test still checks that two runs agree and that runs at 1 and 2 BLAS
 threads agree, then prints the entry to add. A change that alters bits on
-purpose updates golden.json, so the change shows as a diff.
+purpose updates golden.json, so the change shows as a diff: recompute every
+core's entry, from the repository root, with
+
+    PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_entries()"
+
+OpenBLAS chooses its kernels per process, by OPENBLAS_CORETYPE where it is
+set, so one CPU can run the kernels of the older cores in CORES. A forced
+core is expected to give the bits that core gives on its own hardware, since
+it runs the same kernel code; that has not been checked on other hardware.
 """
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from metalign import runner
 from metalign.config import load_config
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
+GOLDEN = os.path.join(HERE, "golden.json")
+# OPENBLAS_CORETYPE values of the keyed cores
+CORES = ("SkylakeX", "Haswell", "SandyBridge", "Nehalem")
 ITERATIONS = 30
 RUN_FILES = ("metrics.jsonl", "summary.json", "checkpoint.npz")
 # run name: (shipped config, TrainConfig fields replaced besides iterations)
@@ -56,10 +71,54 @@ def golden_hashes(base):
     return out
 
 
+def entry_key(core):
+    return f"{core} numpy {np.__version__}"
+
+
+def load_golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def hashes_under(core, threads, base):
+    """(the core OpenBLAS chose, golden_hashes(base)) from a child process
+    started with OPENBLAS_CORETYPE=core and OPENBLAS_NUM_THREADS=threads."""
+    code = ("import json, pathlib, sys, test_golden; from metalign import runner; "
+            "print(json.dumps([runner.blas_core(), "
+            "test_golden.golden_hashes(pathlib.Path(sys.argv[1]))]))")
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([os.path.join(os.path.dirname(HERE), "src"),
+                                          HERE])}
+    proc = subprocess.run([sys.executable, "-c", code, str(base)], env=env,
+                          capture_output=True, text=True, check=True, timeout=600)
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def write_entries(cores=CORES):
+    """Recompute the entry of every core in cores, each in its own child
+    process, and write them into golden.json."""
+    golden = load_golden()
+    for core in cores:
+        with tempfile.TemporaryDirectory() as tmp:
+            chosen, hashes = hashes_under(core, 1, tmp)
+        golden[entry_key(chosen)] = hashes
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=2)
+        fh.write("\n")
+
+
+def test_two_blas_threads_on_a_forced_core_match_its_entry(tmp_path):
+    """Under OpenBLAS's Nehalem kernels some products change bits with the
+    thread count; a run still writes that core's golden bytes at 2 threads."""
+    chosen, hashes = hashes_under("Nehalem", 2, tmp_path)
+    if chosen != "Nehalem":
+        pytest.skip(f"OpenBLAS chose {chosen!r}, not the forced Nehalem kernels")
+    assert hashes == load_golden()[entry_key(chosen)]
+
+
 def test_runs_match_golden_bytes(tmp_path, capsys):
-    key = f"{runner.blas_core()} numpy {np.__version__}"
-    with open(os.path.join(HERE, "golden.json"), encoding="utf-8") as fh:
-        golden = json.load(fh)
+    key = entry_key(runner.blas_core())
+    golden = load_golden()
     got = golden_hashes(tmp_path / "run")
     if key in golden:
         assert got == golden[key]

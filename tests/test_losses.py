@@ -265,16 +265,16 @@ class TestAlignmentLoss:
         variant.grl_lambda = 2.0  # power of two: scaling is exact
         batch = random_batch(rng)
 
-        tape = Tape()
-        loss, _ = optim._align_loss(bundle, batch, variant, tape)
+        arrays = bundle.network_params()
+        loss, _ = optim._align_loss(bundle, batch, variant, nn.Params(arrays, Tape()))
         g_flip = backward(loss, bundle.theta_ids)
 
         # same objective without the reversal
-        tape = Tape()
-        fs = bundle.extractor.forward(tape.const(batch.src_features))
-        ft = bundle.extractor.forward(tape.const(batch.tgt_features))
-        plain = losses.domain_cls_loss(bundle.discriminator.forward(fs),
-                                       bundle.discriminator.forward(ft))
+        params = nn.Params(arrays, Tape())
+        fs = bundle.extractor.forward(Tensor(batch.src_features), params)
+        ft = bundle.extractor.forward(Tensor(batch.tgt_features), params)
+        plain = losses.domain_cls_loss(bundle.discriminator.forward(fs, params),
+                                       bundle.discriminator.forward(ft, params))
         g_plain = backward(plain, bundle.theta_ids)
         for pid in bundle.theta_ids:
             np.testing.assert_array_equal(g_flip[pid], -2.0 * g_plain[pid])
@@ -289,7 +289,8 @@ class TestAlignmentLoss:
         for _ in range(5):
             for layer in bundle.discriminator.layers:
                 layer.weight[...] += rng.normal(0, 0.3, size=layer.weight.shape)
-            _, info = optim._align_loss(bundle, batch, variant, None)
+            _, info = optim._align_loss(bundle, batch, variant,
+                                        nn.Params(bundle.network_params()))
             pairs.append((info.dom_cls, info.dom))
         pairs.sort()
         doms = [d for _, d in pairs]
@@ -300,7 +301,8 @@ class TestAlignmentLoss:
         bundle, variant = random_bundle(rng, "dannpe")
         batch = random_batch(rng)
         assert bundle.discriminator.widths[0] == bundle.classifier.num_classes
-        loss, info = optim._align_loss(bundle, batch, variant, None)
+        loss, info = optim._align_loss(bundle, batch, variant,
+                                       nn.Params(bundle.network_params()))
         assert np.isfinite(float(loss.values))
         assert info.dom == -info.dom_cls
 
@@ -313,7 +315,8 @@ class TestAlignmentLoss:
         batch = random_batch(rng)
         if last_bias is not None:
             bundle.discriminator.layers[-1].bias[...] = last_bias
-        _, info = optim._align_loss(bundle, batch, variant, Tape())
+        _, info = optim._align_loss(bundle, batch, variant,
+                                    nn.Params(bundle.network_params(), Tape()))
         assert info.clamped is clamped
 
     def test_all_loss_gradients_match_fd(self):

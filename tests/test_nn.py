@@ -17,6 +17,34 @@ def make_bundle(seed=0):
     return runner.build_bundle(parse_config(doc), 3, 4, init_seed=seed)[0]
 
 
+def plain(net):
+    """Constant parameters of a forward pass through net."""
+    return nn.Params(net.params())
+
+
+class TestParams:
+    def test_leaves_entered_on_first_read_in_read_order(self):
+        bundle = make_bundle()
+        tape = Tape()
+        prime = {"G.l0.W": Tensor(np.ones((3, 8)))}
+        params = nn.Params(bundle.network_params(), tape, given=prime)
+        bundle.extractor.forward(Tensor(np.zeros((2, 3))), params)
+        leaves = [n.param_id for n in tape.nodes if n.param_id is not None]
+        assert leaves == ["G.l0.b", "G.l1.W", "G.l1.b"]
+        assert params["G.l0.W"] is prime["G.l0.W"]
+        assert params["G.l1.W"] is tape.param(bundle.extractor.layers[1].weight, "G.l1.W")
+        assert params["C.l0.W"].param_id == "C.l0.W" and len(params) == 5
+
+    def test_without_a_tape_reads_constants_of_the_live_arrays(self):
+        bundle = make_bundle()
+        params = plain(bundle.extractor)
+        w = params["G.l0.W"]
+        assert w.tape is None and params["G.l0.W"] is w
+        assert np.shares_memory(w.values, bundle.extractor.layers[0].weight)
+        with pytest.raises(KeyError):
+            params["C.l0.W"]
+
+
 class TestInit:
     def test_same_seed_bitwise_identical(self):
         b1, b2 = make_bundle(seed=9), make_bundle(seed=9)
@@ -45,18 +73,18 @@ class TestFeatureExtractor:
     def test_identity_config_passthrough(self):
         g = nn.FeatureExtractor([3])
         x = np.random.default_rng(0).uniform(-1, 1, size=(5, 3))
-        np.testing.assert_array_equal(g.forward(Tensor(x)).values, x)
+        np.testing.assert_array_equal(g.forward(Tensor(x), plain(g)).values, x)
 
     def test_output_shape(self):
         bundle = make_bundle()
         for n in (1, 7):
             x = Tensor(np.zeros((n, 3)))
-            assert bundle.extractor.forward(x).values.shape == (n, 8)
+            assert bundle.extractor.forward(x, plain(bundle.extractor)).values.shape == (n, 8)
 
     def test_input_width_checked(self):
         bundle = make_bundle()
         with pytest.raises(T.DimensionError):
-            bundle.extractor.forward(Tensor(np.zeros((2, 5))))
+            bundle.extractor.forward(Tensor(np.zeros((2, 5))), plain(bundle.extractor))
 
     def test_first_layer_gradient_matches_fd(self):
         bundle = make_bundle(seed=3)
@@ -64,11 +92,11 @@ class TestFeatureExtractor:
         wid = bundle.extractor.layers[0].weight_id
 
         def value():
-            out = bundle.extractor.forward(Tensor(x))
+            out = bundle.extractor.forward(Tensor(x), plain(bundle.extractor))
             return float(T.reduce_mean(T.mul(out, out)).values)
 
-        tape = Tape()
-        out = bundle.extractor.forward(tape.const(x))
+        out = bundle.extractor.forward(Tensor(x),
+                                       nn.Params(bundle.extractor.params(), Tape()))
         g = backward(T.reduce_mean(T.mul(out, out)), [wid])
         fd = finite_diff_grad(lambda _: value(),
                               {wid: bundle.extractor.layers[0].weight})
@@ -79,12 +107,12 @@ class TestClassifier:
     def test_single_row_logit_count(self):
         bundle = make_bundle()
         f = Tensor(np.zeros((1, 8)))
-        assert bundle.classifier.forward(f).values.shape == (1, 4)
+        assert bundle.classifier.forward(f, plain(bundle.classifier)).values.shape == (1, 4)
 
     def test_softmax_rows_normalized(self):
         bundle = make_bundle(seed=5)
         f = Tensor(np.random.default_rng(2).uniform(-2, 2, size=(6, 8)))
-        logits = bundle.classifier.forward(f)
+        logits = bundle.classifier.forward(f, plain(bundle.classifier))
         probs = np.exp(T.log_softmax(logits).values)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -92,14 +120,14 @@ class TestClassifier:
 class TestDiscriminator:
     def test_zero_params_give_half(self):
         disc = nn.DomainDiscriminator(4, (8, 8))
-        out = disc.forward(Tensor(np.random.default_rng(0).normal(size=(5, 4))))
+        out = disc.forward(Tensor(np.random.default_rng(0).normal(size=(5, 4))), plain(disc))
         np.testing.assert_array_equal(out.values, np.full((5, 1), 0.5))
 
     def test_outputs_strictly_inside_unit_interval(self):
         bundle = make_bundle(seed=7)
         disc = bundle.discriminator
         extreme = Tensor(np.array([[1e6] * 8, [-1e6] * 8, [0.0] * 8]))
-        out = disc.forward(extreme).values
+        out = disc.forward(extreme, plain(disc)).values
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_gradient_matches_fd(self):
@@ -108,8 +136,7 @@ class TestDiscriminator:
         z = np.random.default_rng(3).uniform(-2, 2, size=(5, 8))
 
         def build(tape):
-            zt = tape.const(z) if tape else Tensor(z)
-            out = disc.forward(zt)
+            out = disc.forward(Tensor(z), nn.Params(disc.params(), tape))
             return T.reduce_mean(T.mul(out, out))
 
         tape = Tape()
@@ -146,10 +173,10 @@ class TestGrl:
         lam = 2.0  # power of two so the scaling itself is exact
 
         def grads(use_grl):
-            tape = Tape()
-            feats = bundle.extractor.forward(tape.const(x))
+            params = nn.Params(bundle.network_params(), Tape())
+            feats = bundle.extractor.forward(Tensor(x), params)
             z = nn.grl(feats, lam) if use_grl else feats
-            out = bundle.discriminator.forward(z)
+            out = bundle.discriminator.forward(z, params)
             return backward(T.reduce_mean(T.mul(out, out)), bundle.theta_ids)
 
         g_flip, g_plain = grads(True), grads(False)

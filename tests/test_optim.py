@@ -181,8 +181,8 @@ class TestJointStep:
         batch = random_batch(rng)
         applied, _ = joint_grads(bundle, batch, variant)
 
-        tape = Tape()
-        sup = backward(optim._cls_loss(bundle, batch, tape),
+        sup = backward(optim._cls_loss(bundle, batch,
+                                       nn.Params(bundle.network_params(), Tape())),
                        bundle.theta_ids + bundle.classifier.param_ids)
         for pid in bundle.theta_ids + bundle.classifier.param_ids:
             np.testing.assert_array_equal(applied[pid], sup[pid])

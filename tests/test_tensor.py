@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from metalign import tensor as T
 from metalign.tensor import (DimensionError, GraphError, Tape, Tensor, backward,
-                             detach, finite_diff_grad)
+                             finite_diff_grad)
 
 
 def rand(rng, *shape):
@@ -190,7 +190,7 @@ class TestReduceOps:
             w = rng.normal(size=reduced_shape) * 10.0 ** rng.integers(-5, 5)
             tape = Tape()
             out = getattr(T, op)(tape.param(x, "x"), axis=axis)
-            g = backward(T.reduce_sum(T.mul(out, tape.const(w))), ["x"])["x"]
+            g = backward(T.reduce_sum(T.mul(out, Tensor(w))), ["x"])["x"]
             want = self.spread_oracle(w, shape, axis)
             if op == "reduce_mean":
                 want = want / (x.size if axis is None else shape[axis])
@@ -228,7 +228,7 @@ class TestRbfMean:
             def dist(t):
                 if source == "direct":
                     return t
-                b = t if source == "self_sqdist" else Tensor(other, tape=t.tape)
+                b = t if source == "self_sqdist" else Tensor(other)
                 return T.pairwise_sqdist(t, b)
 
             got = self.value_and_grad(lambda t: T.rbf_mean(dist(t), inv), x, w)
@@ -240,32 +240,6 @@ class TestRbfMean:
     def test_on_constants_is_constant(self):
         out = T.rbf_mean(Tensor(np.zeros((2, 3))), -1.0)
         assert float(out.values) == 1.0 and out.tape is None
-
-
-class TestDetach:
-    def test_values_preserved(self):
-        x = Tensor(np.array([1.0, -2.0]))
-        np.testing.assert_array_equal(detach(x).values, x.values)
-        assert detach(x).tape is None
-
-    def test_stop_gradient_semantics(self):
-        # d/dx sum(detach(x) * x) == x, not 2x
-        tape = Tape()
-        x = tape.param(np.array([3.0, -1.5]), "x")
-        g = backward(T.reduce_sum(T.mul(detach(x), x)), ["x"])
-        np.testing.assert_array_equal(g["x"], x.values)
-
-    def test_first_order_quadratic_composition(self):
-        # train objective 0.5 t^2 at t=1 with its gradient detached inside the
-        # inner step reproduces the first-order total gradient 1 - alpha
-        alpha = 0.3
-        tape = Tape()
-        t = tape.param(np.asarray(1.0), "t")
-        t_prime = T.sub(t, T.scale(detach(t), alpha))  # inner grad of 0.5 t^2 is t
-        gap = T.sub(t_prime, Tensor(np.asarray(1.0)))
-        total = T.add(T.scale(T.mul(t, t), 0.5), T.scale(T.mul(gap, gap), 0.5))
-        g = backward(total, ["t"])
-        assert abs(float(g["t"]) - (1.0 - alpha)) < 1e-12
 
 
 class TestBackward:
@@ -295,24 +269,24 @@ class TestBackward:
         with pytest.raises(GraphError):
             backward(loss, ["w"])
         with pytest.raises(GraphError):
-            tape.const(np.ones(1))
+            T.scale(w, 2.0)  # an op on a node of the consumed tape
         with pytest.raises(GraphError):
             tape.param(np.ones(3), "w")  # not the consumed leaf handed back
 
     def test_constant_operand_takes_no_gradient(self):
-        """matmul(tape.const(x), W): no node and no input gradient for the
+        """matmul(Tensor(x), W): no node and no input gradient for the
         constant, and W's gradient has the bits it has when x is a leaf too."""
         rng = np.random.default_rng(14)
         x, w, u = rng.normal(size=(9, 4)), rng.normal(size=(4, 6)), rng.normal(size=(9, 6))
 
         def loss(tape, x_entry):
             out = T.matmul(x_entry, tape.param(w, "w"))
-            return out, T.reduce_sum(T.mul(out, tape.const(u)))
+            return out, T.reduce_sum(T.mul(out, Tensor(u)))
 
         tape = Tape()
-        c = tape.const(x)
+        c = Tensor(x)
         out, total = loss(tape, c)
-        assert c.tape is tape and all(n is not c for n in tape.nodes)
+        assert c.tape is None and all(n is not c for n in tape.nodes)
         ga, gw = out._vjp(np.ones(out.shape))
         assert ga is None and gw is not None
         g_const = backward(total, ["w"])
@@ -325,20 +299,21 @@ class TestBackward:
         assert g_const.keys() == {"w"}
 
     def test_ops_on_constants_are_constants(self):
+        c = T.relu(T.scale(Tensor(np.array([1.0, -2.0])), 3.0))
+        assert c.tape is None
         tape = Tape()
-        c = T.relu(T.scale(tape.const(np.array([1.0, -2.0])), 3.0))
-        assert c.tape is tape and not tape.nodes
         w = tape.param(np.array([0.5, 0.25]), "w")
         g = backward(T.reduce_sum(T.mul(c, w)), ["w"])
         assert_same_bits(g["w"], np.array([3.0, 0.0]))
 
     def test_constant_loss_gives_zero_gradients(self):
+        """A loss that reads no parameter is a constant with no graph, so
+        backward refuses it rather than give every parameter a zero gradient."""
         tape = Tape()
         tape.param(np.ones(3), "w")
-        loss = T.reduce_sum(tape.const(np.arange(3.0)))
-        g = backward(loss, ["w"])
-        np.testing.assert_array_equal(g["w"], np.zeros(3))
-        with pytest.raises(GraphError):
+        loss = T.reduce_sum(Tensor(np.arange(3.0)))
+        assert loss.tape is None
+        with pytest.raises(GraphError, match="reads no parameter"):
             backward(loss, ["w"])
 
     def test_mixed_tapes_rejected(self):
@@ -357,10 +332,10 @@ class TestBackward:
         np.testing.assert_array_equal(g["w"], [2.0])
 
     # Each case builds a loss on a tape from fixed input arrays; "p" and "q"
-    # are parameter leaves, "c" is a tape constant (no node, no gradient).
+    # are parameter leaves, "c" is a constant (no node, no gradient).
     OWNERSHIP_CASES = {
         "fan_in_add_p_p": lambda t, x: T.reduce_sum(
-            T.mul(T.add(t.param(x["p"], "p"), t.param(x["p"], "p")), t.const(x["c"]))),
+            T.mul(T.add(t.param(x["p"], "p"), t.param(x["p"], "p")), Tensor(x["c"]))),
         "pass_through_add": lambda t, x: T.reduce_sum(
             T.add(t.param(x["p"], "p"), t.param(x["q"], "q"))),
         "pass_through_sub": lambda t, x: T.reduce_sum(
@@ -370,7 +345,7 @@ class TestBackward:
         "scale_by_0d": lambda t, x: T.reduce_sum(
             T.scale_by(t.param(x["p"], "p"), t.param(x["q"][0], "q"))),
         "const_operand_add": lambda t, x: T.reduce_sum(
-            T.add(T.add(t.param(x["p"], "p"), t.const(x["c"])), t.param(x["q"], "q"))),
+            T.add(T.add(t.param(x["p"], "p"), Tensor(x["c"])), t.param(x["q"], "q"))),
     }
 
     @pytest.mark.parametrize("case", sorted(OWNERSHIP_CASES))
@@ -408,16 +383,16 @@ class TestBackward:
     def test_full_mlp_cross_entropy_matches_fd(self):
         from metalign import optim
         from metalign.gradcheck import random_batch, random_bundle
+        from metalign.nn import Params
         rng = np.random.default_rng(3)
         bundle, _ = random_bundle(rng, "dann")
         batch = random_batch(rng)
         wanted = bundle.theta_ids + bundle.classifier.param_ids
-        tape = Tape()
-        g = backward(optim._cls_loss(bundle, batch, tape), wanted)
-        params = {pid: arr for pid, arr in bundle.network_params().items()
-                  if pid in wanted}
+        arrays = bundle.network_params()
+        g = backward(optim._cls_loss(bundle, batch, Params(arrays, Tape())), wanted)
+        params = {pid: arr for pid, arr in arrays.items() if pid in wanted}
         fd = finite_diff_grad(
-            lambda _: float(optim._cls_loss(bundle, batch, None).values),
+            lambda _: float(optim._cls_loss(bundle, batch, Params(arrays)).values),
             params, h=1e-5)
         for pid in wanted:
             np.testing.assert_allclose(g[pid], fd[pid], rtol=1e-4, atol=1e-6)
@@ -483,7 +458,7 @@ class TestDeterminism:
 
         def forward():
             tape = Tape()
-            out = T.log_softmax(T.matmul(tape.const(x), tape.param(w, "w")))
+            out = T.log_softmax(T.matmul(Tensor(x), tape.param(w, "w")))
             return T.reduce_mean(out).values.copy()
 
         a, b = forward(), forward()
