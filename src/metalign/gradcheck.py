@@ -345,8 +345,8 @@ def meta_checks(seed: int) -> list[CheckResult]:
                 # weights at the point where the alignment task is scored
                 at = None
                 if optim.META_TEST[meta_train] == optim.ALIGNMENT:
-                    at = optim.theta_prime(bundle.extractor.params(), g_train,
-                                           alpha, beta0, bundle.groups)
+                    at = optim.virtual_update(Params(bundle.extractor.params()),
+                                              g_train, alpha, Tensor(beta0), bundle.groups)
                 frozen = _frozen_weights(bundle, batch, _params(bundle, given=at))
 
             def total(beta):
@@ -385,7 +385,7 @@ def quadratic_toy(alpha: float) -> dict[str, float]:
 
     tape2 = Tape()
     beta_leaf = tape2.param(np.ones(1), "beta")
-    prime = optim.virtual_update(tape2, theta, g_train, alpha, beta_leaf, [["t"]])
+    prime = optim.virtual_update(Params(theta, tape2), g_train, alpha, beta_leaf, [["t"]])
     gap = T.sub(prime["t"], Tensor(np.asarray(1.0)))
     test = T.scale(T.mul(gap, gap), 0.5)
     total = T.add(test, losses.beta_penalty(beta_leaf, 1.0))
@@ -425,13 +425,13 @@ def taylor_residuals(seed: int = 0) -> list[TaylorRow]:
     g_cls = backward(cls, bundle.theta_ids)
     dot, _, _ = analysis.grad_dot(g_cls, g_dom, bundle.groups)
 
-    theta = bundle.extractor.params()
-    unit = np.ones(len(bundle.groups))
+    theta = Params(bundle.extractor.params())
+    unit = Tensor(np.ones(len(bundle.groups)))
     rows: list[TaylorRow] = []
     alpha = TAYLOR_ALPHA_MAX
     prev: Optional[float] = None
     while alpha >= TAYLOR_ALPHA_MIN / 2:
-        prime = optim.theta_prime(theta, g_dom, alpha, unit, bundle.groups)
+        prime = optim.virtual_update(theta, g_dom, alpha, unit, bundle.groups)
         moved = float(optim._cls_loss(bundle, batch, _params(bundle, given=prime)).values)
         resid = abs(moved - base + alpha * dot)
         ratio = None if prev is None else (resid / prev if prev > 0 else 0.0)

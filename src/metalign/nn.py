@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tape, Tensor
+from .tensor import GradientMap, Tape, Tensor
 
 
 class Params(dict):
@@ -73,10 +73,7 @@ class MLP:
         return [pid for layer in self.layers for pid in layer.param_ids]
 
     def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            out.update(layer.params())
-        return out
+        return {pid: arr for layer in self.layers for pid, arr in layer.params().items()}
 
     def forward(self, x: Tensor, params: Params) -> Tensor:
         act = _ACTIVATIONS[self.activation]
@@ -149,29 +146,51 @@ class GroupWeights:
 
 @dataclass
 class ModelBundle:
-    """Everything a training step touches."""
+    """Everything a training step touches. Every parameter lives in one float64
+    array, flat: each net's layers, W then b, then beta last. Each
+    Linear.weight, Linear.bias and GroupWeights.beta is rebound to its view of
+    flat, and slices maps each id to its part of flat."""
 
     extractor: FeatureExtractor
     classifier: ClassifierHead
     discriminator: Optional[DomainDiscriminator]
     group_weights: GroupWeights
     groups: list[list[str]] = field(default_factory=list)
+    flat: np.ndarray = field(init=False, repr=False)
+    slices: dict[str, slice] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        owners = [(layer, attr, pid) for net in self.nets for layer in net.layers
+                  for attr, pid in (("weight", layer.weight_id), ("bias", layer.bias_id))]
+        owners.append((self.group_weights, "beta", BETA_ID))
+        arrays = [getattr(owner, attr) for owner, attr, _ in owners]
+        self.flat = np.concatenate(arrays, axis=None, dtype=np.float64)
+        self.slices, self._views, start = {}, {}, 0
+        for (owner, attr, pid), arr in zip(owners, arrays):
+            self.slices[pid] = slice(start, start + arr.size)
+            self._views[pid] = self.flat[self.slices[pid]].reshape(arr.shape)
+            setattr(owner, attr, self._views[pid])
+            start += arr.size
+
+    @property
+    def nets(self) -> list[MLP]:
+        return [net for net in (self.extractor, self.classifier, self.discriminator)
+                if net is not None]
 
     @property
     def theta_ids(self) -> list[str]:
         return self.extractor.param_ids
 
     def network_params(self) -> dict[str, np.ndarray]:
-        out = dict(self.extractor.params())
-        out.update(self.classifier.params())
-        if self.discriminator is not None:
-            out.update(self.discriminator.params())
-        return out
+        return {pid: arr for pid, arr in self._views.items() if pid != BETA_ID}
 
     def all_params(self) -> dict[str, np.ndarray]:
-        out = self.network_params()
-        out[BETA_ID] = self.group_weights.beta
-        return out
+        return dict(self._views)
+
+    def flat_grad(self, grads: GradientMap) -> np.ndarray:
+        """grads laid out like flat, in a new array; an id grads leaves out gets 0."""
+        return np.concatenate([grads[pid] if pid in grads else np.zeros(s.stop - s.start)
+                               for pid, s in self.slices.items()], axis=None)
 
 
 def grl(x: Tensor, lam: float) -> Tensor:
@@ -206,10 +225,7 @@ def default_group_count(num_layers: int) -> int:
 def init_params(bundle: ModelBundle, seed: int) -> None:
     """Glorot-uniform weights, zero biases, beta at budget/M; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    nets = [bundle.extractor, bundle.classifier]
-    if bundle.discriminator is not None:
-        nets.append(bundle.discriminator)
-    for net in nets:
+    for net in bundle.nets:
         for layer in net.layers:
             bound = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
             layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)

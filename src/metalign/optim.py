@@ -9,7 +9,7 @@ weighting the virtual step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,13 +37,14 @@ class NonFiniteError(RuntimeError):
 
 @dataclass
 class OptimState:
-    """SGD with momentum, shared by every parameter set including beta."""
+    """SGD with momentum, shared by every parameter set including beta; the
+    velocity is one array laid out like the parameters it updates."""
 
     lr: float = 0.01
     meta_lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
+    velocity: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if not self.lr > 0.0:
@@ -54,57 +55,42 @@ class OptimState:
             raise ValueError("momentum must be in [0, 1)")
 
 
-def sgd_update(params: dict[str, np.ndarray], grads: GradientMap,
-               state: OptimState) -> None:
-    """v <- momentum*v + g (+ weight decay, except on beta); p <- p - lr*v, in place."""
-    if set(params) != set(grads):
-        raise ValueError("grads must cover exactly the updated params")
-    for pid, p in params.items():
-        g = grads[pid]
-        if g.shape != p.shape:
-            raise T.DimensionError(f"grad shape {g.shape} vs param {p.shape} for {pid}")
-        if state.weight_decay != 0.0 and pid != BETA_ID:
-            decayed = state.weight_decay * p
-            decayed += g  # the bits of g + weight_decay * p, one temporary
-            g = decayed
-        v = state.velocity.get(pid)
-        if v is None:
-            v = np.zeros_like(p)
-            state.velocity[pid] = v
-        v *= state.momentum
-        v += g
-        p -= state.lr * v
+def sgd_update(params: np.ndarray, grads: np.ndarray, state: OptimState,
+               decayed: int) -> None:
+    """v <- momentum*v + g (+ weight_decay*p on params[:decayed], so not on
+    beta's trailing slice); p <- p - lr*v, in place, as whole-array ops."""
+    if grads.shape != params.shape:
+        raise T.DimensionError(f"grad shape {grads.shape} vs params {params.shape}")
+    if state.velocity is None:
+        state.velocity = np.zeros_like(params)
+    if state.weight_decay != 0.0:
+        grads = grads.copy()  # the caller's gradient stays as it was
+        grads[:decayed] += state.weight_decay * params[:decayed]
+    v = state.velocity
+    v *= state.momentum
+    v += grads
+    params -= state.lr * v
 
 
-def virtual_update(tape: Tape, theta: dict[str, np.ndarray], g_train: GradientMap,
-                   alpha: float, beta_leaf: Tensor,
+def virtual_update(theta: Params, g_train: GradientMap, alpha: float, beta: Tensor,
                    groups: list[list[str]]) -> dict[str, Tensor]:
-    """theta'_m = theta_m - alpha * beta_m * g_m, recorded on the tape.
+    """theta'_m = theta_m + g_m * (beta_m * -alpha), the bits of
+    theta_m - alpha * beta_m * g_m: plain values for constant theta and beta.
 
-    Backward through theta' sends gradient 1 to theta and
-    -alpha * <g_m, upstream_m> to beta_m. Within each group, nodes are created
-    in reversed id order so the tape accumulates the beta contribution in the
-    same order analysis.grad_dot sums the per-group dots; the reported dots
-    then reproduce the applied beta gradient bitwise.
+    With theta on a tape and beta a leaf of it, backward through theta' sends
+    gradient 1 to theta and -alpha * <g_m, upstream_m> to beta_m. Within each
+    group, nodes are created in reversed id order so the tape accumulates the
+    beta contribution in the same order analysis.grad_dot sums the per-group
+    dots; the reported dots then reproduce the applied beta gradient bitwise.
     """
-    grouped = [pid for group in groups for pid in group]
-    if set(grouped) != set(theta) or len(grouped) != len(theta):
+    if sorted(pid for group in groups for pid in group) != sorted(theta.arrays):
         raise ValueError("groups must partition the shared parameters")
     out: dict[str, Tensor] = {}
     for m, group in enumerate(groups):
-        coeff = T.scale(T.select1(beta_leaf, m), -float(alpha))
+        coeff = T.scale(T.select1(beta, m), -float(alpha))
         for pid in reversed(group):
-            leaf = tape.param(theta[pid], pid)
-            out[pid] = T.add(leaf, T.scale_by(Tensor(g_train[pid]), coeff))
+            out[pid] = T.add(theta[pid], T.scale_by(Tensor(g_train[pid]), coeff))
     return out
-
-
-def theta_prime(theta: dict[str, np.ndarray], g_train: GradientMap, alpha: float,
-                beta_values: np.ndarray,
-                groups: list[list[str]]) -> dict[str, Tensor]:
-    """theta'_m = theta_m - alpha * beta_m * g_m as plain values (no tape)."""
-    return {pid: Tensor(theta[pid] - alpha * beta_values[m] * g_train[pid])
-            for m, group in enumerate(groups) for pid in group}
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +136,18 @@ def _task_value(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str
     return float(loss.values)
 
 
-def _check_finite(report_values: dict[str, float], grads: GradientMap) -> None:
+def _check_finite(report_values: dict[str, float], grads: np.ndarray,
+                  slices: dict[str, slice]) -> None:
+    """Raise on a non-finite loss, else name the id of the first non-finite gradient entry."""
     for name, v in report_values.items():
         if not np.isfinite(v):
             raise NonFiniteError(f"non-finite loss {name}={v}")
-    flat = [g.ravel() for g in grads.values()]
-    if flat and np.isfinite(np.concatenate(flat)).all():
-        return  # one pass over every gradient; the per-id pass names the culprit
-    for pid, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for {pid}")
+    finite = np.isfinite(grads)
+    if finite.all():
+        return
+    first = int(finite.argmin())
+    pid = next(pid for pid, s in slices.items() if first < s.stop)
+    raise NonFiniteError(f"non-finite gradient for {pid}")
 
 
 def _task_param_ids(bundle: ModelBundle, task: str, variant: AlignmentVariant) -> list[str]:
@@ -179,15 +167,13 @@ def joint_grads(bundle: ModelBundle, batch,
     of the summed loss exactly.
     """
     theta_ids = bundle.theta_ids
-    disc_ids = _task_param_ids(bundle, ALIGNMENT, variant)
-    cls_ids = bundle.classifier.param_ids
     arrays = bundle.network_params()
 
     align, info = _align_loss(bundle, batch, variant, Params(arrays, Tape()))
-    g_align = backward(align, theta_ids + disc_ids)
+    g_align = backward(align, theta_ids + _task_param_ids(bundle, ALIGNMENT, variant))
 
     cls = _cls_loss(bundle, batch, Params(arrays, Tape()))
-    g_cls = backward(cls, theta_ids + cls_ids)
+    g_cls = backward(cls, theta_ids + bundle.classifier.param_ids)
 
     gw = bundle.group_weights
     l_cls = float(cls.values)
@@ -197,11 +183,8 @@ def joint_grads(bundle: ModelBundle, batch,
         {pid: g_cls[pid] for pid in theta_ids},
         bundle.groups)
 
-    applied: GradientMap = {pid: g_align[pid] + g_cls[pid] for pid in theta_ids}
-    for pid in cls_ids:
-        applied[pid] = g_cls[pid]
-    for pid in disc_ids:
-        applied[pid] = g_align[pid]
+    applied = {**g_align, **g_cls,
+               **{pid: g_align[pid] + g_cls[pid] for pid in theta_ids}}
 
     record = MetricsRecord(
         L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,
@@ -214,10 +197,10 @@ def joint_grads(bundle: ModelBundle, batch,
 def _apply(bundle: ModelBundle, applied: GradientMap, record: MetricsRecord,
            state: OptimState) -> None:
     """End a step: raise on a non-finite loss or gradient, else apply the update."""
+    grads = bundle.flat_grad(applied)
     _check_finite({"L_cls": record.L_cls, "L_dom": record.L_dom,
-                   "L_beta": record.L_beta}, applied)
-    params = bundle.all_params()
-    sgd_update({pid: params[pid] for pid in applied}, applied, state)
+                   "L_beta": record.L_beta}, grads, bundle.slices)
+    sgd_update(bundle.flat, grads, state, bundle.slices[BETA_ID].start)
 
 
 def joint_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
@@ -251,30 +234,24 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
 
     train_loss, train_info = _task_loss(bundle, batch, variant, meta_train,
                                         Params(arrays, Tape()))
-    extra1 = _task_param_ids(bundle, meta_train, variant)
-    g1 = backward(train_loss, theta_ids + extra1)
+    g1 = backward(train_loss, theta_ids + _task_param_ids(bundle, meta_train, variant))
     g_train = {pid: g1[pid] for pid in theta_ids}
 
     tape2 = Tape()
     beta_leaf = tape2.param(gw.beta, BETA_ID)
-    prime = virtual_update(tape2, bundle.extractor.params(), g_train,
+    prime = virtual_update(Params(bundle.extractor.params(), tape2), g_train,
                            alpha, beta_leaf, bundle.groups)
     test_loss, test_info = _task_loss(bundle, batch, variant, meta_test,
                                       Params(arrays, tape2, given=prime))
-    extra2 = _task_param_ids(bundle, meta_test, variant)
     l_beta_t = losses.beta_penalty(beta_leaf, gw.budget)
     total2 = T.add(test_loss, l_beta_t)
-    g2 = backward(total2, theta_ids + extra2 + [BETA_ID])
+    g2 = backward(total2, theta_ids + _task_param_ids(bundle, meta_test, variant)
+                  + [BETA_ID])
     g_test = {pid: g2[pid] for pid in theta_ids}
 
     total_dot, cos, per_group = analysis.grad_dot(g_train, g_test, bundle.groups)
 
-    applied: GradientMap = {pid: g_train[pid] + g_test[pid] for pid in theta_ids}
-    for pid in extra1:
-        applied[pid] = g1[pid]
-    for pid in extra2:
-        applied[pid] = g2[pid]
-    applied[BETA_ID] = g2[BETA_ID]
+    applied = {**g1, **g2, **{pid: g_train[pid] + g_test[pid] for pid in theta_ids}}
 
     by_task = {meta_train: (train_loss, train_info),
                meta_test: (test_loss, test_info)}
@@ -312,13 +289,13 @@ def meta_total_value(bundle: ModelBundle, batch, variant: AlignmentVariant,
     contributes the objective the shared parameters descend (_task_value).
     """
     meta_test = META_TEST[meta_train]
-    beta_values = np.asarray(beta_values, dtype=np.float64)
+    beta = Tensor(beta_values)
     arrays = bundle.network_params()
-    prime = theta_prime(bundle.extractor.params(), g_train, alpha, beta_values,
-                        bundle.groups)
+    prime = virtual_update(Params(bundle.extractor.params()), g_train, alpha, beta,
+                           bundle.groups)
     train_val = _task_value(bundle, batch, variant, meta_train, Params(arrays),
                             weights_override)
     test_val = _task_value(bundle, batch, variant, meta_test,
                            Params(arrays, given=prime), weights_override)
     budget = bundle.group_weights.budget
-    return train_val + test_val + abs(float(beta_values.sum()) - budget)
+    return train_val + test_val + abs(float(beta.values.sum()) - budget)

@@ -340,8 +340,6 @@ def _run_seeds(cfg: TrainConfig, seeds: list[int], base: str) -> dict:
     time. Each run sets its own BLAS thread count (run_training).
     """
     workers = sweep_workers(len(seeds))
-    if workers == 1:
-        return dict(_run_share(cfg, seeds, base))
     children: list[tuple] = []  # (pid, read end of its pipe, its seeds), not yet reaped
     try:
         # flushed now, so that a worker's logging does not write the caller's

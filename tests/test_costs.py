@@ -60,10 +60,10 @@ def test_tape_nodes_per_backward(config, tmp_path, monkeypatch):
 # and numpy version.
 CALLS = {
     "python 3.11, numpy 2.4.6": {
-        "moons_dann_metaalign": [1535] * 6,
-        "moons_dannpe_metaalign": [2519] * 6,
-        "gaussian_mmd_metaalign": [1131] * 6,
-        "moons_dann_joint": [1295] * 6,
+        "moons_dann_metaalign": [1477] * 6,
+        "moons_dannpe_metaalign": [2453] * 6,
+        "gaussian_mmd_metaalign": [1101] * 6,
+        "moons_dann_joint": [1230] * 6,
     },
 }
 WARMUP, COUNTED = 4, 6

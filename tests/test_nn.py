@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metalign import nn, runner
+from metalign import losses, nn, runner
 from metalign import tensor as T
 from metalign.config import parse_config
 from metalign.tensor import Tape, Tensor, backward, finite_diff_grad
 
 
-def make_bundle(seed=0):
-    """Hidden layers of 8 and 8 in 2 groups on 3 inputs and 4 classes, dann."""
+def make_bundle(seed=0, variant="dann"):
+    """Hidden layers of 8 and 8 in 2 groups on 3 inputs and 4 classes."""
     doc = {"seed": 0, "iterations": 1, "batch_size": 1,
            "dataset": {"generator": "two_moons"},
-           "model": {"hidden": [8, 8], "groups": 2, "disc_hidden": [8, 8]}}
+           "model": {"hidden": [8, 8], "groups": 2, "disc_hidden": [8, 8]},
+           "variant": {"name": variant}}
     return runner.build_bundle(parse_config(doc), 3, 4, init_seed=seed)[0]
 
 
@@ -67,6 +68,48 @@ class TestInit:
         gw = nn.GroupWeights.init(2)  # budget defaults to group count
         np.testing.assert_array_equal(gw.beta, [1.0, 1.0])
         assert gw.budget == 2.0
+
+
+class TestLayout:
+    """Every parameter is a view into bundle.flat: all_params() order, beta last."""
+
+    @pytest.mark.parametrize("variant", losses.VARIANTS)
+    def test_every_array_is_a_view_of_flat_in_order(self, variant):
+        bundle = make_bundle(variant=variant)
+        params = bundle.all_params()
+        assert list(params)[-1] == nn.BETA_ID
+        assert params[nn.BETA_ID] is bundle.group_weights.beta
+        assert list(bundle.network_params()) == list(params)[:-1]
+        base = bundle.flat.__array_interface__["data"][0]
+        start = 0
+        for pid, arr in params.items():
+            assert np.shares_memory(arr, bundle.flat)
+            assert arr.__array_interface__["data"][0] == base + arr.itemsize * start
+            assert bundle.slices[pid] == slice(start, start + arr.size)
+            start += arr.size
+        assert start == bundle.flat.size and bundle.flat.dtype == np.float64
+
+    @pytest.mark.parametrize("variant", losses.VARIANTS)
+    def test_writes_in_place_land_in_flat(self, variant):
+        bundle = make_bundle(seed=0, variant=variant)
+        nn.init_params(bundle, seed=5)
+        np.testing.assert_array_equal(bundle.flat, make_bundle(5, variant).flat)
+        for pid, arr in bundle.all_params().items():
+            arr[...] = 7.0
+            assert np.all(bundle.flat[bundle.slices[pid]] == 7.0)
+        bundle.extractor.layers[0].bias[...] = -1.0
+        assert np.all(bundle.flat[bundle.slices["G.l0.b"]] == -1.0)
+        assert np.all(bundle.flat[bundle.slices["G.l0.W"]] == 7.0)
+
+    def test_flat_grad_fills_left_out_ids_with_zero(self):
+        bundle = make_bundle()
+        grads = {pid: np.full(arr.shape, k + 1.0)
+                 for k, (pid, arr) in enumerate(bundle.network_params().items())}
+        flat = bundle.flat_grad(grads)
+        assert flat.shape == bundle.flat.shape
+        assert not np.shares_memory(flat, bundle.flat)
+        for pid, s in bundle.slices.items():
+            np.testing.assert_array_equal(flat[s], grads[pid].ravel() if pid in grads else 0.0)
 
 
 class TestFeatureExtractor:

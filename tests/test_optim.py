@@ -25,42 +25,52 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 SHIPPED = sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIGS, "*.json")))
 
 
+def lay_out(arrays):
+    """The arrays end to end in one float64 array, and each id's slice of it."""
+    slices, start = {}, 0
+    for pid, arr in arrays.items():
+        slices[pid] = slice(start, start + arr.size)
+        start += arr.size
+    return np.concatenate(list(arrays.values()), axis=None), slices
+
+
 class TestSgd:
     def test_plain_descent_arithmetic(self):
-        p = {"w": np.array([1.0])}
+        p = np.array([1.0])
         state = OptimState(lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_update(p, {"w": np.array([2.0])}, state)
-        assert p["w"][0] == pytest.approx(0.8, abs=1e-15)
+        sgd_update(p, np.array([2.0]), state, 1)
+        assert p[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_gradient_fixed_point(self):
-        p = {"w": np.array([3.0, -1.0])}
+        p = np.array([3.0, -1.0])
         state = OptimState(lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_update(p, {"w": np.zeros(2)}, state)
-        np.testing.assert_array_equal(p["w"], [3.0, -1.0])
+        sgd_update(p, np.zeros(2), state, 2)
+        np.testing.assert_array_equal(p, [3.0, -1.0])
 
     def test_momentum_matches_hand_unrolled_recurrence(self):
         eta, mu, g = 0.1, 0.9, 2.0
-        p = {"w": np.array([1.0])}
+        p = np.array([1.0])
         state = OptimState(lr=eta, momentum=mu, weight_decay=0.0)
-        sgd_update(p, {"w": np.array([g])}, state)
-        sgd_update(p, {"w": np.array([g])}, state)
+        sgd_update(p, np.array([g]), state, 1)
+        sgd_update(p, np.array([g]), state, 1)
         # v1 = g; p1 = p0 - eta v1; v2 = mu v1 + g; p2 = p1 - eta v2
         v1 = g
         p1 = 1.0 - eta * v1
         v2 = mu * v1 + g
         want = p1 - eta * v2
-        assert p["w"][0] == pytest.approx(want, abs=1e-15)
+        assert p[0] == pytest.approx(want, abs=1e-15)
 
     def test_weight_decay_skips_exempt_params(self):
-        p = {"w": np.array([1.0]), "beta": np.array([1.0])}
+        p = np.array([1.0, 1.0])  # w, then beta after the decayed slice
         state = OptimState(lr=0.1, momentum=0.0, weight_decay=0.5)
-        sgd_update(p, {"w": np.zeros(1), "beta": np.zeros(1)}, state)
-        assert p["w"][0] == pytest.approx(1.0 - 0.1 * 0.5)
-        assert p["beta"][0] == 1.0
+        sgd_update(p, np.zeros(2), state, 1)
+        assert p[0] == pytest.approx(1.0 - 0.1 * 0.5)
+        assert p[1] == 1.0
 
     @staticmethod
     def sgd_oracle(params, grads, state):
-        """The update as it was written: v <- m*v + (g + wd*p); p <- p - lr*v."""
+        """The update as it was written: v <- m*v + (g + wd*p); p <- p - lr*v,
+        one parameter id at a time, with a velocity per id."""
         for pid, p in params.items():
             g = grads[pid]
             if state.weight_decay != 0.0 and pid != "beta":
@@ -74,25 +84,27 @@ class TestSgd:
     def test_bitwise_equal_to_oracle(self, weight_decay):
         rng = np.random.default_rng(21)
         shapes = {"G.l0.W": (2, 64), "G.l0.b": (64,), "C.l0.W": (64, 3), "beta": (2,)}
-        params = {pid: rng.normal(size=shape) for pid, shape in shapes.items()}
-        want = {pid: p.copy() for pid, p in params.items()}
+        want = {pid: rng.normal(size=shape) for pid, shape in shapes.items()}
+        flat, slices = lay_out(want)
         state = OptimState(lr=0.05, momentum=0.5, weight_decay=weight_decay)
         oracle = OptimState(lr=0.05, momentum=0.5, weight_decay=weight_decay)
+        oracle.velocity = {}
         for _ in range(5):
             grads = {pid: rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3)
-                     for pid, p in params.items()}
-            sgd_update(params, grads, state)
+                     for pid, p in want.items()}
+            sgd_update(flat, lay_out(grads)[0], state, slices["beta"].start)
             self.sgd_oracle(want, grads, oracle)
-            for pid in params:
-                np.testing.assert_array_equal(params[pid].view(np.int64),
-                                              want[pid].view(np.int64))
-                np.testing.assert_array_equal(state.velocity[pid].view(np.int64),
-                                              oracle.velocity[pid].view(np.int64))
+            for pid, s in slices.items():
+                np.testing.assert_array_equal(flat[s].view(np.int64),
+                                              want[pid].ravel().view(np.int64))
+                np.testing.assert_array_equal(
+                    state.velocity[s].view(np.int64),
+                    oracle.velocity[pid].ravel().view(np.int64))
 
     def test_grads_must_cover_params(self):
         state = OptimState()
         with pytest.raises(ValueError):
-            sgd_update({"w": np.ones(1)}, {}, state)
+            sgd_update(np.ones(2), np.ones(1), state, 2)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -107,7 +119,7 @@ class TestVirtualUpdate:
     def _setup(self, alpha, beta, theta=1.0, g=1.0):
         tape = Tape()
         beta_leaf = tape.param(np.array([beta]), "beta")
-        prime = virtual_update(tape, {"t": np.asarray(theta)},
+        prime = virtual_update(nn.Params({"t": np.asarray(theta)}, tape),
                                {"t": np.asarray(g)}, alpha, beta_leaf, [["t"]])
         return tape, beta_leaf, prime
 
@@ -129,7 +141,7 @@ class TestVirtualUpdate:
         upstream = np.array([3.0, 5.0])
         tape = Tape()
         beta_leaf = tape.param(np.array([1.5]), "beta")
-        prime = virtual_update(tape, {"t": np.array([1.0, 2.0])},
+        prime = virtual_update(nn.Params({"t": np.array([1.0, 2.0])}, tape),
                                {"t": g_vec}, alpha, beta_leaf, [["t"]])
         loss = T.reduce_sum(T.mul(prime["t"], Tensor(upstream)))
         g = backward(loss, ["t", "beta"])
@@ -141,7 +153,7 @@ class TestVirtualUpdate:
         tape = Tape()
         beta_leaf = tape.param(np.ones(1), "beta")
         with pytest.raises(ValueError):
-            virtual_update(tape, {"a": np.ones(1), "b": np.ones(1)},
+            virtual_update(nn.Params({"a": np.ones(1), "b": np.ones(1)}, tape),
                            {"a": np.ones(1), "b": np.ones(1)},
                            0.1, beta_leaf, [["a"]])
 
@@ -197,21 +209,28 @@ class TestJointStep:
 
     def test_quadratic_toy_single_step(self):
         # one plain sgd step on a hand-checked quadratic: p <- p - eta*(p - 1)
-        p = {"w": np.array([4.0])}
+        p = np.array([4.0])
         state = OptimState(lr=0.25, momentum=0.0, weight_decay=0.0)
         tape = Tape()
-        w = tape.param(p["w"], "w")
+        w = tape.param(p, "w")
         gap = T.sub(w, Tensor(np.array([1.0])))
         g = backward(T.scale(T.reduce_sum(T.mul(gap, gap)), 0.5), ["w"])
-        sgd_update(p, g, state)
-        assert p["w"][0] == pytest.approx(4.0 - 0.25 * 3.0, abs=1e-15)
+        sgd_update(p, g["w"], state, 1)
+        assert p[0] == pytest.approx(4.0 - 0.25 * 3.0, abs=1e-15)
 
     def test_beta_untouched(self):
-        rng = np.random.default_rng(2)
-        bundle, variant = random_bundle(rng, "dann")
-        before = bundle.group_weights.beta.copy()
-        joint_step(bundle, random_batch(rng), variant, OptimState(momentum=0.0))
-        np.testing.assert_array_equal(bundle.group_weights.beta, before)
+        # the joint step leaves beta out: its slice of the step's gradient is
+        # 0, so beta and its velocity keep their bits under momentum too
+        for state in (OptimState(momentum=0.0), OptimState()):
+            rng = np.random.default_rng(2)
+            bundle, variant = random_bundle(rng, "dann")
+            before = bundle.group_weights.beta.copy()
+            for _ in range(3):
+                joint_step(bundle, random_batch(rng), variant, state)
+            np.testing.assert_array_equal(bundle.group_weights.beta.view(np.int64),
+                                          before.view(np.int64))
+            velocity = state.velocity[bundle.slices["beta"]]
+            np.testing.assert_array_equal(velocity.view(np.int64), 0)
 
 
 class TestMetaStep:
@@ -389,21 +408,23 @@ class TestCheckFinite:
     GRADS = {"G.l0.W": np.ones((2, 3)), "beta": np.zeros(2), "C.l0.b": np.full(4, -1e300)}
 
     def test_finite_passes(self):
-        assert optim._check_finite({"L_cls": 0.5}, self.GRADS) is None
-        assert optim._check_finite({}, {}) is None
+        flat, slices = lay_out(self.GRADS)
+        assert optim._check_finite({"L_cls": 0.5}, flat, slices) is None
+        assert optim._check_finite({}, np.zeros(0), {}) is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("pid", ["G.l0.W", "beta", "C.l0.b"])
     def test_names_first_non_finite_gradient(self, pid, bad):
         grads = {k: v.copy() for k, v in self.GRADS.items()}
         grads[pid].flat[-1] = bad
+        flat, slices = lay_out(grads)
         with pytest.raises(NonFiniteError, match=f"non-finite gradient for {pid}$"):
-            optim._check_finite({"L_cls": 0.5}, grads)
+            optim._check_finite({"L_cls": 0.5}, flat, slices)
 
     def test_loss_checked_first(self):
-        grads = {"beta": np.array([np.nan])}
+        flat, slices = lay_out({"beta": np.array([np.nan])})
         with pytest.raises(NonFiniteError, match="non-finite loss L_dom=inf"):
-            optim._check_finite({"L_cls": 0.5, "L_dom": float("inf")}, grads)
+            optim._check_finite({"L_cls": 0.5, "L_dom": float("inf")}, flat, slices)
 
 
 @contextmanager
