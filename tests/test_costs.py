@@ -1,38 +1,61 @@
 """The cost ledger: counts of work that repeat exactly from run to run, so a
 change in the work a step does shows as a diff here, with no timing noise.
 
-It holds the tape's node count at each backward of the first steps of every
-shipped config, and the Python calls one training step makes. Under the
-alternate role policy step 0 is an alignment and step 1 a classification
-meta-train step; a joint step runs the alignment tape, then the
-classification tape.
+It holds, for every shipped config and for the MMD config at the batch of
+the benchmark's gaussian-mmd-wide workload, the tape's node count at each
+backward of the first steps, the Python calls one training step makes, and
+the calls of each tensor op in one step. Under the alternate role policy
+step 0 is an alignment and step 1 a classification meta-train step; a joint
+step runs the alignment tape, then the classification tape.
 """
 
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from metalign import optim, runner
+from metalign import nn, optim, runner
+from metalign import tensor as T
 from metalign.config import load_config
 
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from tracing import tensor_ops  # noqa: E402  the benchmark's rule for what an op is
 
-# shipped config: the node counts at each backward, one tuple per step
+# run name: (shipped config, overrides)
+RUNS = {
+    "moons_dann_metaalign": ("moons_dann_metaalign", {}),
+    "moons_dannpe_metaalign": ("moons_dannpe_metaalign", {}),
+    "gaussian_mmd_metaalign": ("gaussian_mmd_metaalign", {}),
+    "gaussian_mmd_metaalign_batch256": ("gaussian_mmd_metaalign", {"batch_size": 256}),
+    "moons_dann_joint": ("moons_dann_joint", {}),
+}
+
+# run: the node counts at each backward, one tuple per step
 NODES = {
     "moons_dann_metaalign": [(50, 39), (22, 67)],
     "moons_dannpe_metaalign": [(86, 61), (32, 115)],
     "gaussian_mmd_metaalign": [(23, 39), (22, 40)],
+    "gaussian_mmd_metaalign_batch256": [(23, 39), (22, 40)],
     "moons_dann_joint": [(50, 22)],
 }
 
 
+def run_config(run, iterations, out_dir):
+    """Train the named run for the given steps; returns its summary."""
+    config, overrides = RUNS[run]
+    cfg = load_config(os.path.join(CONFIGS, f"{config}.json"))
+    return runner.run_training(replace(cfg, iterations=iterations, **overrides),
+                               str(out_dir))
+
+
 def step_node_counts(config, steps, out_dir, monkeypatch):
     """The node count of every tape at its backward, per step, over the
-    first steps of the shipped config."""
+    first steps of the run."""
     counts = []
     backward = optim.backward
 
@@ -41,8 +64,7 @@ def step_node_counts(config, steps, out_dir, monkeypatch):
         return backward(loss, wanted)
 
     monkeypatch.setattr(optim, "backward", counting)
-    cfg = load_config(os.path.join(CONFIGS, f"{config}.json"))
-    summary = runner.run_training(replace(cfg, iterations=steps), str(out_dir))
+    summary = run_config(config, steps, out_dir)
     assert summary["steps"] == steps
     per_step = len(counts) // steps
     return [tuple(counts[i:i + per_step]) for i in range(0, len(counts), per_step)]
@@ -63,6 +85,7 @@ CALLS = {
         "moons_dann_metaalign": [1477] * 6,
         "moons_dannpe_metaalign": [2453] * 6,
         "gaussian_mmd_metaalign": [1101] * 6,
+        "gaussian_mmd_metaalign_batch256": [1101] * 6,
         "moons_dann_joint": [1230] * 6,
     },
 }
@@ -70,8 +93,8 @@ WARMUP, COUNTED = 4, 6
 
 
 def step_call_counts(config, out_dir, monkeypatch):
-    """The Python calls each training step of a short run of the shipped
-    config makes, after the warm-up steps."""
+    """The Python calls each training step of a short run makes, after the
+    warm-up steps."""
     counts = []
 
     def counted(step):
@@ -92,8 +115,7 @@ def step_call_counts(config, out_dir, monkeypatch):
 
     for name in ("joint_step", "metaalign_step"):
         monkeypatch.setattr(optim, name, counted(getattr(optim, name)))
-    cfg = load_config(os.path.join(CONFIGS, f"{config}.json"))
-    runner.run_training(replace(cfg, iterations=WARMUP + COUNTED), str(out_dir))
+    run_config(config, WARMUP + COUNTED, out_dir)
     return counts[WARMUP:]
 
 
@@ -106,3 +128,73 @@ def test_python_calls_per_step(config, tmp_path, monkeypatch):
         print(f"add to CALLS[{key!r}]: {config!r}: {got},")
         pytest.skip(f"no call counts for {config} under {key}; the entry is printed")
     assert got == want
+
+
+# Calls of each tensor op (perfbench's tensor_ops()) inside optim.*_step, the
+# same on each of steps 4-9 after 4 warm-up steps; ops with no call are left out.
+OPS = {
+    "moons_dann_metaalign": {
+        "absolute": 1, "add": 6, "add_bias": 14, "clip": 2, "log": 2, "log_softmax": 1,
+        "matmul": 14, "pick": 1, "reduce_mean": 3, "reduce_sum": 1, "relu": 8,
+        "scale": 5, "scale_by": 4, "scale_grad": 2, "select1": 2, "sigmoid": 2, "sub": 2},
+    "moons_dannpe_metaalign": {
+        "absolute": 1, "add": 10, "add_bias": 24, "clip": 2, "exp": 2, "log": 2,
+        "log_softmax": 3, "matmul": 24, "mul": 2, "pick": 1, "reduce_mean": 3,
+        "reduce_sum": 1, "relu": 16, "scale": 7, "scale_by": 8, "scale_grad": 2,
+        "select1": 4, "sigmoid": 2, "sub": 2},
+    "gaussian_mmd_metaalign": {
+        "absolute": 1, "add": 6, "add_bias": 8, "log_softmax": 1, "matmul": 8,
+        "pairwise_sqdist": 3, "pick": 1, "rbf_mean": 3, "reduce_mean": 1, "reduce_sum": 1,
+        "relu": 4, "scale": 4, "scale_by": 4, "select1": 2, "sub": 2},
+    "gaussian_mmd_metaalign_batch256": {
+        "absolute": 1, "add": 6, "add_bias": 8, "log_softmax": 1, "matmul": 8,
+        "pairwise_sqdist": 3, "pick": 1, "rbf_mean": 3, "reduce_mean": 1, "reduce_sum": 1,
+        "relu": 4, "scale": 4, "scale_by": 4, "select1": 2, "sub": 2},
+    "moons_dann_joint": {
+        "add": 1, "add_bias": 14, "clip": 2, "log": 2, "log_softmax": 1, "matmul": 14,
+        "pick": 1, "reduce_mean": 3, "relu": 8, "scale": 3, "scale_grad": 2, "sigmoid": 2,
+        "sub": 1},
+}
+
+
+def step_op_counts(config, out_dir, monkeypatch):
+    """The calls of each tensor op in each training step of a short run,
+    after the warm-up steps; calls outside a step are not counted."""
+    counts = []
+    live = [None]  # the counter of the step that is running, if one is
+
+    def counted(name, op):
+        def run(*args, **kwargs):
+            if live[0] is not None:
+                live[0][name] += 1
+            return op(*args, **kwargs)
+        return run
+
+    for name in tensor_ops():
+        op = getattr(T, name)
+        wrapper = counted(name, op)
+        monkeypatch.setattr(T, name, wrapper)
+        for key, entry in nn._ACTIVATIONS.items():  # the table binds ops too
+            if entry is op:
+                monkeypatch.setitem(nn._ACTIVATIONS, key, wrapper)
+
+    def stepped(step):
+        def run(*args, **kwargs):
+            live[0] = Counter()
+            try:
+                return step(*args, **kwargs)
+            finally:
+                counts.append(dict(live[0]))
+                live[0] = None
+        return run
+
+    for name in ("joint_step", "metaalign_step"):
+        monkeypatch.setattr(optim, name, stepped(getattr(optim, name)))
+    run_config(config, WARMUP + COUNTED, out_dir)
+    return counts[WARMUP:]
+
+
+@pytest.mark.parametrize("config", sorted(NODES))
+def test_op_calls_per_step(config, tmp_path, monkeypatch):
+    got = step_op_counts(config, tmp_path, monkeypatch)
+    assert got == [OPS[config]] * COUNTED
