@@ -189,8 +189,36 @@ def op_checks(seed: int) -> list[CheckResult]:
          wsum(_W_SCALE_BY, T.scale_by)),
         ("rbf_mean", x(3, 5, lo=0.0, hi=3.0), lambda p: T.rbf_mean(p["x"], -0.4)),
     ]
-    return ([_fd_check(name, params, loss) for name, params, loss in table]
+    return ([_fd_check(name, params, loss) for name, params, loss in table + _fused_rows(seed)]
             + [_grl_check(rng)])
+
+
+def _fused_rows(seed: int) -> list:
+    """The op table's rows of the fused layer and loss nodes. They draw from a
+    generator of their own, so every other check draws what it drew without
+    them. Each loss is scaled so the upstream gradient is not 1, and one
+    discriminator output of the bce rows lies outside the clip."""
+    rng = np.random.default_rng((seed, 1))
+    w_dense = Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)))
+    rows = []
+    for act in ("relu", "tanh", "identity"):
+        params = {"x": _rng_arr(rng, 4, 3), "w": _rng_arr(rng, 3, 2),
+                  "b": _rng_arr(rng, 2, lo=-0.5, hi=0.5)}
+        rows.append(("dense" if act == "relu" else f"dense_{act}", params,
+                     lambda p, act=act: T.reduce_sum(T.mul(
+                         T.dense(p["x"], p["w"], p["b"], act), w_dense))))
+    labels = rng.integers(0, 5, size=4)
+    rows.append(("nll_mean", {"x": _rng_arr(rng, 4, 5)},
+                 lambda p: T.scale(T.nll_mean(p["x"], labels), 1.3)))
+    weights = rng.uniform(0.2, 1.5, size=(5, 1))
+    for complement in (False, True):
+        for w in (None, weights):
+            d = rng.uniform(0.05, 0.95, size=(5, 1))
+            d[int(rng.integers(0, 5))] = 0.995  # clipped: zero gradient both ways
+            name = "bce_mean" + "_complement" * complement + "_weighted" * (w is not None)
+            rows.append((name, {"x": d}, lambda p, c=complement, w=w: T.scale(
+                T.bce_mean(p["x"], 0.02, 0.98, c, w), 0.7)))
+    return rows
 
 
 def _grl_check(rng) -> CheckResult:

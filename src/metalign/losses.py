@@ -63,7 +63,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     k = logits.shape[1]
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k})")
-    return T.scale(T.reduce_mean(T.pick(T.log_softmax(logits), labels)), -1.0)
+    return T.nll_mean(logits, labels)
 
 
 def entropy_weights(probs: Tensor) -> Tensor:
@@ -95,22 +95,15 @@ def domain_cls_loss(d_src: Tensor, d_tgt: Tensor,
 def _bce_term(d: Tensor, w: Optional[Tensor], true_side: bool) -> Tensor:
     if d.values.ndim != 2 or d.shape[1] != 1:
         raise ValueError(f"discriminator outputs must be n x 1, got {d.shape}")
-    clamped = T.clip(d, EPS, 1.0 - EPS)
-    inner = clamped if true_side else T.sub(_ones_like(clamped), clamped)
-    ll = T.log(inner)
+    norm = None
     if w is not None:
         wv = w.values
         if np.any(wv < 0.0):
             raise ValueError("weights must be nonnegative")
         norm = (wv / wv.mean()).reshape(-1, 1)
-        if norm.shape != ll.values.shape:
+        if norm.shape != d.shape:
             raise ValueError(f"weight shape {w.shape} does not match batch {d.shape}")
-        ll = T.mul(ll, Tensor(norm))
-    return T.scale(T.reduce_mean(ll), -1.0)
-
-
-def _ones_like(x: Tensor) -> Tensor:
-    return Tensor(np.ones_like(x.values))
+    return T.bce_mean(d, EPS, 1.0 - EPS, not true_side, norm)
 
 
 def _is_clamped(d: Tensor) -> bool:

@@ -31,7 +31,8 @@ class Params(dict):
 
 
 class Linear:
-    """Fully connected layer; weight is in x out, bias is out."""
+    """A fully connected layer's parameters, weight in x out and bias out;
+    MLP.forward applies the layer as one tensor.dense node."""
 
     def __init__(self, in_dim: int, out_dim: int, name: str) -> None:
         self.in_dim = in_dim
@@ -49,11 +50,9 @@ class Linear:
     def params(self) -> dict[str, np.ndarray]:
         return {self.weight_id: self.weight, self.bias_id: self.bias}
 
-    def forward(self, x: Tensor, params: Params) -> Tensor:
-        w, b = params[self.weight_id], params[self.bias_id]
-        return T.add_bias(T.matmul(x, w), b)
 
-
+# the activations an MLP takes, by name (the config's enum reads the keys);
+# MLP.forward hands the name to tensor.dense, which applies it in the layer's node
 _ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "identity": lambda t: t}
 
 
@@ -76,12 +75,11 @@ class MLP:
         return {pid: arr for layer in self.layers for pid, arr in layer.params().items()}
 
     def forward(self, x: Tensor, params: Params) -> Tensor:
-        act = _ACTIVATIONS[self.activation]
+        last = len(self.layers) - 1
         out = x
         for i, layer in enumerate(self.layers):
-            if i > 0:
-                out = act(out)
-            out = layer.forward(out, params)
+            out = T.dense(out, params[layer.weight_id], params[layer.bias_id],
+                          self.activation if i < last else "identity")
         return out
 
 

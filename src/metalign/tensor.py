@@ -85,15 +85,15 @@ class Tensor:
 
 
 def _make(values: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """The result of a one- or two-operand op: a node of the operands' tape
-    when an operand is a node, else a constant."""
-    tape = parents[0].tape
-    if len(parents) == 2:
-        other = parents[1].tape
-        if tape is None:
+    """The result of an op: a node of the operands' tape when an operand is a
+    node, else a constant. Every operand is checked against that tape."""
+    tape = None
+    for parent in parents:
+        other = parent.tape
+        if other is not None and other is not tape:
+            if tape is not None:
+                raise GraphError("operands belong to two different graphs")
             tape = other
-        elif other is not tape and other is not None:
-            raise GraphError("operands belong to two different graphs")
     if tape is None:
         return Tensor(values)
     return tape._record(values, parents, vjp)
@@ -153,6 +153,38 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
                             None if b._index is None else g.sum(axis=0)))
 
 
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "identity") -> Tensor:
+    """act(x @ w + b) as one node, act "relu", "tanh" or "identity", with the
+    bits of matmul, add_bias and the activation op in value and gradients.
+    The forward adds b and applies act in place; the vjp applies the relu
+    mask or the tanh derivative once, then forms the three gradients."""
+    xv, wv, bv = x.values, w.values, b.values
+    if (xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1
+            or xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
+        raise DimensionError(f"dense: shapes {xv.shape}, {wv.shape}, {bv.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence -> inf/NaN
+        out = xv @ wv
+    out += bv
+    if act == "relu":
+        mask = out > 0.0
+        np.maximum(out, 0.0, out=out)  # a NaN stays NaN
+    elif act == "tanh":
+        np.tanh(out, out=out)
+    elif act != "identity":
+        raise ValueError(f"unknown activation {act!r}")
+
+    def vjp(g):
+        if act == "relu":
+            g = g * mask
+        elif act == "tanh":
+            g = g * (1.0 - out * out)
+        return (None if x._index is None else g @ wv.T,
+                None if w._index is None else xv.T @ g,
+                None if b._index is None else g.sum(axis=0))
+
+    return _make(out, (x, w, b), vjp)
+
+
 def relu(x: Tensor) -> Tensor:
     """max(x, 0), so a NaN input stays NaN; the gradient passes where x > 0."""
     mask = x.values > 0.0
@@ -198,19 +230,79 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _make(np.clip(x.values, lo, hi), (x,), lambda g: (g * mask,))
 
 
-def log_softmax(logits: Tensor) -> Tensor:
-    if logits.values.ndim != 2 or logits.shape[1] < 2:
-        raise DimensionError("log_softmax expects n x K logits with K >= 2")
-    z = logits.values
+def _log_softmax(z: np.ndarray, op: str) -> np.ndarray:
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise DimensionError(f"{op} expects n x K logits with K >= 2")
     with np.errstate(invalid="ignore"):  # divergent inputs propagate NaN
         m = z.max(axis=1, keepdims=True)
         lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-        out = z - lse
+        return z - lse
+
+
+def log_softmax(logits: Tensor) -> Tensor:
+    out = _log_softmax(logits.values, "log_softmax")
 
     def vjp(g):
         return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
 
     return _make(out, (logits,), vjp)
+
+
+def nll_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of the labelled classes under the row-wise
+    softmax of n x K logits, in one node: the bits of
+    scale(reduce_mean(pick(log_softmax(logits), labels)), -1) in value and
+    gradient."""
+    out = _log_softmax(logits.values, "nll_mean")
+    idx = np.asarray(labels)
+    count = out.shape[0]
+    if idx.shape != (count,):
+        raise DimensionError(f"nll_mean: labels {idx.shape} for {count} rows")
+    rows = np.arange(count)
+
+    def vjp(g):
+        # the chain's pick scattered gl into zeros, so each row summed to gl;
+        # a -0 there, which the scatter turned +0, gives the same bits below
+        gl = g * -1.0 / count
+        gp = np.zeros_like(out)
+        gp[rows, idx] = gl
+        return (gp - np.exp(out) * gl,)
+
+    return _make(out[rows, idx].sum() / count * -1.0, (logits,), vjp)
+
+
+def bce_mean(d: Tensor, lo: float, hi: float, complement: bool,
+             weights: Optional[np.ndarray] = None) -> Tensor:
+    """-mean(weights * log(c)) with c = clip(d, lo, hi), or 1 - that clip when
+    complement, over every element of d, 0 < lo <= hi < 1; weights is a
+    constant of d's shape, or None for all ones. One node with the bits of
+    the chain clip, sub from ones, log, mul, reduce_mean, scale(-1) in value
+    and gradient; the clip passes gradient where lo <= d <= hi."""
+    if not 0.0 < lo <= hi < 1.0:
+        raise DimensionError(f"bce_mean: clip bounds [{lo}, {hi}] not inside (0, 1)")
+    dv = d.values
+    if weights is not None and weights.shape != dv.shape:
+        raise DimensionError(f"bce_mean: weights {weights.shape} vs {dv.shape}")
+    mask = (dv >= lo) & (dv <= hi)
+    inner = np.clip(dv, lo, hi)
+    if complement:
+        inner = 1.0 - inner
+    ll = np.log(inner)
+    if weights is not None:
+        ll *= weights
+    count = ll.size
+
+    def vjp(g):
+        gd = g * -1.0 / count
+        if weights is not None:
+            gd = gd * weights
+        gd = gd / inner
+        if complement:
+            np.negative(gd, out=gd)
+        gd *= mask
+        return (gd,)
+
+    return _make(ll.sum() / count * -1.0, (d,), vjp)
 
 
 def reduce_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:

@@ -37,11 +37,11 @@ RUNS = {
 
 # run: the node counts at each backward, one tuple per step
 NODES = {
-    "moons_dann_metaalign": [(50, 39), (22, 67)],
-    "moons_dannpe_metaalign": [(86, 61), (32, 115)],
-    "gaussian_mmd_metaalign": [(23, 39), (22, 40)],
-    "gaussian_mmd_metaalign_batch256": [(23, 39), (22, 40)],
-    "moons_dann_joint": [(50, 22)],
+    "moons_dann_metaalign": [(27, 30), (13, 44)],
+    "moons_dannpe_metaalign": [(47, 48), (19, 76)],
+    "gaussian_mmd_metaalign": [(17, 30), (13, 34)],
+    "gaussian_mmd_metaalign_batch256": [(17, 30), (13, 34)],
+    "moons_dann_joint": [(27, 13)],
 }
 
 
@@ -82,11 +82,11 @@ def test_tape_nodes_per_backward(config, tmp_path, monkeypatch):
 # and numpy version.
 CALLS = {
     "python 3.11, numpy 2.4.6": {
-        "moons_dann_metaalign": [1477] * 6,
-        "moons_dannpe_metaalign": [2453] * 6,
-        "gaussian_mmd_metaalign": [1101] * 6,
-        "gaussian_mmd_metaalign_batch256": [1101] * 6,
-        "moons_dann_joint": [1230] * 6,
+        "moons_dann_metaalign": [1019] * 6,
+        "moons_dannpe_metaalign": [1715] * 6,
+        "gaussian_mmd_metaalign": [870] * 6,
+        "gaussian_mmd_metaalign_batch256": [870] * 6,
+        "moons_dann_joint": [788] * 6,
     },
 }
 WARMUP, COUNTED = 4, 6
@@ -134,26 +134,21 @@ def test_python_calls_per_step(config, tmp_path, monkeypatch):
 # same on each of steps 4-9 after 4 warm-up steps; ops with no call are left out.
 OPS = {
     "moons_dann_metaalign": {
-        "absolute": 1, "add": 6, "add_bias": 14, "clip": 2, "log": 2, "log_softmax": 1,
-        "matmul": 14, "pick": 1, "reduce_mean": 3, "reduce_sum": 1, "relu": 8,
-        "scale": 5, "scale_by": 4, "scale_grad": 2, "select1": 2, "sigmoid": 2, "sub": 2},
+        "absolute": 1, "add": 6, "bce_mean": 2, "dense": 14, "nll_mean": 1,
+        "reduce_sum": 1, "scale": 2, "scale_by": 4, "scale_grad": 2, "select1": 2,
+        "sigmoid": 2, "sub": 1},
     "moons_dannpe_metaalign": {
-        "absolute": 1, "add": 10, "add_bias": 24, "clip": 2, "exp": 2, "log": 2,
-        "log_softmax": 3, "matmul": 24, "mul": 2, "pick": 1, "reduce_mean": 3,
-        "reduce_sum": 1, "relu": 16, "scale": 7, "scale_by": 8, "scale_grad": 2,
-        "select1": 4, "sigmoid": 2, "sub": 2},
+        "absolute": 1, "add": 10, "bce_mean": 2, "dense": 24, "exp": 2, "log_softmax": 2,
+        "nll_mean": 1, "reduce_sum": 1, "scale": 4, "scale_by": 8, "scale_grad": 2,
+        "select1": 4, "sigmoid": 2, "sub": 1},
     "gaussian_mmd_metaalign": {
-        "absolute": 1, "add": 6, "add_bias": 8, "log_softmax": 1, "matmul": 8,
-        "pairwise_sqdist": 3, "pick": 1, "rbf_mean": 3, "reduce_mean": 1, "reduce_sum": 1,
-        "relu": 4, "scale": 4, "scale_by": 4, "select1": 2, "sub": 2},
+        "absolute": 1, "add": 6, "dense": 8, "nll_mean": 1, "pairwise_sqdist": 3,
+        "rbf_mean": 3, "reduce_sum": 1, "scale": 3, "scale_by": 4, "select1": 2, "sub": 2},
     "gaussian_mmd_metaalign_batch256": {
-        "absolute": 1, "add": 6, "add_bias": 8, "log_softmax": 1, "matmul": 8,
-        "pairwise_sqdist": 3, "pick": 1, "rbf_mean": 3, "reduce_mean": 1, "reduce_sum": 1,
-        "relu": 4, "scale": 4, "scale_by": 4, "select1": 2, "sub": 2},
+        "absolute": 1, "add": 6, "dense": 8, "nll_mean": 1, "pairwise_sqdist": 3,
+        "rbf_mean": 3, "reduce_sum": 1, "scale": 3, "scale_by": 4, "select1": 2, "sub": 2},
     "moons_dann_joint": {
-        "add": 1, "add_bias": 14, "clip": 2, "log": 2, "log_softmax": 1, "matmul": 14,
-        "pick": 1, "reduce_mean": 3, "relu": 8, "scale": 3, "scale_grad": 2, "sigmoid": 2,
-        "sub": 1},
+        "add": 1, "bce_mean": 2, "dense": 14, "nll_mean": 1, "scale_grad": 2, "sigmoid": 2},
 }
 
 

@@ -242,6 +242,202 @@ class TestRbfMean:
         assert float(out.values) == 1.0 and out.tape is None
 
 
+# (rows, in, out) of every layer the shipped configs run: moons at batch 128
+# and at the 1000-row eval, the MMD config at batch 256
+LAYER_SHAPES = [(128, 2, 64), (128, 64, 64), (128, 64, 32), (128, 32, 2), (128, 64, 16),
+                (128, 16, 16), (128, 16, 1), (1000, 2, 64), (1000, 64, 64),
+                (1000, 64, 32), (1000, 32, 2), (256, 4, 32), (256, 32, 32),
+                (256, 32, 16), (256, 16, 3)]
+CHAIN_ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "identity": lambda t: t}
+
+
+def chain_dense(x, w, b, act):
+    """The three-node layer dense replaces."""
+    return CHAIN_ACTIVATIONS[act](T.add_bias(T.matmul(x, w), b))
+
+
+def layer_value_and_grads(build, x, w, b, u, act, const_x=False):
+    """The layer's output and the gradients of sum(u * output) it sends to
+    x (unless x is a constant), w and b."""
+    tape = Tape()
+    xt = Tensor(x) if const_x else tape.param(x, "x")
+    out = build(xt, tape.param(w, "w"), tape.param(b, "b"), act)
+    grads = backward(T.reduce_sum(T.mul(out, Tensor(u))), ["x", "w", "b"])
+    return out.values, grads
+
+
+class TestDense:
+    @staticmethod
+    def layer(rng, n, k, m):
+        x = rng.normal(size=(n, k))
+        x[rng.random(size=n) < 0.05] = 0.0  # rows whose pre-activation is exactly b
+        w = rng.uniform(-1.0, 1.0, size=(k, m)) * np.sqrt(6.0 / (k + m))
+        b = rng.normal(size=m) * 0.1
+        u = rng.normal(size=(n, m))
+        u[rng.random(size=u.shape) < 0.1] = 0.0
+        return x, w, b, u
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("const_x", [False, True])
+    def test_bitwise_equal_to_matmul_add_bias_activation_chain(self, act, const_x):
+        rng = np.random.default_rng(23)
+        for n, k, m in LAYER_SHAPES:
+            x, w, b, u = self.layer(rng, n, k, m)
+            got = layer_value_and_grads(T.dense, x, w, b, u, act, const_x)
+            want = layer_value_and_grads(chain_dense, x, w, b, u, act, const_x)
+            assert_same_bits(got[0], want[0])
+            assert got[1].keys() == want[1].keys() == ({"w", "b"} if const_x
+                                                       else {"x", "w", "b"})
+            for pid in want[1]:
+                assert_same_bits(got[1][pid], want[1][pid])
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    def test_nan_row_bitwise_equal_to_chain(self, act):
+        """A NaN input row gives a NaN output row (relu keeps NaN, as
+        np.maximum does) and the chain's gradient bits."""
+        rng = np.random.default_rng(24)
+        x, w, b, u = self.layer(rng, 128, 64, 16)
+        x[5] = np.nan
+        got = layer_value_and_grads(T.dense, x, w, b, u, act)
+        want = layer_value_and_grads(chain_dense, x, w, b, u, act)
+        assert np.isnan(got[0][5]).all() and not np.isnan(got[0][:5]).any()
+        assert_same_bits(got[0], want[0])
+        for pid in ("x", "w", "b"):
+            assert_same_bits(got[1][pid], want[1][pid])
+
+    def test_constant_x_vjp_slot_is_none(self):
+        rng = np.random.default_rng(25)
+        x, w, b, u = self.layer(rng, 6, 3, 4)
+        tape = Tape()
+        c = Tensor(x)
+        out = T.dense(c, tape.param(w, "w"), tape.param(b, "b"), "relu")
+        assert all(n is not c for n in tape.nodes)
+        gx, gw, gb = out._vjp(u)
+        assert gx is None and gw is not None and gb is not None
+        mask = x @ w + b > 0.0
+        assert_same_bits(gw, x.T @ (u * mask))
+        assert_same_bits(gb, (u * mask).sum(axis=0))
+
+    def test_on_constants_is_constant(self):
+        out = T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))),
+                      Tensor(np.array([-4.0, 1.0])), "relu")
+        assert out.tape is None
+        np.testing.assert_array_equal(out.values, [[0.0, 4.0], [0.0, 4.0]])
+
+    @pytest.mark.parametrize("operand", ["x", "w", "b"])
+    def test_operand_from_another_tape_rejected(self, operand):
+        """Every operand's tape is checked, the third one too, also when the
+        first is a constant."""
+        rng = np.random.default_rng(26)
+        arrays = dict(zip("xwb", self.layer(rng, 4, 3, 2)))
+        for first_const in (False, True):
+            t1, t2 = Tape(), Tape()
+            ops = {k: (t2 if k == operand else t1).param(v, k) for k, v in arrays.items()}
+            if first_const and operand != "x":
+                ops["x"] = Tensor(arrays["x"])
+            with pytest.raises(GraphError, match="two different graphs"):
+                T.dense(ops["x"], ops["w"], ops["b"], "relu")
+
+    def test_bad_shapes_and_activation_rejected(self):
+        x, w, b = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(2))
+        with pytest.raises(DimensionError):
+            T.dense(x, Tensor(np.ones((2, 2))), b)
+        with pytest.raises(DimensionError):
+            T.dense(x, w, Tensor(np.ones(3)))
+        with pytest.raises(ValueError, match="unknown activation"):
+            T.dense(x, w, b, "sigmoid")
+
+
+# upstream factors on a loss node: 1, a negative, +0 and -0 (the chain's pick
+# scatter turns a -0 gradient +0), a subnormal
+UPSTREAM = [1.0, -2.5, 0.0, -0.0, 3e-310]
+
+
+def loss_value_and_grad(build, x, factor):
+    tape = Tape()
+    out = build(tape.param(x, "x"))
+    return out.values, backward(T.scale(out, factor), ["x"])["x"]
+
+
+class TestNllMean:
+    @staticmethod
+    def chain(logits, labels):
+        return T.scale(T.reduce_mean(T.pick(T.log_softmax(logits), labels)), -1.0)
+
+    @pytest.mark.parametrize("factor", UPSTREAM)
+    def test_bitwise_equal_to_log_softmax_pick_mean_chain(self, factor):
+        rng = np.random.default_rng(27)
+        for n, k in [(1, 2), (7, 3), (128, 2), (64, 3), (256, 3), (1000, 2)]:
+            z = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-2, 3)
+            if n > 2:
+                z[1] = np.nan  # a divergent row
+                z[2, 0] = 800.0
+            labels = rng.integers(0, k, size=n)
+            got = loss_value_and_grad(lambda t: T.nll_mean(t, labels), z, factor)
+            want = loss_value_and_grad(lambda t: self.chain(t, labels), z, factor)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionError):
+            T.nll_mean(Tensor(np.zeros((3, 1))), np.zeros(3, dtype=int))
+        with pytest.raises(DimensionError):
+            T.nll_mean(Tensor(np.zeros((3, 2))), np.zeros(2, dtype=int))
+
+
+class TestBceMean:
+    EPS = 1e-7
+
+    @staticmethod
+    def chain(d, lo, hi, complement, weights):
+        """The chain losses._bce_term built before the fused node."""
+        c = T.clip(d, lo, hi)
+        inner = T.sub(Tensor(np.ones_like(c.values)), c) if complement else c
+        ll = T.log(inner)
+        if weights is not None:
+            ll = T.mul(ll, Tensor(weights))
+        return T.scale(T.reduce_mean(ll), -1.0)
+
+    @pytest.mark.parametrize("factor", UPSTREAM)
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_bitwise_equal_to_clip_log_mean_chain(self, complement, weighted, factor):
+        """Sigmoid outputs of every range, some on or past the clamp at either
+        end, one NaN; the weights are dannpe's, normalized to mean one."""
+        rng = np.random.default_rng(28)
+        lo, hi = self.EPS, 1.0 - self.EPS
+        for n in (1, 7, 128, 1000):
+            d = 1.0 / (1.0 + np.exp(-rng.normal(size=(n, 1)) * 10.0))
+            if n > 4:
+                d[:4, 0] = [0.0, 1e-12, 1.0, np.nextafter(1.0, 0.0)]
+                d[-1, 0] = np.nan
+            weights = None
+            if weighted:
+                wv = np.exp(-rng.uniform(0.0, np.log(3.0), size=n))
+                weights = (wv / wv.mean()).reshape(-1, 1)
+            got = loss_value_and_grad(
+                lambda t: T.bce_mean(t, lo, hi, complement, weights), d, factor)
+            want = loss_value_and_grad(
+                lambda t: self.chain(t, lo, hi, complement, weights), d, factor)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+    def test_clamped_outputs_take_no_gradient(self):
+        tape = Tape()
+        d = tape.param(np.array([[0.0], [0.5], [1.0]]), "d")
+        g = backward(T.bce_mean(d, self.EPS, 1.0 - self.EPS, False), ["d"])["d"]
+        # the mask multiplies the negative gradient of a clamped output to -0
+        assert_same_bits(g, np.array([[-0.0], [-1.0 / 3.0 / 0.5], [-0.0]]))
+
+    def test_bounds_and_weights_checked(self):
+        d = Tensor(np.full((3, 1), 0.5))
+        for lo, hi in [(0.0, 0.9), (0.1, 1.0), (0.6, 0.4)]:
+            with pytest.raises(DimensionError):
+                T.bce_mean(d, lo, hi, False)
+        with pytest.raises(DimensionError):
+            T.bce_mean(d, 0.1, 0.9, False, np.ones(3))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         tape = Tape()
