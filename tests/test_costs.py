@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metalign import nn, optim, runner
+from metalign import optim, runner
 from metalign import tensor as T
 from metalign.config import load_config
 
@@ -156,31 +156,27 @@ def step_op_counts(config, out_dir, monkeypatch):
     """The calls of each tensor op in each training step of a short run,
     after the warm-up steps; calls outside a step are not counted."""
     counts = []
-    live = [None]  # the counter of the step that is running, if one is
+    live = None  # the counter of the step that is running, if one is
 
     def counted(name, op):
         def run(*args, **kwargs):
-            if live[0] is not None:
-                live[0][name] += 1
+            if live is not None:
+                live[name] += 1
             return op(*args, **kwargs)
         return run
 
     for name in tensor_ops():
-        op = getattr(T, name)
-        wrapper = counted(name, op)
-        monkeypatch.setattr(T, name, wrapper)
-        for key, entry in nn._ACTIVATIONS.items():  # the table binds ops too
-            if entry is op:
-                monkeypatch.setitem(nn._ACTIVATIONS, key, wrapper)
+        monkeypatch.setattr(T, name, counted(name, getattr(T, name)))
 
     def stepped(step):
         def run(*args, **kwargs):
-            live[0] = Counter()
+            nonlocal live
+            live = Counter()
             try:
                 return step(*args, **kwargs)
             finally:
-                counts.append(dict(live[0]))
-                live[0] = None
+                counts.append(dict(live))
+                live = None
         return run
 
     for name in ("joint_step", "metaalign_step"):
