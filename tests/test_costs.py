@@ -7,10 +7,18 @@ backward of the first steps, the Python calls one training step makes, and
 the calls of each tensor op in one step. Under the alternate role policy
 step 0 is an alignment and step 1 a classification meta-train step; a joint
 step runs the alignment tape, then the classification tape.
+
+The counts live in costs.json, so a change in them shows as a diff of that
+file. A change that alters them on purpose rewrites every entry for the
+running Python and numpy, from the repository root, with
+
+    PYTHONPATH=src:tests python -c "import test_costs; test_costs.write_entries()"
 """
 
+import json
 import os
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import replace
 
@@ -23,6 +31,7 @@ from metalign.config import load_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
+COSTS = os.path.join(ROOT, "tests", "costs.json")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from tracing import tensor_ops  # noqa: E402  the benchmark's rule for what an op is
 
@@ -35,15 +44,21 @@ RUNS = {
     "moons_dann_joint": ("moons_dann_joint", {}),
 }
 
-# run: the node counts at each backward, one tuple per step
-NODES = {
-    "moons_dann_metaalign": [(27, 30), (13, 44)],
-    "moons_dannpe_metaalign": [(47, 48), (19, 76)],
-    "gaussian_mmd_metaalign": [(17, 30), (13, 34)],
-    "gaussian_mmd_metaalign_batch256": [(17, 30), (13, 34)],
-    "moons_dann_joint": [(27, 13)],
-}
 
+def load_costs():
+    """The ledger: "nodes" (run: the node counts at each backward, one list
+    per step), "calls" (calls_key(): run: Python calls per counted step) and
+    "ops" (run: op: calls per step)."""
+    with open(COSTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+LEDGER = load_costs()
+NODES, CALLS, OPS = LEDGER["nodes"], LEDGER["calls"], LEDGER["ops"]
+
+
+def calls_key():
+    return f"python {sys.version_info.major}.{sys.version_info.minor}, numpy {np.__version__}"
 
 def run_config(run, iterations, out_dir):
     """Train the named run for the given steps; returns its summary."""
@@ -67,7 +82,7 @@ def step_node_counts(config, steps, out_dir, monkeypatch):
     summary = run_config(config, steps, out_dir)
     assert summary["steps"] == steps
     per_step = len(counts) // steps
-    return [tuple(counts[i:i + per_step]) for i in range(0, len(counts), per_step)]
+    return [counts[i:i + per_step] for i in range(0, len(counts), per_step)]
 
 
 @pytest.mark.parametrize("config", sorted(NODES))
@@ -80,15 +95,6 @@ def test_tape_nodes_per_backward(config, tmp_path, monkeypatch):
 # number per step for steps 4-9 after 4 warm-up steps. The counts include
 # numpy's Python-level wrappers, so they are keyed by Python minor version
 # and numpy version.
-CALLS = {
-    "python 3.11, numpy 2.4.6": {
-        "moons_dann_metaalign": [1019] * 6,
-        "moons_dannpe_metaalign": [1715] * 6,
-        "gaussian_mmd_metaalign": [870] * 6,
-        "gaussian_mmd_metaalign_batch256": [870] * 6,
-        "moons_dann_joint": [788] * 6,
-    },
-}
 WARMUP, COUNTED = 4, 6
 
 
@@ -121,35 +127,17 @@ def step_call_counts(config, out_dir, monkeypatch):
 
 @pytest.mark.parametrize("config", sorted(NODES))
 def test_python_calls_per_step(config, tmp_path, monkeypatch):
-    key = f"python {sys.version_info.major}.{sys.version_info.minor}, numpy {np.__version__}"
+    key = calls_key()
     got = step_call_counts(config, tmp_path, monkeypatch)
     want = CALLS.get(key, {}).get(config)
     if want is None:
-        print(f"add to CALLS[{key!r}]: {config!r}: {got},")
+        print(f"add to costs.json's calls[{key!r}]: {config!r}: {got},")
         pytest.skip(f"no call counts for {config} under {key}; the entry is printed")
     assert got == want
 
 
 # Calls of each tensor op (perfbench's tensor_ops()) inside optim.*_step, the
 # same on each of steps 4-9 after 4 warm-up steps; ops with no call are left out.
-OPS = {
-    "moons_dann_metaalign": {
-        "absolute": 1, "add": 6, "bce_mean": 2, "dense": 14, "nll_mean": 1,
-        "reduce_sum": 1, "scale": 2, "scale_by": 4, "scale_grad": 2, "select1": 2,
-        "sigmoid": 2, "sub": 1},
-    "moons_dannpe_metaalign": {
-        "absolute": 1, "add": 10, "bce_mean": 2, "dense": 24, "exp": 2, "log_softmax": 2,
-        "nll_mean": 1, "reduce_sum": 1, "scale": 4, "scale_by": 8, "scale_grad": 2,
-        "select1": 4, "sigmoid": 2, "sub": 1},
-    "gaussian_mmd_metaalign": {
-        "absolute": 1, "add": 6, "dense": 8, "nll_mean": 1, "pairwise_sqdist": 3,
-        "rbf_mean": 3, "reduce_sum": 1, "scale": 3, "scale_by": 4, "select1": 2, "sub": 2},
-    "gaussian_mmd_metaalign_batch256": {
-        "absolute": 1, "add": 6, "dense": 8, "nll_mean": 1, "pairwise_sqdist": 3,
-        "rbf_mean": 3, "reduce_sum": 1, "scale": 3, "scale_by": 4, "select1": 2, "sub": 2},
-    "moons_dann_joint": {
-        "add": 1, "bce_mean": 2, "dense": 14, "nll_mean": 1, "scale_grad": 2, "sigmoid": 2},
-}
 
 
 def step_op_counts(config, out_dir, monkeypatch):
@@ -189,3 +177,32 @@ def step_op_counts(config, out_dir, monkeypatch):
 def test_op_calls_per_step(config, tmp_path, monkeypatch):
     got = step_op_counts(config, tmp_path, monkeypatch)
     assert got == [OPS[config]] * COUNTED
+
+
+def _dump(doc, indent=""):
+    """JSON with each dict's entries on lines of their own and every other
+    value on one line, so a changed count is a one-line diff."""
+    if not isinstance(doc, dict):
+        return json.dumps(doc)
+    inner = indent + "  "
+    items = [f"{inner}{json.dumps(k)}: {_dump(v, inner)}" for k, v in doc.items()]
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+
+
+def write_entries():
+    """Recount every run under this Python and numpy and write costs.json;
+    a run keeps its number of node-count steps."""
+    ledger = load_costs()
+    calls = ledger["calls"].setdefault(calls_key(), {})
+
+    def count(measure, *args):
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            return measure(*args, tmp, mp)
+
+    for run in RUNS:
+        steps = len(ledger["nodes"].get(run, [None, None]))
+        ledger["nodes"][run] = count(step_node_counts, run, steps)
+        calls[run] = count(step_call_counts, run)
+        ledger["ops"][run] = dict(sorted(count(step_op_counts, run)[0].items()))
+    with open(COSTS, "w", encoding="utf-8") as fh:
+        fh.write(_dump(ledger) + "\n")
