@@ -194,10 +194,10 @@ def op_checks(seed: int) -> list[CheckResult]:
 
 
 def _fused_rows(seed: int) -> list:
-    """The op table's rows of the fused layer and loss nodes. They draw from a
-    generator of their own, so every other check draws what it drew without
-    them. Each loss is scaled so the upstream gradient is not 1, and one
-    discriminator output of the bce rows lies outside the clip."""
+    """The op table's rows of the fused layer and loss nodes and of the flat
+    reads. They draw from a generator of their own, so every other check draws
+    what it drew without them. Each loss is scaled so the upstream gradient is
+    not 1, and one discriminator output of the bce rows lies outside the clip."""
     rng = np.random.default_rng((seed, 1))
     w_dense = Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)))
     rows = []
@@ -218,6 +218,15 @@ def _fused_rows(seed: int) -> list:
             name = "bce_mean" + "_complement" * complement + "_weighted" * (w is not None)
             rows.append((name, {"x": d}, lambda p, c=complement, w=w: T.scale(
                 T.bce_mean(p["x"], 0.02, 0.98, c, w), 0.7)))
+    # dense reading W (3 x 2) and b at slices of a flat leaf that holds more
+    rows.append(("dense_flat", {"x": _rng_arr(rng, 4, 3), "p": _rng_arr(rng, 11, lo=-1.0, hi=1.0)},
+                 lambda p: T.reduce_sum(T.mul(T.dense(
+                     p["x"], slice(1, 7), slice(8, 10), "relu", p["p"]), w_dense))))
+    # theta' over the first 6 of 10 entries, in groups [2, 1] and [3], beta last
+    d, w_step = rng.uniform(-1.0, 1.0, size=6), Tensor(rng.uniform(-1.0, 1.0, size=6))
+    groups = [[slice(0, 2), slice(2, 3)], [slice(3, 6)]]
+    rows.append(("group_step", {"p": _rng_arr(rng, 10, lo=0.5, hi=1.5)}, lambda p: T.reduce_sum(
+        T.mul(T.tanh(T.group_step(p["p"], d, 0.3, groups, slice(8, 10))), w_step))))
     return rows
 
 
@@ -285,9 +294,9 @@ def random_batch(rng, n: int = 6) -> PairedBatch:
         tgt_features=rng.uniform(-2, 2, size=(n, _DIM)))
 
 
-def _params(bundle: ModelBundle, tape: Optional[Tape] = None, given=None) -> Params:
-    """The parameters of a forward pass over the bundle's live arrays."""
-    return Params(bundle.network_params(), tape, given)
+def _params(bundle: ModelBundle, tape: Optional[Tape] = None) -> Params:
+    """The parameters of a pass over the bundle's live arrays, by id for backward."""
+    return Params(bundle.network_params(), tape)
 
 
 def _frozen_weights(bundle, batch, params: Params):
@@ -364,18 +373,18 @@ def meta_checks(seed: int) -> list[CheckResult]:
             bundle, variant = random_bundle(rng, variant_name)
             batch = random_batch(rng)
             beta0 = bundle.group_weights.beta.copy()
-            applied, record, g_train = optim.metaalign_grads(
+            flat, record, g_train = optim.metaalign_grads(
                 bundle, batch, variant, alpha, meta_train)
+            applied = bundle.all_params(flat)
             tag = f"{variant_name}_{meta_train}"
 
             frozen = None
             if variant_name == losses.DANNPE:
                 # weights at the point where the alignment task is scored
-                at = None
+                at = bundle.params()
                 if optim.META_TEST[meta_train] == optim.ALIGNMENT:
-                    at = optim.virtual_update(Params(bundle.extractor.params()),
-                                              g_train, alpha, Tensor(beta0), bundle.groups)
-                frozen = _frozen_weights(bundle, batch, _params(bundle, given=at))
+                    at = optim.virtual_update(at, g_train, alpha, bundle.group_slices)
+                frozen = _frozen_weights(bundle, batch, at)
 
             def total(beta):
                 return optim.meta_total_value(bundle, batch, variant, alpha, beta,
@@ -402,8 +411,8 @@ def quadratic_toy(alpha: float) -> dict[str, float]:
     """Scalar toy: train loss 0.5*t^2, test loss 0.5*(t-1)^2 at t=1, one group.
 
     Hand computation: g_train = 1, t' = 1 - alpha, applied t-gradient
-    1 + (t' - 1) = 1 - alpha, beta-gradient -alpha*(t'-1) = alpha^2 (the
-    budget penalty sits exactly at its kink, contributing subgradient 0).
+    1 + (t' - 1) = 1 - alpha, beta-gradient -alpha*(t'-1) = alpha^2 (beta = 1
+    sits at the budget 1, the kink of the budget penalty, which adds 0).
     """
     theta = {"t": np.asarray(1.0)}
     tape1 = Tape()
@@ -411,13 +420,10 @@ def quadratic_toy(alpha: float) -> dict[str, float]:
     train = T.scale(T.mul(leaf, leaf), 0.5)
     g_train = backward(train, ["t"])
 
-    tape2 = Tape()
-    beta_leaf = tape2.param(np.ones(1), "beta")
-    prime = optim.virtual_update(Params(theta, tape2), g_train, alpha, beta_leaf, [["t"]])
-    gap = T.sub(prime["t"], Tensor(np.asarray(1.0)))
-    test = T.scale(T.mul(gap, gap), 0.5)
-    total = T.add(test, losses.beta_penalty(beta_leaf, 1.0))
-    g2 = backward(total, ["t", "beta"])
+    prime = optim.virtual_update(Params({**theta, "beta": np.ones(1)}, Tape()),
+                                 g_train["t"].reshape(1), alpha, [[slice(0, 1)]])
+    gap = T.sub(T.reduce_sum(prime.theta), Tensor(np.asarray(1.0)))
+    g2 = backward(T.scale(T.mul(gap, gap), 0.5), ["t", "beta"])
 
     theta_grad = float(g_train["t"] + g2["t"])
     beta_grad = float(g2["beta"][0])
@@ -446,21 +452,21 @@ def taylor_residuals(seed: int = 0) -> list[TaylorRow]:
     batch = random_batch(rng, n=8)
 
     align, _ = optim._align_loss(bundle, batch, variant, _params(bundle, Tape()))
-    g_dom = backward(align, bundle.theta_ids)
+    g_dom = backward(align, [nn.FLAT_ID] + bundle.theta_ids)
+    direction = g_dom.pop(nn.FLAT_ID)[bundle.spans[bundle.extractor]]
 
     cls = optim._cls_loss(bundle, batch, _params(bundle, Tape()))
     base = float(cls.values)
     g_cls = backward(cls, bundle.theta_ids)
     dot, _, _ = analysis.grad_dot(g_cls, g_dom, bundle.groups)
 
-    theta = Params(bundle.extractor.params())
-    unit = Tensor(np.ones(len(bundle.groups)))
+    theta = Params({**bundle.all_params(), nn.BETA_ID: np.ones(len(bundle.groups))})
     rows: list[TaylorRow] = []
     alpha = TAYLOR_ALPHA_MAX
     prev: Optional[float] = None
     while alpha >= TAYLOR_ALPHA_MIN / 2:
-        prime = optim.virtual_update(theta, g_dom, alpha, unit, bundle.groups)
-        moved = float(optim._cls_loss(bundle, batch, _params(bundle, given=prime)).values)
+        prime = optim.virtual_update(theta, direction, alpha, bundle.group_slices)
+        moved = float(optim._cls_loss(bundle, batch, prime).values)
         resid = abs(moved - base + alpha * dot)
         ratio = None if prev is None else (resid / prev if prev > 0 else 0.0)
         rows.append(TaylorRow(alpha=alpha, residual=resid, ratio=ratio))

@@ -78,21 +78,22 @@ def entropy_weights(probs: Tensor) -> Tensor:
     return Tensor(np.exp(plogp.sum(axis=1)))
 
 
-def domain_cls_loss(d_src: Tensor, d_tgt: Tensor,
-                    w_src: Optional[Tensor] = None,
-                    w_tgt: Optional[Tensor] = None) -> Tensor:
+def domain_cls_loss(d_src: Tensor, d_tgt: Tensor, w_src: Optional[Tensor] = None,
+                    w_tgt: Optional[Tensor] = None,
+                    clamped: Optional[list[bool]] = None) -> Tensor:
     """Two-domain BCE: -mean log d_src - mean log(1 - d_tgt).
 
     Optional nonnegative weights are normalized to mean one per domain batch
     and applied inside the means. Inputs are clamped to [EPS, 1-EPS] so the
-    loss stays finite.
+    loss stays finite; a given list clamped gets one flag per domain, whether
+    the clamp changed any output, NaN included.
     """
-    term_s = _bce_term(d_src, w_src, true_side=True)
-    term_t = _bce_term(d_tgt, w_tgt, true_side=False)
+    term_s = _bce_term(d_src, w_src, True, clamped)
+    term_t = _bce_term(d_tgt, w_tgt, False, clamped)
     return T.add(term_s, term_t)
 
 
-def _bce_term(d: Tensor, w: Optional[Tensor], true_side: bool) -> Tensor:
+def _bce_term(d: Tensor, w: Optional[Tensor], true_side: bool, clamped: Optional[list]) -> Tensor:
     if d.values.ndim != 2 or d.shape[1] != 1:
         raise ValueError(f"discriminator outputs must be n x 1, got {d.shape}")
     norm = None
@@ -103,12 +104,7 @@ def _bce_term(d: Tensor, w: Optional[Tensor], true_side: bool) -> Tensor:
         norm = (wv / wv.mean()).reshape(-1, 1)
         if norm.shape != d.shape:
             raise ValueError(f"weight shape {w.shape} does not match batch {d.shape}")
-    return T.bce_mean(d, EPS, 1.0 - EPS, not true_side, norm)
-
-
-def _is_clamped(d: Tensor) -> bool:
-    """Whether the clamp in domain_cls_loss changes any output (NaN counts)."""
-    return bool(np.any(np.clip(d.values, EPS, 1.0 - EPS) != d.values))
+    return T.bce_mean(d, EPS, 1.0 - EPS, not true_side, norm, clamped)
 
 
 def mmd2_rbf(fs: Tensor, ft: Tensor, sigma: float) -> Tensor:
@@ -146,16 +142,13 @@ def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
                    discriminator: Optional[nn.DomainDiscriminator] = None,
                    weights_override: Optional[tuple[np.ndarray, np.ndarray]] = None,
                    ) -> tuple[Tensor, AlignmentInfo]:
-    """Scalar alignment objective over source/target features.
+    """Scalar alignment objective over source/target features: for MMD
+    grl_lambda * mmd^2; for the adversarial variants the discriminator BCE on
+    gradient-reversed inputs, which trains the discriminator while the shared
+    parameters receive the flipped (alignment) gradient, scaled by grl_lambda.
 
-    For the adversarial variants the returned scalar is the discriminator BCE
-    computed on gradient-reversed inputs: minimizing it trains the
-    discriminator while the shared parameters receive the flipped (alignment)
-    gradient, scaled by grl_lambda. For MMD it is grl_lambda * mmd^2.
-
-    weights_override pins the entropy weights to given arrays instead of
-    recomputing them from the live probabilities; finite-difference checks use
-    it because the analytic gradient treats the weights as constants.
+    weights_override pins the entropy weights to given arrays, as the analytic
+    gradient treats them as constants; finite-difference checks use it.
     """
     if variant.name == MMD:
         if variant.sigma is None:
@@ -181,7 +174,7 @@ def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
         zs, zt = fs, ft
     d_src = discriminator.forward(nn.grl(zs, variant.grl_lambda), params)
     d_tgt = discriminator.forward(nn.grl(zt, variant.grl_lambda), params)
-    loss = domain_cls_loss(d_src, d_tgt, w_src, w_tgt)
+    clamped: list[bool] = []
+    loss = domain_cls_loss(d_src, d_tgt, w_src, w_tgt, clamped)
     dom_cls = float(loss.values)
-    clamped = _is_clamped(d_src) or _is_clamped(d_tgt)
-    return loss, AlignmentInfo(dom_cls=dom_cls, dom=-dom_cls, clamped=clamped)
+    return loss, AlignmentInfo(dom_cls=dom_cls, dom=-dom_cls, clamped=any(clamped))

@@ -9,25 +9,37 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import GradientMap, Tape, Tensor
+from .tensor import Tape, Tensor
+
+FLAT_ID = "flat"  # tape id of the one leaf that holds every parameter of a pass
 
 
-class Params(dict):
-    """Parameter id -> Tensor, what one forward pass reads. The given tensors
-    (say theta') are read as they are; any other id is entered from arrays on
-    its first read, as a leaf of tape or else as a constant, and then kept."""
+def flatten(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, slice]]:
+    """arrays laid out in order in one new float64 array, and each id's slice of it."""
+    ends = np.cumsum([0, *(arr.size for arr in arrays.values())]).tolist()
+    return (np.concatenate([np.empty(0), *arrays.values()], axis=None),
+            {pid: slice(a, b) for pid, a, b in zip(arrays, ends, ends[1:])})
 
-    __slots__ = ("arrays", "tape")
 
-    def __init__(self, arrays: dict[str, np.ndarray], tape: Optional[Tape] = None,
-                 given: Optional[dict[str, Tensor]] = None) -> None:
-        super().__init__(given or ())
-        self.arrays, self.tape = arrays, tape
+class Params:
+    """What one forward pass reads: every parameter in one 1-d tensor p (the
+    tape's leaf FLAT_ID, or a constant) and slices, each id's part of p; from
+    arrays by id, copied into a new flat array whose parts backward can name.
+    The extractor reads theta, if set (theta'), in place of p's leading part."""
 
-    def __missing__(self, pid: str) -> Tensor:
-        arr = self.arrays[pid]
-        t = self[pid] = Tensor(arr) if self.tape is None else self.tape.param(arr, pid)
-        return t
+    __slots__ = ("p", "slices", "theta")
+
+    def __init__(self, arrays: dict[str, np.ndarray], tape: Optional[Tape] = None) -> None:
+        flat, self.slices = flatten(arrays)
+        parts = {pid: (s, arrays[pid].shape) for pid, s in self.slices.items()}
+        self.p = Tensor(flat) if tape is None else tape.param(flat, FLAT_ID, parts)
+        self.theta = None
+
+    @classmethod
+    def over(cls, p: Tensor, slices: dict[str, slice], theta: Optional[Tensor] = None):
+        out = object.__new__(cls)
+        out.p, out.slices, out.theta = p, slices, theta
+        return out
 
 
 class Linear:
@@ -74,12 +86,13 @@ class MLP:
     def params(self) -> dict[str, np.ndarray]:
         return {pid: arr for layer in self.layers for pid, arr in layer.params().items()}
 
-    def forward(self, x: Tensor, params: Params) -> Tensor:
-        last = len(self.layers) - 1
+    def forward(self, x: Tensor, params: Params, flat: Optional[Tensor] = None) -> Tensor:
+        # each layer reads W and b at their slices of flat, params.p unless given
+        flat, slices, last = flat or params.p, params.slices, len(self.layers) - 1
         out = x
         for i, layer in enumerate(self.layers):
-            out = T.dense(out, params[layer.weight_id], params[layer.bias_id],
-                          self.activation if i < last else "identity")
+            out = T.dense(out, slices[layer.weight_id], slices[layer.bias_id],
+                          self.activation if i < last else "identity", flat)
         return out
 
 
@@ -97,7 +110,7 @@ class FeatureExtractor(MLP):
         if x.values.ndim != 2 or x.shape[1] != self.widths[0]:
             raise T.DimensionError(
                 f"extractor expects n x {self.widths[0]} input, got {x.shape}")
-        return super().forward(x, params)
+        return super().forward(x, params, params.theta)
 
 
 class ClassifierHead(MLP):
@@ -124,9 +137,7 @@ class DomainDiscriminator(MLP):
         return T.sigmoid(super().forward(z, params))
 
 
-# parameter id of the group weights in gradient maps, parameter dicts and
-# checkpoints; the one parameter weight decay skips
-BETA_ID = "beta"
+BETA_ID = "beta"  # id of the group weights, the one parameter weight decay skips
 
 
 @dataclass
@@ -145,9 +156,10 @@ class GroupWeights:
 @dataclass
 class ModelBundle:
     """Everything a training step touches. Every parameter lives in one float64
-    array, flat: each net's layers, W then b, then beta last. Each
-    Linear.weight, Linear.bias and GroupWeights.beta is rebound to its view of
-    flat, and slices maps each id to its part of flat."""
+    array, flat: each net's layers, W then b, then beta last; each
+    Linear.weight, Linear.bias and GroupWeights.beta is rebound to its view.
+    slices maps each id to its part of flat, spans each net; groups list the
+    extractor's ids in order, tiling its leading part, as group_slices."""
 
     extractor: FeatureExtractor
     classifier: ClassifierHead
@@ -158,17 +170,20 @@ class ModelBundle:
     slices: dict[str, slice] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        owners = [(layer, attr, pid) for net in self.nets for layer in net.layers
-                  for attr, pid in (("weight", layer.weight_id), ("bias", layer.bias_id))]
-        owners.append((self.group_weights, "beta", BETA_ID))
-        arrays = [getattr(owner, attr) for owner, attr, _ in owners]
-        self.flat = np.concatenate(arrays, axis=None, dtype=np.float64)
-        self.slices, self._views, start = {}, {}, 0
-        for (owner, attr, pid), arr in zip(owners, arrays):
-            self.slices[pid] = slice(start, start + arr.size)
-            self._views[pid] = self.flat[self.slices[pid]].reshape(arr.shape)
-            setattr(owner, attr, self._views[pid])
-            start += arr.size
+        if [pid for group in self.groups for pid in group] != self.extractor.param_ids:
+            raise ValueError("groups must partition the extractor's parameters in order")
+        owners = {pid: (layer, attr) for net in self.nets for layer in net.layers
+                  for attr, pid in (("weight", layer.weight_id), ("bias", layer.bias_id))}
+        owners[BETA_ID] = (self.group_weights, "beta")
+        arrays = {pid: getattr(*owner) for pid, owner in owners.items()}
+        self.flat, self.slices = flatten(arrays)
+        self._views = {pid: self.flat[s].reshape(arrays[pid].shape)
+                       for pid, s in self.slices.items()}
+        for pid, view in self._views.items():
+            setattr(*owners[pid], view)
+        self.group_slices = [[self.slices[pid] for pid in group] for group in self.groups]
+        self.spans = {net: slice(self.slices[net.param_ids[0]].start,
+                                 self.slices[net.param_ids[-1]].stop) for net in self.nets}
 
     @property
     def nets(self) -> list[MLP]:
@@ -179,16 +194,20 @@ class ModelBundle:
     def theta_ids(self) -> list[str]:
         return self.extractor.param_ids
 
+    def params(self, tape: Optional[Tape] = None) -> Params:
+        """A pass over flat itself: a leaf of tape, or a constant of the live values."""
+        return Params.over(Tensor(self.flat) if tape is None else tape.param(self.flat, FLAT_ID),
+                           self.slices)
+
     def network_params(self) -> dict[str, np.ndarray]:
         return {pid: arr for pid, arr in self._views.items() if pid != BETA_ID}
 
-    def all_params(self) -> dict[str, np.ndarray]:
-        return dict(self._views)
-
-    def flat_grad(self, grads: GradientMap) -> np.ndarray:
-        """grads laid out like flat, in a new array; an id grads leaves out gets 0."""
-        return np.concatenate([grads[pid] if pid in grads else np.zeros(s.stop - s.start)
-                               for pid, s in self.slices.items()], axis=None)
+    def all_params(self, arr: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
+        """The parameters by id: flat's views, or views of arr laid out like flat."""
+        if arr is None:
+            return dict(self._views)
+        return {pid: arr[s].reshape(v.shape) for (pid, s), v in
+                zip(self.slices.items(), self._views.values())}
 
 
 def grl(x: Tensor, lam: float) -> Tensor:

@@ -18,8 +18,8 @@ from . import analysis, losses
 from . import tensor as T
 from .analysis import MetricsRecord
 from .losses import AlignmentInfo, AlignmentVariant
-from .nn import BETA_ID, ModelBundle, Params
-from .tensor import GradientMap, Tape, Tensor, backward
+from .nn import BETA_ID, FLAT_ID, ModelBundle, Params
+from .tensor import Tape, Tensor, backward
 
 ALIGNMENT = "alignment"
 CLASSIFICATION = "classification"
@@ -72,25 +72,14 @@ def sgd_update(params: np.ndarray, grads: np.ndarray, state: OptimState,
     params -= state.lr * v
 
 
-def virtual_update(theta: Params, g_train: GradientMap, alpha: float, beta: Tensor,
-                   groups: list[list[str]]) -> dict[str, Tensor]:
-    """theta'_m = theta_m + g_m * (beta_m * -alpha), the bits of
-    theta_m - alpha * beta_m * g_m: plain values for constant theta and beta.
-
-    With theta on a tape and beta a leaf of it, backward through theta' sends
-    gradient 1 to theta and -alpha * <g_m, upstream_m> to beta_m. Within each
-    group, nodes are created in reversed id order so the tape accumulates the
-    beta contribution in the same order analysis.grad_dot sums the per-group
-    dots; the reported dots then reproduce the applied beta gradient bitwise.
-    """
-    if sorted(pid for group in groups for pid in group) != sorted(theta.arrays):
-        raise ValueError("groups must partition the shared parameters")
-    out: dict[str, Tensor] = {}
-    for m, group in enumerate(groups):
-        coeff = T.scale(T.select1(beta, m), -float(alpha))
-        for pid in reversed(group):
-            out[pid] = T.add(theta[pid], T.scale_by(Tensor(g_train[pid]), coeff))
-    return out
+def virtual_update(params: Params, g_train: np.ndarray, alpha: float,
+                   groups: list[list[slice]]) -> Params:
+    """params with theta' read by the extractor: theta_m + g_m * (beta_m * -alpha)
+    on each group m, the bits of theta_m - alpha * beta_m * g_m, as one
+    tensor.group_step node, which reads theta and beta from params.p. g_train
+    is laid out like the extractor's part; groups lists each group's slices."""
+    prime = T.group_step(params.p, g_train, alpha, groups, params.slices[BETA_ID])
+    return Params.over(params.p, params.slices, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +113,9 @@ def _task_loss(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str,
 
 def _task_value(bundle: ModelBundle, batch, variant: AlignmentVariant, task: str,
                 params: Params, weights_override=None) -> float:
-    """Forward-only value of the objective the shared parameters descend.
-
-    For an adversarial alignment task that is the effective objective
-    lambda * (-L_dom_cls), which the gradient reversal turns the discriminator
-    BCE into; otherwise it is the task's loss.
-    """
+    """Forward-only value of the objective the shared parameters descend: the
+    task's loss, or for an adversarial alignment task lambda * (-L_dom_cls),
+    which the gradient reversal turns the discriminator BCE into."""
     loss, info = _task_loss(bundle, batch, variant, task, params, weights_override)
     if info is not None and variant.adversarial:
         return variant.grl_lambda * info.dom
@@ -150,41 +136,40 @@ def _check_finite(report_values: dict[str, float], grads: np.ndarray,
     raise NonFiniteError(f"non-finite gradient for {pid}")
 
 
-def _task_param_ids(bundle: ModelBundle, task: str, variant: AlignmentVariant) -> list[str]:
-    if task == CLASSIFICATION:
-        return bundle.classifier.param_ids
-    if variant.adversarial and bundle.discriminator is not None:
-        return bundle.discriminator.param_ids
-    return []
+def _head_span(bundle: ModelBundle, task: str, variant: AlignmentVariant) -> Optional[slice]:
+    """The part of flat of the net besides the extractor that the task trains, if any."""
+    head = bundle.classifier if task == CLASSIFICATION else bundle.discriminator
+    return bundle.spans[head] if task == CLASSIFICATION or variant.adversarial else None
+
+
+def _theta_grads(bundle: ModelBundle, grads: np.ndarray) -> dict[str, np.ndarray]:
+    return {pid: grads[at] for ids, ats in zip(bundle.groups, bundle.group_slices)
+            for pid, at in zip(ids, ats)}
 
 
 def joint_grads(bundle: ModelBundle, batch,
-                variant: AlignmentVariant) -> tuple[GradientMap, MetricsRecord]:
-    """Gradients for one combined-objective step, without applying them.
+                variant: AlignmentVariant) -> tuple[np.ndarray, MetricsRecord]:
+    """Gradients for one combined-objective step, laid out like bundle.flat
+    (beta's part 0), without applying them. The two objectives run on separate
+    tapes so the per-task gradients are available for the consistency
+    diagnostics; their sum equals the gradient of the summed loss exactly."""
+    align, info = _align_loss(bundle, batch, variant, bundle.params(Tape()))
+    g_align = backward(align, [FLAT_ID])[FLAT_ID]
 
-    The two objectives run on separate tapes so the per-task gradients are
-    available for the consistency diagnostics; their sum equals the gradient
-    of the summed loss exactly.
-    """
-    theta_ids = bundle.theta_ids
-    arrays = bundle.network_params()
-
-    align, info = _align_loss(bundle, batch, variant, Params(arrays, Tape()))
-    g_align = backward(align, theta_ids + _task_param_ids(bundle, ALIGNMENT, variant))
-
-    cls = _cls_loss(bundle, batch, Params(arrays, Tape()))
-    g_cls = backward(cls, theta_ids + bundle.classifier.param_ids)
+    cls = _cls_loss(bundle, batch, bundle.params(Tape()))
+    applied = backward(cls, [FLAT_ID])[FLAT_ID]
 
     gw = bundle.group_weights
     l_cls = float(cls.values)
     l_beta = float(abs(gw.beta.sum() - gw.budget))
     total_dot, cos, per_group = analysis.grad_dot(
-        {pid: g_align[pid] for pid in theta_ids},
-        {pid: g_cls[pid] for pid in theta_ids},
-        bundle.groups)
+        _theta_grads(bundle, g_align), _theta_grads(bundle, applied), bundle.groups)
 
-    applied = {**g_align, **g_cls,
-               **{pid: g_align[pid] + g_cls[pid] for pid in theta_ids}}
+    theta, head = bundle.spans[bundle.extractor], _head_span(bundle, ALIGNMENT, variant)
+    applied[theta] += g_align[theta]
+    if head is not None:
+        applied[head] = g_align[head]
+    applied[bundle.slices[BETA_ID]] = 0.0
 
     record = MetricsRecord(
         L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,
@@ -194,13 +179,12 @@ def joint_grads(bundle: ModelBundle, batch,
     return applied, record
 
 
-def _apply(bundle: ModelBundle, applied: GradientMap, record: MetricsRecord,
+def _apply(bundle: ModelBundle, applied: np.ndarray, record: MetricsRecord,
            state: OptimState) -> None:
     """End a step: raise on a non-finite loss or gradient, else apply the update."""
-    grads = bundle.flat_grad(applied)
     _check_finite({"L_cls": record.L_cls, "L_dom": record.L_dom,
-                   "L_beta": record.L_beta}, grads, bundle.slices)
-    sgd_update(bundle.flat, grads, state, bundle.slices[BETA_ID].start)
+                   "L_beta": record.L_beta}, applied, bundle.slices)
+    sgd_update(bundle.flat, applied, state, bundle.slices[BETA_ID].start)
 
 
 def joint_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
@@ -211,60 +195,51 @@ def joint_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
     return record
 
 
-def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant,
-                    alpha: float,
-                    meta_train: str) -> tuple[GradientMap, MetricsRecord, GradientMap]:
-    """First-order meta-step gradients, without applying them.
+def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant, alpha: float,
+                    meta_train: str) -> tuple[np.ndarray, MetricsRecord, np.ndarray]:
+    """First-order meta-step gradients, laid out like bundle.flat, without
+    applying them; returns them, the record and g_train (laid out like theta).
 
     Phase 1 computes the meta_train task's loss at theta and keeps its gradient
     both as the (constant) direction for the virtual update and as the live
     meta-train contribution to theta's update. Phase 2 scores the meta-test
-    task (the other one) at theta' on the same batch; a single backward on
-    meta-test + budget-penalty yields the first-order gradients:
-    theta gets g_train + grad(L_test at theta'), each task head gets its own
-    loss gradient, and beta_m gets -alpha * <g_train_m, g_test_m> plus the
-    budget subgradient. An unknown meta_train raises KeyError.
-
-    Returns (applied gradients, record, g_train over theta).
+    task (the other one) at theta' on the same batch; its backward yields the
+    first-order gradients: theta gets g_train + grad(L_test at theta'), each
+    task head its own loss gradient, and beta_m -alpha * <g_train_m, g_test_m>,
+    plus the budget subgradient sign(sum(beta) - B) added here. An unknown
+    meta_train raises KeyError.
     """
     meta_test = META_TEST[meta_train]
-    theta_ids = bundle.theta_ids
-    gw = bundle.group_weights
-    arrays = bundle.network_params()
+    gw, theta = bundle.group_weights, bundle.spans[bundle.extractor]
 
-    train_loss, train_info = _task_loss(bundle, batch, variant, meta_train,
-                                        Params(arrays, Tape()))
-    g1 = backward(train_loss, theta_ids + _task_param_ids(bundle, meta_train, variant))
-    g_train = {pid: g1[pid] for pid in theta_ids}
+    train_loss, train_info = _task_loss(bundle, batch, variant, meta_train, bundle.params(Tape()))
+    g1 = backward(train_loss, [FLAT_ID])[FLAT_ID]
 
-    tape2 = Tape()
-    beta_leaf = tape2.param(gw.beta, BETA_ID)
-    prime = virtual_update(Params(bundle.extractor.params(), tape2), g_train,
-                           alpha, beta_leaf, bundle.groups)
-    test_loss, test_info = _task_loss(bundle, batch, variant, meta_test,
-                                      Params(arrays, tape2, given=prime))
-    l_beta_t = losses.beta_penalty(beta_leaf, gw.budget)
-    total2 = T.add(test_loss, l_beta_t)
-    g2 = backward(total2, theta_ids + _task_param_ids(bundle, meta_test, variant)
-                  + [BETA_ID])
-    g_test = {pid: g2[pid] for pid in theta_ids}
+    prime = virtual_update(bundle.params(Tape()), g1[theta], alpha, bundle.group_slices)
+    test_loss, test_info = _task_loss(bundle, batch, variant, meta_test, prime)
+    applied = backward(test_loss, [FLAT_ID])[FLAT_ID]
 
-    total_dot, cos, per_group = analysis.grad_dot(g_train, g_test, bundle.groups)
+    total_dot, cos, per_group = analysis.grad_dot(
+        _theta_grads(bundle, g1), _theta_grads(bundle, applied), bundle.groups)
 
-    applied = {**g1, **g2, **{pid: g_train[pid] + g_test[pid] for pid in theta_ids}}
+    gap, head = gw.beta.sum() - gw.budget, _head_span(bundle, meta_train, variant)
+    applied[theta] += g1[theta]
+    applied[bundle.slices[BETA_ID]] += np.sign(gap)
+    if head is not None:
+        applied[head] = g1[head]
 
     by_task = {meta_train: (train_loss, train_info),
                meta_test: (test_loss, test_info)}
     l_cls = float(by_task[CLASSIFICATION][0].values)
     info = by_task[ALIGNMENT][1]
-    l_beta = float(l_beta_t.values)
+    l_beta = float(abs(gap))
 
     record = MetricsRecord(
         L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,
         L_total=l_cls + info.dom + l_beta,
         grad_dot_per_group=per_group, grad_dot_total=total_dot, grad_cos=cos,
         beta=gw.beta.tolist(), clamped=info.clamped)
-    return applied, record, g_train
+    return applied, record, g1[theta]
 
 
 def metaalign_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
@@ -278,24 +253,17 @@ def metaalign_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
 
 def meta_total_value(bundle: ModelBundle, batch, variant: AlignmentVariant,
                      alpha: float, beta_values: np.ndarray,
-                     g_train: GradientMap, meta_train: str,
+                     g_train: np.ndarray, meta_train: str,
                      weights_override=None) -> float:
     """Forward-only L(theta, beta) = L_train(theta) + L_test(theta') + |sum(beta) - B|,
-    with theta' built from the frozen g_train.
-
-    This is the function whose derivatives the meta step's theta and beta
-    gradients must match; finite-difference checks differentiate it directly,
-    over theta (reading the live extractor parameters) or over beta. Each task
-    contributes the objective the shared parameters descend (_task_value).
-    """
+    theta' built from the frozen g_train, each task's term by _task_value: the
+    function whose theta derivatives (read from the live arrays) and beta
+    derivatives the meta step's gradients must match."""
     meta_test = META_TEST[meta_train]
-    beta = Tensor(beta_values)
-    arrays = bundle.network_params()
-    prime = virtual_update(Params(bundle.extractor.params()), g_train, alpha, beta,
-                           bundle.groups)
-    train_val = _task_value(bundle, batch, variant, meta_train, Params(arrays),
+    params = Params({**bundle.all_params(), BETA_ID: beta_values})
+    prime = virtual_update(params, g_train, alpha, bundle.group_slices)
+    train_val = _task_value(bundle, batch, variant, meta_train, params,
                             weights_override)
-    test_val = _task_value(bundle, batch, variant, meta_test,
-                           Params(arrays, given=prime), weights_override)
+    test_val = _task_value(bundle, batch, variant, meta_test, prime, weights_override)
     budget = bundle.group_weights.budget
-    return train_val + test_val + abs(float(beta.values.sum()) - budget)
+    return train_val + test_val + abs(float(np.sum(beta_values)) - budget)

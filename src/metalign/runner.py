@@ -114,7 +114,7 @@ def resolve_sigma(bundle: nn.ModelBundle, variant: AlignmentVariant,
     """Median-heuristic bandwidth from the first batch's features, then frozen."""
     if variant.name != losses.MMD or variant.sigma is not None:
         return
-    params = nn.Params(bundle.extractor.params())
+    params = bundle.params()
     fs = bundle.extractor.forward(Tensor(batch.src_features), params).values
     ft = bundle.extractor.forward(Tensor(batch.tgt_features), params).values
     variant.sigma = losses.median_sq_dist(fs, ft)

@@ -36,6 +36,7 @@ class Tape:
         self.nodes: list[Tensor] = []
         self.consumed = False
         self._params: dict[str, Tensor] = {}
+        self._parts: dict[str, tuple] = {}  # part id -> (leaf id, slice, shape)
 
     def _record(self, values: np.ndarray, parents: tuple["Tensor", ...],
                 vjp: Optional[Callable], param_id: Optional[str] = None) -> "Tensor":
@@ -53,12 +54,14 @@ class Tape:
         self.nodes.append(t)
         return t
 
-    def param(self, values: np.ndarray, param_id: str) -> "Tensor":
-        """Enter a parameter leaf; repeated entries of one id share a node."""
+    def param(self, values: np.ndarray, param_id: str, parts: Optional[dict] = None) -> "Tensor":
+        """Enter a parameter leaf; repeated entries of one id share a node.
+        parts maps more ids to their (slice, shape) in a 1-d leaf, for backward."""
         if param_id in self._params:
             return self._params[param_id]
         t = self._record(np.asarray(values, dtype=np.float64), (), None, param_id=param_id)
         self._params[param_id] = t
+        self._parts.update((pid, (param_id, *part)) for pid, part in (parts or {}).items())
         return t
 
 
@@ -153,12 +156,16 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
                             None if b._index is None else g.sum(axis=0)))
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "identity") -> Tensor:
-    """act(x @ w + b) as one node, act "relu", "tanh" or "identity", with the
+def dense(x: Tensor, w, b, act: str = "identity", flat: Optional[Tensor] = None) -> Tensor:
+    """act(x @ W + b) as one node, act "relu", "tanh" or "identity", with the
     bits of matmul, add_bias and the activation op in value and gradients.
-    The forward adds b and applies act in place; the vjp applies the relu
-    mask or the tanh derivative once, then forms the three gradients."""
-    xv, wv, bv = x.values, w.values, b.values
+    W and b are the tensors w and b, or the views of the 1-d flat at slices w
+    (W row-major) and b. The forward adds b and applies act in place; the vjp
+    applies the relu mask or the tanh derivative once, then forms the
+    gradients, flat's as slice-tagged pairs."""
+    xv, parents = x.values, (x, w, b) if flat is None else (x, flat)
+    bv = b.values if flat is None else flat.values[b]
+    wv = w.values if flat is None else flat.values[w].reshape(-1, bv.shape[0])
     if (xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1
             or xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
         raise DimensionError(f"dense: shapes {xv.shape}, {wv.shape}, {bv.shape}")
@@ -178,11 +185,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "identity") -> Tensor:
             g = g * mask
         elif act == "tanh":
             g = g * (1.0 - out * out)
-        return (None if x._index is None else g @ wv.T,
-                None if w._index is None else xv.T @ g,
+        gx = None if x._index is None else g @ wv.T
+        if flat is not None:
+            return gx, None if flat._index is None else ((w, xv.T @ g), (b, g.sum(axis=0)))
+        return (gx, None if w._index is None else xv.T @ g,
                 None if b._index is None else g.sum(axis=0))
 
-    return _make(out, (x, w, b), vjp)
+    return _make(out, parents, vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -272,18 +281,21 @@ def nll_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def bce_mean(d: Tensor, lo: float, hi: float, complement: bool,
-             weights: Optional[np.ndarray] = None) -> Tensor:
+             weights: Optional[np.ndarray] = None, clamped: Optional[list] = None) -> Tensor:
     """-mean(weights * log(c)) with c = clip(d, lo, hi), or 1 - that clip when
     complement, over every element of d, 0 < lo <= hi < 1; weights is a
     constant of d's shape, or None for all ones. One node with the bits of
     the chain clip, sub from ones, log, mul, reduce_mean, scale(-1) in value
-    and gradient; the clip passes gradient where lo <= d <= hi."""
+    and gradient; the clip passes gradient where lo <= d <= hi. A given list
+    clamped gets whether any element lies outside [lo, hi] or is NaN."""
     if not 0.0 < lo <= hi < 1.0:
         raise DimensionError(f"bce_mean: clip bounds [{lo}, {hi}] not inside (0, 1)")
     dv = d.values
     if weights is not None and weights.shape != dv.shape:
         raise DimensionError(f"bce_mean: weights {weights.shape} vs {dv.shape}")
     mask = (dv >= lo) & (dv <= hi)
+    if clamped is not None:
+        clamped.append(not mask.all())
     inner = np.clip(dv, lo, hi)
     if complement:
         inner = 1.0 - inner
@@ -323,13 +335,10 @@ def reduce_mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
 
 
 def rbf_mean(d: Tensor, inv: float) -> Tensor:
-    """mean(exp(inv * d)) over every element: the mean of an RBF kernel
-    matrix in one node, with the bits of reduce_mean(exp(scale(d, inv))).
-
-    The forward scales and exponentiates one array in place; the vjp forms
-    e * (g / count) * inv, the old chain's (g / count) * e * inv with the
-    factors commuted, so value and gradient keep their bits.
-    """
+    """mean(exp(inv * d)) over every element, the mean of an RBF kernel
+    matrix, in one node with the bits of reduce_mean(exp(scale(d, inv))): the
+    forward scales and exponentiates one array in place, and the vjp forms
+    e * (g / count) * inv, that chain's (g / count) * e * inv commuted."""
     inv = float(inv)
     with np.errstate(over="ignore"):
         e = d.values * inv
@@ -402,6 +411,26 @@ def scale_grad(x: Tensor, factor: float) -> Tensor:
     return _make(x.values, (x,), lambda g: (g * factor,))
 
 
+def group_step(p: Tensor, d: np.ndarray, alpha: float, groups: list, beta: slice) -> Tensor:
+    """p[:n] + d * (p[beta][m] * -alpha) on group m's part as one node, n = d.size;
+    groups[m] lists the slices of group m's ids, tiling [0, n) in order. The
+    vjp hands p the upstream gradient at [0, n) and, at beta[m], -alpha times
+    the dots <upstream, d> over group m's slices summed in order (as
+    analysis.grad_dot sums them)."""
+    c, theta, out = -float(alpha), slice(0, d.size), np.empty(d.size)
+    for ids, coeff in zip(groups, p.values[beta] * c):
+        at = slice(ids[0].start, ids[-1].stop)
+        np.multiply(d[at], coeff, out=out[at])
+    out += p.values[theta]
+
+    def vjp(g):
+        dots = [sum([np.dot(g[at], d[at]) for at in ids[1:]], np.dot(g[ids[0]], d[ids[0]]))
+                for ids in groups]
+        return (((theta, g), (beta, np.array(dots) * c)),)
+
+    return _make(out, (p,), vjp)
+
+
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs squared euclidean distances between rows of a and b.
 
@@ -450,12 +479,13 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
     consumed node keeps only its values and the graph is freed by reference
     counting as the sweep goes, not left in a Tape <-> Tensor cycle.
     Contributions are summed as existing + arriving into a new array, never in
-    place, because a vjp may hand one array to several parents. An operand
-    that takes no gradient gets None from the vjp and is skipped.
+    place, because a vjp may hand one array to several parents; (slice,
+    partial) pairs are added in place into an array of the operand's own that
+    starts at -0.0, the exact identity of addition. An operand that takes no
+    gradient gets None from the vjp and is skipped.
 
-    Returns fresh gradient arrays for the wanted parameter ids that
-    participate in the graph; wanted ids whose parameter leaf was never
-    touched by the loss get an explicit zero gradient.
+    Returns gradient arrays no caller shares for the wanted ids in the graph,
+    leaves or their parts (views); a leaf the loss never touched gets zeros.
     """
     tape = loss.tape
     if tape is None:
@@ -470,6 +500,7 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
 
     grads: list[Optional[np.ndarray]] = [None] * len(nodes)
     grads[loss._index] = np.ones((), dtype=np.float64)
+    owned: set[int] = set()  # slots holding an array backward made for them alone
     leaf_grads: GradientMap = {}
     pop_node, pop_grad = nodes.pop, grads.pop
     while nodes:
@@ -478,24 +509,33 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
         vjp = node._vjp
         if vjp is None:  # a parameter leaf: nothing to release
             if g is not None:
-                leaf_grads[node.param_id] = g
+                leaf_grads[node.param_id] = g if node._index in owned else np.array(g)
             continue
         if g is not None:
             for parent, pg in zip(node._parents, vjp(g)):
-                if pg is not None:
-                    i = parent._index
-                    prev = grads[i]
+                if pg is None:
+                    continue
+                i = parent._index
+                prev = grads[i]
+                if pg.__class__ is not tuple:
                     grads[i] = pg if prev is None else prev + pg
+                    continue
+                if i not in owned:
+                    owned.add(i)
+                    grads[i] = prev = -np.zeros(parent.shape) if prev is None else prev.copy()
+                for at, part in pg:
+                    view = prev[at]
+                    view += part.ravel()
         node._parents = ()
         node._vjp = None
 
     out: GradientMap = {}
     for pid in wanted:
-        leaf = params.get(pid)
-        if leaf is None:
-            continue
-        g = leaf_grads.get(pid)
-        out[pid] = np.zeros_like(leaf.values) if g is None else np.array(g, dtype=np.float64)
+        leaf_id, at, shape = tape._parts.get(pid, (pid, None, None))
+        if leaf_id in params:
+            g = leaf_grads.get(leaf_id)
+            g = np.zeros_like(params[leaf_id].values) if g is None else g
+            out[pid] = g if at is None else g[at].reshape(shape)
     return out
 
 
@@ -504,10 +544,9 @@ def finite_diff_grad(f: Callable[[dict[str, np.ndarray]], float],
                      h: float = 1e-5) -> GradientMap:
     """Central finite differences of a scalar function, one coordinate at a time.
 
-    Independent of the tape machinery on purpose: this is the oracle the
-    analytic gradients are verified against. Perturbs the given arrays in
-    place (and restores them exactly), so f may read either the passed dict or
-    the arrays through another alias such as live model parameters.
+    Independent of the tape on purpose: it is the oracle the analytic
+    gradients are verified against. It perturbs the given arrays in place and
+    restores them exactly, so f may read them through another alias too.
     """
     if h <= 0:
         raise ValueError("h must be positive")

@@ -72,8 +72,8 @@ def test_criterion_3_alpha_zero_reduction():
         batch = random_batch(rng)
         gj, _ = joint_grads(bundle, batch, variant)
         gm, _, _ = metaalign_grads(bundle, batch, variant, 0.0, role_name)
-        for pid in gj:
-            worst = max(worst, float(np.max(np.abs(gj[pid] - gm[pid]))))
+        nets = slice(0, bundle.slices["beta"].start)  # every parameter but beta
+        worst = max(worst, float(np.max(np.abs(gj[nets] - gm[nets]))))
     ok = worst <= 1e-12
     _report.record("3 alpha=0 reduction to joint baseline", ok,
                    f"max inf-norm gradient gap {worst:.2e} over 20 nets "
@@ -92,6 +92,7 @@ def test_criterion_4_beta_gradient_closed_form():
             batch = random_batch(rng)
             applied, report, g_train = metaalign_grads(
                 bundle, batch, variant, alpha, ALIGNMENT)
+            applied = bundle.all_params(applied)
             gw = bundle.group_weights
             sign = float(np.sign(gw.beta.sum() - gw.budget))
             closed = np.array([-alpha * d + sign

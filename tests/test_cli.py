@@ -317,6 +317,39 @@ class TestCmdRun:
         _, meta = load_checkpoint(str(tmp_path / "run" / "checkpoint.npz"))
         assert config_hash(meta["config"]) == summary["config_hash"]
 
+    @pytest.mark.parametrize("header", ["feature_0,lable,domain", "feat_0,label,domain",
+                                        "label,feature_0,domain"])
+    def test_csv_header_of_the_right_width_with_wrong_names_rejected(self, tmp_path,
+                                                                     capsys, header):
+        good = tmp_path / "tgt.csv"
+        good.write_text("feature_0,label,domain\n0.5,0,target\n-0.5,1,target\n")
+        bad = tmp_path / "src.csv"
+        bad.write_text(header + "\n0.5,0,source\n-0.5,1,source\n")
+        doc = base_doc(tmp_path, batch_size=1)
+        doc["dataset"] = {"source_csv": str(bad), "target_csv": str(good)}
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and str(bad) in err["detail"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("missing", ["get_num_threads", "set_num_threads"])
+    def test_blas_without_one_thread_symbol_runs_without_setting_threads(
+            self, tmp_path, monkeypatch, missing):
+        """An OpenBLAS that lacks the getter or the setter gives no thread
+        control, and a run then calls neither."""
+        called = []
+        lookup = runner._openblas
+
+        def partial(name, restype, *argtypes):
+            fn = None if name == missing else lookup(name, restype, *argtypes)
+            return None if fn is None else lambda *args: called.append(name) or fn(*args)
+
+        monkeypatch.setattr(runner, "_openblas", partial)
+        assert runner.blas_threads() is None
+        summary = run_training(parse_config(base_doc(tmp_path, iterations=2)),
+                               str(tmp_path / "run"))
+        assert summary["steps"] == 2 and not summary["aborted"] and called == []
+
     def test_determinism_byte_identical_metrics(self, tmp_path):
         doc = base_doc(tmp_path, iterations=8)
         cfg_path = write_config(tmp_path, doc)

@@ -104,6 +104,22 @@ class TestDomainClsLoss:
         loss = losses.domain_cls_loss(d, Tensor(np.array([[0.5]])))
         assert np.isfinite(float(loss.values))
 
+    @pytest.mark.parametrize("value,clamped", [
+        (losses.EPS, False), (1.0 - losses.EPS, False),
+        (np.nextafter(losses.EPS, 0.0), True), (np.nextafter(1.0 - losses.EPS, 1.0), True),
+        (np.nan, True),
+    ], ids=["at_eps", "at_one_minus_eps", "below_eps", "above_one_minus_eps", "nan"])
+    def test_clamped_flag_per_domain(self, value, clamped):
+        """An output exactly at a clamp bound is not clamped; one past it or a
+        NaN is, and the flag names the domain that holds it."""
+        half = np.full((3, 1), 0.5)
+        odd = half.copy()
+        odd[1] = value
+        for d_src, d_tgt, want in ((odd, half, [clamped, False]), (half, odd, [False, clamped])):
+            flags = []
+            losses.domain_cls_loss(Tensor(d_src), Tensor(d_tgt), clamped=flags)
+            assert flags == want
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             losses.domain_cls_loss(Tensor(np.full((2, 1), 0.5)),

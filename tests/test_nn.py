@@ -24,26 +24,29 @@ def plain(net):
 
 
 class TestParams:
-    def test_leaves_entered_on_first_read_in_read_order(self):
+    def test_one_leaf_holds_every_parameter_and_names_its_parts(self):
         bundle = make_bundle()
         tape = Tape()
-        prime = {"G.l0.W": Tensor(np.ones((3, 8)))}
-        params = nn.Params(bundle.network_params(), tape, given=prime)
-        bundle.extractor.forward(Tensor(np.zeros((2, 3))), params)
-        leaves = [n.param_id for n in tape.nodes if n.param_id is not None]
-        assert leaves == ["G.l0.b", "G.l1.W", "G.l1.b"]
-        assert params["G.l0.W"] is prime["G.l0.W"]
-        assert params["G.l1.W"] is tape.param(bundle.extractor.layers[1].weight, "G.l1.W")
-        assert params["C.l0.W"].param_id == "C.l0.W" and len(params) == 5
+        arrays = bundle.network_params()
+        params = nn.Params(arrays, tape)
+        out = bundle.extractor.forward(Tensor(np.ones((2, 3))), params)
+        leaves = [n for n in tape.nodes if n.param_id is not None]
+        assert [n.param_id for n in leaves] == [nn.FLAT_ID] and leaves[0] is params.p
+        assert not np.shares_memory(params.p.values, bundle.flat)
+        for pid, arr in arrays.items():
+            np.testing.assert_array_equal(params.p.values[params.slices[pid]], arr.ravel())
+        g = backward(T.reduce_sum(out), [nn.FLAT_ID, "G.l1.b", "C.l0.W"])
+        np.testing.assert_array_equal(g["G.l1.b"], np.full(8, 2.0))
+        assert g["C.l0.W"].shape == arrays["C.l0.W"].shape
+        assert np.shares_memory(g["G.l1.b"], g[nn.FLAT_ID])
 
     def test_without_a_tape_reads_constants_of_the_live_arrays(self):
         bundle = make_bundle()
-        params = plain(bundle.extractor)
-        w = params["G.l0.W"]
-        assert w.tape is None and params["G.l0.W"] is w
-        assert np.shares_memory(w.values, bundle.extractor.layers[0].weight)
-        with pytest.raises(KeyError):
-            params["C.l0.W"]
+        params = bundle.params()
+        assert params.p.tape is None and params.p.values is bundle.flat
+        assert params.slices is bundle.slices and params.theta is None
+        tape = Tape()
+        assert bundle.params(tape).p is tape.param(bundle.flat, nn.FLAT_ID)
 
 
 class TestInit:
@@ -101,15 +104,26 @@ class TestLayout:
         assert np.all(bundle.flat[bundle.slices["G.l0.b"]] == -1.0)
         assert np.all(bundle.flat[bundle.slices["G.l0.W"]] == 7.0)
 
-    def test_flat_grad_fills_left_out_ids_with_zero(self):
+    def test_all_params_views_an_array_laid_out_like_flat(self):
         bundle = make_bundle()
-        grads = {pid: np.full(arr.shape, k + 1.0)
-                 for k, (pid, arr) in enumerate(bundle.network_params().items())}
-        flat = bundle.flat_grad(grads)
-        assert flat.shape == bundle.flat.shape
-        assert not np.shares_memory(flat, bundle.flat)
-        for pid, s in bundle.slices.items():
-            np.testing.assert_array_equal(flat[s], grads[pid].ravel() if pid in grads else 0.0)
+        arr = np.arange(bundle.flat.size, dtype=np.float64)
+        views = bundle.all_params(arr)
+        assert list(views) == list(bundle.slices)
+        for pid, view in views.items():
+            assert view.shape == bundle.all_params()[pid].shape
+            assert np.shares_memory(view, arr)
+            np.testing.assert_array_equal(view.ravel(), arr[bundle.slices[pid]])
+
+    def test_group_mismatch_rejected(self):
+        """The groups must list the extractor's ids in order: the theta' node
+        relies on them tiling its part of flat."""
+        bundle = make_bundle()
+        for groups in ([["G.l0.W", "G.l0.b"]],
+                       [["G.l1.W", "G.l1.b"], ["G.l0.W", "G.l0.b"]],
+                       [["G.l0.W", "G.l0.b", "G.l1.W"], ["G.l1.b", "C.l0.W"]]):
+            with pytest.raises(ValueError, match="partition"):
+                nn.ModelBundle(bundle.extractor, bundle.classifier, bundle.discriminator,
+                               nn.GroupWeights.init(len(groups)), groups)
 
 
 class TestFeatureExtractor:
