@@ -150,7 +150,7 @@ def _theta_grads(bundle: ModelBundle, grads: np.ndarray) -> dict[str, np.ndarray
 def joint_grads(bundle: ModelBundle, batch,
                 variant: AlignmentVariant) -> tuple[np.ndarray, MetricsRecord]:
     """Gradients for one combined-objective step, laid out like bundle.flat
-    (beta's part 0), without applying them. The two objectives run on separate
+    (beta's part -0.0, which no tape reaches), without applying them. The two objectives run on separate
     tapes so the per-task gradients are available for the consistency
     diagnostics; their sum equals the gradient of the summed loss exactly."""
     align, info = _align_loss(bundle, batch, variant, bundle.params(Tape()))
@@ -169,7 +169,6 @@ def joint_grads(bundle: ModelBundle, batch,
     applied[theta] += g_align[theta]
     if head is not None:
         applied[head] = g_align[head]
-    applied[bundle.slices[BETA_ID]] = 0.0
 
     record = MetricsRecord(
         L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,

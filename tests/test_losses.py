@@ -335,6 +335,18 @@ class TestAlignmentLoss:
                                     nn.Params(bundle.network_params(), Tape()))
         assert info.clamped is clamped
 
+    def test_info_flags_a_clamp_in_either_domain(self):
+        """Outputs clamped in one domain only still flag the step."""
+        disc = nn.DomainDiscriminator(2, hidden=(2, 2))
+        for layer in disc.layers[:-1]:
+            layer.weight[...] = np.eye(2)
+        disc.layers[-1].weight[...] = 100.0  # sigmoid(200) rounds to 1 for a ones row
+        calm, saturated = np.zeros((3, 2)), np.ones((3, 2))
+        for fs, ft in ((calm, saturated), (saturated, calm), (calm, calm)):
+            _, info = losses.alignment_loss(AlignmentVariant("dann"), Tensor(fs), Tensor(ft),
+                                            nn.Params(disc.params()), discriminator=disc)
+            assert info.clamped is (fs is saturated or ft is saturated)
+
     def test_all_loss_gradients_match_fd(self):
         # covered exhaustively by the gradcheck harness; spot-check one here
         from metalign.gradcheck import loss_checks

@@ -305,6 +305,32 @@ class TestDense:
         for pid in ("x", "w", "b"):
             assert_same_bits(got[1][pid], want[1][pid])
 
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    def test_flat_read_bitwise_equal_to_tensor_operands(self, act):
+        """dense reading W and b at their slices of one flat leaf, twice, gives
+        the gradients it gives with W and b as leaves of their own, bit for
+        bit: a first partial keeps its bits and a second adds as prev +
+        partial does."""
+        rng = np.random.default_rng(27)
+        for n, k, m in LAYER_SHAPES:
+            x, w, b, u = self.layer(rng, n, k, m)
+            x2, u2 = rng.normal(size=x.shape), rng.normal(size=u.shape)
+            flat = np.concatenate([rng.normal(size=3), w.ravel(), b, rng.normal(size=2)])
+            ws, bs = slice(3, 3 + w.size), slice(3 + w.size, 3 + w.size + m)
+
+            def loss(read):
+                return T.add(T.reduce_sum(T.mul(read(Tensor(x)), Tensor(u))),
+                             T.reduce_sum(T.mul(read(Tensor(x2)), Tensor(u2))))
+
+            tape = Tape()
+            wt, bt = tape.param(w, "w"), tape.param(b, "b")
+            want = backward(loss(lambda xt: T.dense(xt, wt, bt, act)), ["w", "b"])
+            tape = Tape()
+            p = tape.param(flat, "p")
+            got = backward(loss(lambda xt: T.dense(xt, ws, bs, act, flat=p)), ["p"])["p"]
+            assert_same_bits(got[ws].reshape(w.shape), want["w"])
+            assert_same_bits(got[bs], want["b"])
+
     def test_constant_x_vjp_slot_is_none(self):
         rng = np.random.default_rng(25)
         x, w, b, u = self.layer(rng, 6, 3, 4)
@@ -518,6 +544,34 @@ class TestBackward:
         b = t2.param(np.ones(2), "b")
         with pytest.raises(GraphError):
             T.add(a, b)
+
+    def test_slice_tagged_first_partial_keeps_its_bits(self):
+        """A (slice, partial) pair lands in the operand's gradient with its own
+        bits, a -0.0 included; entries no partial reaches read -0.0."""
+        upstream = np.array([-0.0, 0.0, -2.5, 3e-310, -1.0])
+        tape = Tape()
+        p = tape.param(np.linspace(0.5, 1.5, 8), "p")
+        prime = T.group_step(p, np.ones(5), 0.25, [[slice(0, 2)], [slice(2, 5)]], slice(6, 8))
+        g = backward(T.reduce_sum(T.mul(prime, Tensor(upstream))), ["p"])["p"]
+        assert_same_bits(g[:5], upstream)
+        assert_same_bits(g[5:6], np.array([-0.0]))
+        assert_same_bits(g[6:], np.array([-0.25 * (-0.0 + 0.0), -0.25 * (-2.5 + 3e-310 - 1.0)]))
+
+    def test_whole_then_slice_tagged_partials_leave_shared_arrays_alone(self):
+        """A 1-d node whose first partial is an array another parent also holds
+        (add hands both operands the same one) copies it before slice-tagged
+        partials are added in place."""
+        rng = np.random.default_rng(8)
+        x, u, w = rng.normal(size=(4, 2)), rng.normal(size=(4, 3)), rng.normal(size=9)
+        tape = Tape()
+        p, q = tape.param(rng.normal(size=9), "p"), tape.param(rng.normal(size=9), "q")
+        y = T.dense(Tensor(x), slice(0, 6), slice(6, 9), "identity", flat=p)
+        loss = T.add(T.reduce_sum(T.mul(y, Tensor(u))),
+                     T.reduce_sum(T.mul(T.add(p, q), Tensor(w))))
+        g = backward(loss, ["p", "q"])
+        assert_same_bits(g["q"], w)
+        assert_same_bits(g["p"][:6], w[:6] + (x.T @ u).ravel())
+        assert_same_bits(g["p"][6:], w[6:] + u.sum(axis=0))
 
     def test_param_reentry_shares_leaf(self):
         tape = Tape()
