@@ -150,9 +150,9 @@ def _theta_grads(bundle: ModelBundle, grads: np.ndarray) -> dict[str, np.ndarray
 def joint_grads(bundle: ModelBundle, batch,
                 variant: AlignmentVariant) -> tuple[np.ndarray, MetricsRecord]:
     """Gradients for one combined-objective step, laid out like bundle.flat
-    (beta's part -0.0, which no tape reaches), without applying them. The two objectives run on separate
-    tapes so the per-task gradients are available for the consistency
-    diagnostics; their sum equals the gradient of the summed loss exactly."""
+    (beta's part the -0.0 no tape reaches), without applying them. The two
+    objectives run on separate tapes so the per-task gradients are available
+    for the consistency diagnostics; their sum is the summed loss's gradient, exactly."""
     align, info = _align_loss(bundle, batch, variant, bundle.params(Tape()))
     g_align = backward(align, [FLAT_ID])[FLAT_ID]
 
