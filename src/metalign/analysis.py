@@ -10,31 +10,30 @@ from typing import IO, Optional
 import numpy as np
 
 from .nn import Params
-from .tensor import GradientMap, Tensor
+from .tensor import Tensor
 
 NORM_FLOOR = 1e-15
 
 
-def grad_dot(a: GradientMap, b: GradientMap,
-             groups: list[list[str]]) -> tuple[float, Optional[float], list[float]]:
-    """Flattened dot products of two gradient maps, per group and overall.
+def grad_dot(a: np.ndarray, b: np.ndarray,
+             groups: list[list[slice]]) -> tuple[float, Optional[float], list[float]]:
+    """Dot products of two 1-d gradients laid out alike, per group and
+    overall; groups lists each group's slices (ModelBundle.group_slices).
 
-    Returns (total, cosine, per_group). The cosine is None when either map's
-    norm is below NORM_FLOOR. Per-group dots are summed in group order; the
-    total is the sum of the per-group dots.
+    Returns (total, cosine, per_group). The cosine is None when either
+    gradient's norm over the groups is below NORM_FLOOR. Each group's dots
+    are summed in slice order; the total is the sum of the per-group dots.
     """
-    ids = [pid for group in groups for pid in group]
-    if set(ids) != set(a) or set(ids) != set(b):
-        raise ValueError("gradient maps must cover exactly the grouped parameter ids")
     per_group: list[float] = []
     for group in groups:
         d = 0.0
-        for pid in group:
-            d += float(np.dot(a[pid].ravel(), b[pid].ravel()))
+        for at in group:
+            d += float(np.dot(a[at], b[at]))
         per_group.append(d)
     total = sum(per_group)
-    na = math.sqrt(sum(float(np.dot(a[pid].ravel(), a[pid].ravel())) for pid in ids))
-    nb = math.sqrt(sum(float(np.dot(b[pid].ravel(), b[pid].ravel())) for pid in ids))
+    ats = [at for group in groups for at in group]
+    na = math.sqrt(sum(float(np.dot(a[at], a[at])) for at in ats))
+    nb = math.sqrt(sum(float(np.dot(b[at], b[at])) for at in ats))
     if na < NORM_FLOOR or nb < NORM_FLOOR:
         cos = None
     else:

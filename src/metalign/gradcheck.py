@@ -202,11 +202,12 @@ def _fused_rows(seed: int) -> list:
     w_dense = Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)))
     rows = []
     for act in ("relu", "tanh", "identity"):
-        params = {"x": _rng_arr(rng, 4, 3), "w": _rng_arr(rng, 3, 2),
-                  "b": _rng_arr(rng, 2, lo=-0.5, hi=0.5)}
-        rows.append(("dense" if act == "relu" else f"dense_{act}", params,
-                     lambda p, act=act: T.reduce_sum(T.mul(
-                         T.dense(p["x"], p["w"], p["b"], act), w_dense))))
+        # W (3 x 2) then b, read at their slices of one flat leaf
+        x, w, b = _rng_arr(rng, 4, 3), _rng_arr(rng, 3, 2), _rng_arr(rng, 2, lo=-0.5, hi=0.5)
+        rows.append(("dense" if act == "relu" else f"dense_{act}",
+                     {"x": x, "p": np.concatenate([w.ravel(), b])},
+                     lambda p, act=act: T.reduce_sum(T.mul(T.dense(
+                         p["x"], p["p"], slice(0, 6), slice(6, 8), act), w_dense))))
     labels = rng.integers(0, 5, size=4)
     rows.append(("nll_mean", {"x": _rng_arr(rng, 4, 5)},
                  lambda p: T.scale(T.nll_mean(p["x"], labels), 1.3)))
@@ -218,10 +219,6 @@ def _fused_rows(seed: int) -> list:
             name = "bce_mean" + "_complement" * complement + "_weighted" * (w is not None)
             rows.append((name, {"x": d}, lambda p, c=complement, w=w: T.scale(
                 T.bce_mean(p["x"], 0.02, 0.98, c, w), 0.7)))
-    # dense reading W (3 x 2) and b at slices of a flat leaf that holds more
-    rows.append(("dense_flat", {"x": _rng_arr(rng, 4, 3), "p": _rng_arr(rng, 11, lo=-1.0, hi=1.0)},
-                 lambda p: T.reduce_sum(T.mul(T.dense(
-                     p["x"], slice(1, 7), slice(8, 10), "relu", p["p"]), w_dense))))
     # theta' over the first 6 of 10 entries, in groups [2, 1] and [3], beta last
     d, w_step = rng.uniform(-1.0, 1.0, size=6), Tensor(rng.uniform(-1.0, 1.0, size=6))
     groups = [[slice(0, 2), slice(2, 3)], [slice(3, 6)]]
@@ -241,22 +238,20 @@ def _grl_check(rng) -> CheckResult:
             layer.weight[...] = rng.uniform(-1, 1, size=layer.weight.shape)
             layer.bias[...] = rng.uniform(-0.5, 0.5, size=layer.bias.shape)
     x = rng.uniform(-2, 2, size=(5, 3))
+    cut = sum(arr.size for arr in lower.params().values())  # lower's span of the flat leaf
     worst = 0.0
     for lam in (1.0, 2.0, 0.5):
-        wanted = lower.param_ids + upper.param_ids
 
-        def grads(use_grl: bool) -> GradientMap:
+        def grads(use_grl: bool) -> np.ndarray:
             params = Params({**lower.params(), **upper.params()}, Tape())
             feats = lower.forward(Tensor(x), params)
             head_in = nn.grl(feats, lam) if use_grl else feats
             out = upper.forward(head_in, params)
-            return backward(T.reduce_mean(T.mul(out, out)), wanted)
+            return backward(T.reduce_mean(T.mul(out, out)), [nn.FLAT_ID])[nn.FLAT_ID]
 
         g_flip, g_plain = grads(True), grads(False)
-        for pid in lower.param_ids:
-            worst = max(worst, float(np.max(np.abs(g_flip[pid] + lam * g_plain[pid]))))
-        for pid in upper.param_ids:
-            worst = max(worst, float(np.max(np.abs(g_flip[pid] - g_plain[pid]))))
+        worst = max(worst, float(np.max(np.abs(g_flip[:cut] + lam * g_plain[:cut]))),
+                    float(np.max(np.abs(g_flip[cut:] - g_plain[cut:]))))
     return _exact("grl", worst, 0.0)
 
 
@@ -294,9 +289,9 @@ def random_batch(rng, n: int = 6) -> PairedBatch:
         tgt_features=rng.uniform(-2, 2, size=(n, _DIM)))
 
 
-def _params(bundle: ModelBundle, tape: Optional[Tape] = None) -> Params:
-    """The parameters of a pass over the bundle's live arrays, by id for backward."""
-    return Params(bundle.network_params(), tape)
+def _grads_by_id(bundle: ModelBundle, loss: Tensor) -> GradientMap:
+    """The gradients of a loss over bundle.params(tape), by id."""
+    return bundle.all_params(backward(loss, [nn.FLAT_ID])[nn.FLAT_ID])
 
 
 def _frozen_weights(bundle, batch, params: Params):
@@ -333,30 +328,27 @@ def loss_checks(seed: int) -> list[CheckResult]:
     for variant_name in losses.VARIANTS:
         bundle, variant = random_bundle(rng, variant_name)
         batch = random_batch(rng)
-        frozen = (_frozen_weights(bundle, batch, _params(bundle))
+        frozen = (_frozen_weights(bundle, batch, bundle.params())
                   if variant_name == losses.DANNPE else None)
 
-        cls_ids = bundle.theta_ids + bundle.classifier.param_ids
-        analytic = backward(optim._cls_loss(bundle, batch, _params(bundle, Tape())), cls_ids)
+        analytic = _grads_by_id(bundle, optim._cls_loss(bundle, batch, bundle.params(Tape())))
         out.append(_fd_compare(
             f"cls_loss_{variant_name}", analytic,
-            lambda _: float(optim._cls_loss(bundle, batch, _params(bundle)).values),
-            {pid: arr for pid, arr in bundle.network_params().items()
-             if pid in cls_ids}))
+            lambda _: float(optim._cls_loss(bundle, batch, bundle.params()).values),
+            {**bundle.extractor.params(), **bundle.classifier.params()}))
 
-        align, _ = optim._align_loss(bundle, batch, variant, _params(bundle, Tape()),
+        align, _ = optim._align_loss(bundle, batch, variant, bundle.params(Tape()),
                                      weights_override=frozen)
-        disc_ids = (bundle.discriminator.param_ids if variant.adversarial else [])
-        analytic = backward(align, bundle.theta_ids + disc_ids)
+        analytic = _grads_by_id(bundle, align)
         out.append(_fd_compare(
             f"align_theta_{variant_name}", analytic,
             lambda _: optim._task_value(bundle, batch, variant, optim.ALIGNMENT,
-                                        _params(bundle), weights_override=frozen),
+                                        bundle.params(), weights_override=frozen),
             bundle.extractor.params()))
         if variant.adversarial:
             out.append(_fd_compare(
                 f"align_disc_{variant_name}", analytic,
-                lambda _: float(optim._align_loss(bundle, batch, variant, _params(bundle),
+                lambda _: float(optim._align_loss(bundle, batch, variant, bundle.params(),
                                                   weights_override=frozen)[0].values),
                 bundle.discriminator.params()))
     return out
@@ -423,10 +415,10 @@ def quadratic_toy(alpha: float) -> dict[str, float]:
     prime = optim.virtual_update(Params({**theta, "beta": np.ones(1)}, Tape()),
                                  g_train["t"].reshape(1), alpha, [[slice(0, 1)]])
     gap = T.sub(T.reduce_sum(prime.theta), Tensor(np.asarray(1.0)))
-    g2 = backward(T.scale(T.mul(gap, gap), 0.5), ["t", "beta"])
+    g2 = backward(T.scale(T.mul(gap, gap), 0.5), [nn.FLAT_ID])[nn.FLAT_ID]  # [t, beta]
 
-    theta_grad = float(g_train["t"] + g2["t"])
-    beta_grad = float(g2["beta"][0])
+    theta_grad = float(g_train["t"] + g2[0])
+    beta_grad = float(g2[1])
     return {
         "theta_grad": theta_grad,
         "beta_grad": beta_grad,
@@ -451,14 +443,14 @@ def taylor_residuals(seed: int = 0) -> list[TaylorRow]:
     bundle, variant = random_bundle(rng, losses.DANN, activation="tanh")
     batch = random_batch(rng, n=8)
 
-    align, _ = optim._align_loss(bundle, batch, variant, _params(bundle, Tape()))
-    g_dom = backward(align, [nn.FLAT_ID] + bundle.theta_ids)
-    direction = g_dom.pop(nn.FLAT_ID)[bundle.spans[bundle.extractor]]
+    align, _ = optim._align_loss(bundle, batch, variant, bundle.params(Tape()))
+    g_dom = backward(align, [nn.FLAT_ID])[nn.FLAT_ID]
+    direction = g_dom[bundle.spans[bundle.extractor]]
 
-    cls = optim._cls_loss(bundle, batch, _params(bundle, Tape()))
+    cls = optim._cls_loss(bundle, batch, bundle.params(Tape()))
     base = float(cls.values)
-    g_cls = backward(cls, bundle.theta_ids)
-    dot, _, _ = analysis.grad_dot(g_cls, g_dom, bundle.groups)
+    g_cls = backward(cls, [nn.FLAT_ID])[nn.FLAT_ID]
+    dot, _, _ = analysis.grad_dot(g_cls, g_dom, bundle.group_slices)
 
     theta = Params({**bundle.all_params(), nn.BETA_ID: np.ones(len(bundle.groups))})
     rows: list[TaylorRow] = []

@@ -24,15 +24,14 @@ def flatten(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, slice]
 class Params:
     """What one forward pass reads: every parameter in one 1-d tensor p (the
     tape's leaf FLAT_ID, or a constant) and slices, each id's part of p; from
-    arrays by id, copied into a new flat array whose parts backward can name.
-    The extractor reads theta, if set (theta'), in place of p's leading part."""
+    arrays by id, copied into a new flat array. The extractor reads theta, if
+    set (theta'), in place of p's leading part."""
 
     __slots__ = ("p", "slices", "theta")
 
     def __init__(self, arrays: dict[str, np.ndarray], tape: Optional[Tape] = None) -> None:
         flat, self.slices = flatten(arrays)
-        parts = {pid: (s, arrays[pid].shape) for pid, s in self.slices.items()}
-        self.p = Tensor(flat) if tape is None else tape.param(flat, FLAT_ID, parts)
+        self.p = Tensor(flat) if tape is None else tape.param(flat, FLAT_ID)
         self.theta = None
 
     @classmethod
@@ -91,8 +90,8 @@ class MLP:
         flat, slices, last = flat or params.p, params.slices, len(self.layers) - 1
         out = x
         for i, layer in enumerate(self.layers):
-            out = T.dense(out, slices[layer.weight_id], slices[layer.bias_id],
-                          self.activation if i < last else "identity", flat)
+            out = T.dense(out, flat, slices[layer.weight_id], slices[layer.bias_id],
+                          self.activation if i < last else "identity")
         return out
 
 
@@ -189,10 +188,6 @@ class ModelBundle:
     def nets(self) -> list[MLP]:
         return [net for net in (self.extractor, self.classifier, self.discriminator)
                 if net is not None]
-
-    @property
-    def theta_ids(self) -> list[str]:
-        return self.extractor.param_ids
 
     def params(self, tape: Optional[Tape] = None) -> Params:
         """A pass over flat itself: a leaf of tape, or a constant of the live values."""

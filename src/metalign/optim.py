@@ -142,11 +142,6 @@ def _head_span(bundle: ModelBundle, task: str, variant: AlignmentVariant) -> Opt
     return bundle.spans[head] if task == CLASSIFICATION or variant.adversarial else None
 
 
-def _theta_grads(bundle: ModelBundle, grads: np.ndarray) -> dict[str, np.ndarray]:
-    return {pid: grads[at] for ids, ats in zip(bundle.groups, bundle.group_slices)
-            for pid, at in zip(ids, ats)}
-
-
 def joint_grads(bundle: ModelBundle, batch,
                 variant: AlignmentVariant) -> tuple[np.ndarray, MetricsRecord]:
     """Gradients for one combined-objective step, laid out like bundle.flat
@@ -162,8 +157,7 @@ def joint_grads(bundle: ModelBundle, batch,
     gw = bundle.group_weights
     l_cls = float(cls.values)
     l_beta = float(abs(gw.beta.sum() - gw.budget))
-    total_dot, cos, per_group = analysis.grad_dot(
-        _theta_grads(bundle, g_align), _theta_grads(bundle, applied), bundle.groups)
+    total_dot, cos, per_group = analysis.grad_dot(g_align, applied, bundle.group_slices)
 
     theta, head = bundle.spans[bundle.extractor], _head_span(bundle, ALIGNMENT, variant)
     applied[theta] += g_align[theta]
@@ -218,8 +212,7 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant, alpha
     test_loss, test_info = _task_loss(bundle, batch, variant, meta_test, prime)
     applied = backward(test_loss, [FLAT_ID])[FLAT_ID]
 
-    total_dot, cos, per_group = analysis.grad_dot(
-        _theta_grads(bundle, g1), _theta_grads(bundle, applied), bundle.groups)
+    total_dot, cos, per_group = analysis.grad_dot(g1, applied, bundle.group_slices)
 
     gap, head = gw.beta.sum() - gw.budget, _head_span(bundle, meta_train, variant)
     applied[theta] += g1[theta]

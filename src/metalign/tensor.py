@@ -36,7 +36,6 @@ class Tape:
         self.nodes: list[Tensor] = []
         self.consumed = False
         self._params: dict[str, Tensor] = {}
-        self._parts: dict[str, tuple] = {}  # part id -> (leaf id, slice, shape)
 
     def _record(self, values: np.ndarray, parents: tuple["Tensor", ...],
                 vjp: Optional[Callable], param_id: Optional[str] = None) -> "Tensor":
@@ -54,14 +53,12 @@ class Tape:
         self.nodes.append(t)
         return t
 
-    def param(self, values: np.ndarray, param_id: str, parts: Optional[dict] = None) -> "Tensor":
-        """Enter a parameter leaf; repeated entries of one id share a node.
-        parts maps more ids to their (slice, shape) in a 1-d leaf, for backward."""
+    def param(self, values: np.ndarray, param_id: str) -> "Tensor":
+        """Enter a parameter leaf; repeated entries of one id share a node."""
         if param_id in self._params:
             return self._params[param_id]
         t = self._record(np.asarray(values, dtype=np.float64), (), None, param_id=param_id)
         self._params[param_id] = t
-        self._parts.update((pid, (param_id, *part)) for pid, part in (parts or {}).items())
         return t
 
 
@@ -156,19 +153,18 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
                             None if b._index is None else g.sum(axis=0)))
 
 
-def dense(x: Tensor, w, b, act: str = "identity", flat: Optional[Tensor] = None) -> Tensor:
-    """act(x @ W + b) as one node, act "relu", "tanh" or "identity", with the
-    bits of matmul, add_bias and the activation op in value and gradients.
-    W and b are the tensors w and b, or the views of the 1-d flat at slices w
-    (W row-major) and b. The forward adds b and applies act in place; the vjp
-    applies the relu mask or the tanh derivative once, then forms the
-    gradients, flat's as slice-tagged pairs."""
-    xv, parents = x.values, (x, w, b) if flat is None else (x, flat)
-    bv = b.values if flat is None else flat.values[b]
-    wv = w.values if flat is None else flat.values[w].reshape(-1, bv.shape[0])
-    if (xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1
-            or xv.shape[1] != wv.shape[0] or wv.shape[1] != bv.shape[0]):
-        raise DimensionError(f"dense: shapes {xv.shape}, {wv.shape}, {bv.shape}")
+def dense(x: Tensor, p: Tensor, w: slice, b: slice, act: str) -> Tensor:
+    """act(x @ W + b) as one node, act "relu", "tanh" or "identity", W and b
+    the views of the 1-d p at slices w (W row-major) and b, with the bits of
+    matmul, add_bias and the activation op in value and gradients. The
+    forward adds b and applies act in place; the vjp applies the relu mask or
+    the tanh derivative once, then forms the gradients, p's as slice-tagged
+    pairs."""
+    xv, pv = x.values, p.values
+    wv, bv = pv[w], pv[b]
+    if pv.ndim != 1 or xv.ndim != 2 or wv.size != xv.shape[1] * bv.size:
+        raise DimensionError(f"dense: x {xv.shape}, W at {w} and b at {b} of {pv.shape}")
+    wv = wv.reshape(xv.shape[1], bv.size)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence -> inf/NaN
         out = xv @ wv
     out += bv
@@ -185,13 +181,10 @@ def dense(x: Tensor, w, b, act: str = "identity", flat: Optional[Tensor] = None)
             g = g * mask
         elif act == "tanh":
             g = g * (1.0 - out * out)
-        gx = None if x._index is None else g @ wv.T
-        if flat is not None:
-            return gx, None if flat._index is None else ((w, xv.T @ g), (b, g.sum(axis=0)))
-        return (gx, None if w._index is None else xv.T @ g,
-                None if b._index is None else g.sum(axis=0))
+        return (None if x._index is None else g @ wv.T,
+                None if p._index is None else ((w, xv.T @ g), (b, g.sum(axis=0))))
 
-    return _make(out, parents, vjp)
+    return _make(out, (x, p), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -484,8 +477,8 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
     starts at -0.0, the exact identity of addition. An operand that takes no
     gradient gets None from the vjp and is skipped.
 
-    Returns gradient arrays no caller shares for the wanted ids in the graph,
-    leaves or their parts (views); a leaf the loss never touched gets zeros.
+    Returns gradient arrays no caller shares for the wanted leaf ids in the
+    graph; a leaf the loss never touched gets zeros.
     """
     tape = loss.tape
     if tape is None:
@@ -531,11 +524,9 @@ def backward(loss: Tensor, wanted: Iterable[str]) -> GradientMap:
 
     out: GradientMap = {}
     for pid in wanted:
-        leaf_id, at, shape = tape._parts.get(pid, (pid, None, None))
-        if leaf_id in params:
-            g = leaf_grads.get(leaf_id)
-            g = np.zeros_like(params[leaf_id].values) if g is None else g
-            out[pid] = g if at is None else g[at].reshape(shape)
+        if pid in params:
+            g = leaf_grads.get(pid)
+            out[pid] = np.zeros_like(params[pid].values) if g is None else g
     return out
 
 

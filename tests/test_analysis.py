@@ -1,45 +1,70 @@
 import io
 import json
-from dataclasses import asdict
+import math
+import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from metalign import analysis, nn
+from metalign import analysis, nn, runner
 from metalign.analysis import MetricsRecord, grad_dot, evaluate, record_metrics
+from metalign.config import load_config
 from metalign.data import Dataset, SOURCE
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+SHIPPED = sorted(name[:-len(".json")] for name in os.listdir(CONFIGS))
 
-def maps(groups, rng):
-    a = {pid: rng.normal(size=(3, 2)) for grp in groups for pid in grp}
-    b = {pid: rng.normal(size=(3, 2)) for grp in groups for pid in grp}
-    return a, b
+
+# two groups over 18 entries, parts of 6, and 4 trailing entries no group holds
+GROUPS = [[slice(0, 6)], [slice(6, 12), slice(12, 18)]]
+
+
+def id_keyed_grad_dot(a, b, groups):
+    """grad_dot as it was over id -> gradient maps, the reference the slice
+    form must match bit for bit; groups list each group's ids."""
+    ids = [pid for group in groups for pid in group]
+    per_group = []
+    for group in groups:
+        d = 0.0
+        for pid in group:
+            d += float(np.dot(a[pid].ravel(), b[pid].ravel()))
+        per_group.append(d)
+    total = sum(per_group)
+    na = math.sqrt(sum(float(np.dot(a[pid].ravel(), a[pid].ravel())) for pid in ids))
+    nb = math.sqrt(sum(float(np.dot(b[pid].ravel(), b[pid].ravel())) for pid in ids))
+    if na < analysis.NORM_FLOOR or nb < analysis.NORM_FLOOR:
+        return total, None, per_group
+    return total, min(1.0, max(-1.0, total / (na * nb))), per_group
+
+
+def bits(result):
+    """(total, cos, per_group) with every float as its exact hex form."""
+    total, cos, per_group = result
+    return (total.hex(), None if cos is None else cos.hex(), [d.hex() for d in per_group])
 
 
 class TestGradDot:
     def test_self_dot_is_squared_norm_cos_one(self):
-        rng = np.random.default_rng(0)
-        groups = [["a", "b"], ["c"]]
-        a, _ = maps(groups, rng)
-        total, cos, per_group = grad_dot(a, a, groups)
-        want = sum(float((v ** 2).sum()) for v in a.values())
+        a = np.random.default_rng(0).normal(size=22)
+        total, cos, per_group = grad_dot(a, a, GROUPS)
+        want = float((a[:18] ** 2).sum())
         assert total == pytest.approx(want, rel=1e-15)
         assert cos == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pair(self):
-        groups = [["p"]]
-        a = {"p": np.array([1.0, 0.0])}
-        b = {"p": np.array([0.0, 5.0])}
+        groups = [[slice(0, 2)]]
+        a = np.array([1.0, 0.0])
+        b = np.array([0.0, 5.0])
         total, cos, per_group = grad_dot(a, b, groups)
         assert total == 0.0 and cos == 0.0 and per_group == [0.0]
 
     def test_matches_flat_vector_oracle(self):
+        """Entries outside the groups (the heads and beta) take no part."""
         rng = np.random.default_rng(1)
-        groups = [["a"], ["b", "c"]]
-        a, b = maps(groups, rng)
-        total, cos, per_group = grad_dot(a, b, groups)
-        flat_a = np.concatenate([a[p].ravel() for grp in groups for p in grp])
-        flat_b = np.concatenate([b[p].ravel() for grp in groups for p in grp])
+        a, b = rng.normal(size=22), rng.normal(size=22)
+        total, cos, per_group = grad_dot(a, b, GROUPS)
+        flat_a, flat_b = a[:18], b[:18]
         assert abs(total - float(flat_a @ flat_b)) < 1e-12
         want_cos = float(flat_a @ flat_b /
                          (np.linalg.norm(flat_a) * np.linalg.norm(flat_b)))
@@ -47,21 +72,41 @@ class TestGradDot:
 
     def test_total_is_sum_of_groups(self):
         rng = np.random.default_rng(2)
-        groups = [["a"], ["b"], ["c"]]
-        a, b = maps(groups, rng)
+        groups = [[slice(0, 6)], [slice(6, 12)], [slice(12, 18)]]
+        a, b = rng.normal(size=18), rng.normal(size=18)
         total, _, per_group = grad_dot(a, b, groups)
         assert total == sum(per_group)
 
     def test_zero_norm_gives_null_cosine(self):
-        groups = [["p"]]
-        a = {"p": np.zeros(3)}
-        b = {"p": np.ones(3)}
-        _, cos, _ = grad_dot(a, b, groups)
+        groups = [[slice(0, 3)]]
+        _, cos, _ = grad_dot(np.zeros(3), np.ones(3), groups)
         assert cos is None
 
-    def test_id_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            grad_dot({"a": np.ones(1)}, {"b": np.ones(1)}, [["a"]])
+    @pytest.mark.parametrize("config", SHIPPED)
+    def test_bits_of_the_id_keyed_form_on_a_training_step(self, config, tmp_path,
+                                                           monkeypatch):
+        """On the gradients of a shipped config's first step, the slice form
+        gives the id-keyed form's per_group, total and cos bit for bit, and
+        a zero gradient gives cos None in both."""
+        calls, real = [], analysis.grad_dot
+
+        def recording(a, b, groups):
+            out = real(a, b, groups)
+            calls.append((a.copy(), b.copy(), groups, out))
+            return out
+
+        monkeypatch.setattr(analysis, "grad_dot", recording)
+        cfg = load_config(os.path.join(CONFIGS, f"{config}.json"))
+        runner.run_training(replace(cfg, iterations=1), str(tmp_path))
+        (a, b, groups, got), = calls
+        ids = [[(m, i) for i in range(len(group))] for m, group in enumerate(groups)]
+        by_id = [{(m, i): arr[at] for m, group in enumerate(groups)
+                  for i, at in enumerate(group)} for arr in (a, b)]
+        assert bits(got) == bits(id_keyed_grad_dot(*by_id, ids))
+        assert got[1] is not None and len(got[2]) == len(groups) > 1
+        zero = {pid: np.zeros_like(g) for pid, g in by_id[0].items()}
+        want = id_keyed_grad_dot(zero, by_id[1], ids)
+        assert want[1] is None and bits(real(np.zeros_like(a), b, groups)) == bits(want)
 
 
 class TestEvaluate:

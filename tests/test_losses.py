@@ -281,19 +281,18 @@ class TestAlignmentLoss:
         variant.grl_lambda = 2.0  # power of two: scaling is exact
         batch = random_batch(rng)
 
-        arrays = bundle.network_params()
-        loss, _ = optim._align_loss(bundle, batch, variant, nn.Params(arrays, Tape()))
-        g_flip = backward(loss, bundle.theta_ids)
+        loss, _ = optim._align_loss(bundle, batch, variant, bundle.params(Tape()))
+        g_flip = backward(loss, [nn.FLAT_ID])[nn.FLAT_ID]
 
         # same objective without the reversal
-        params = nn.Params(arrays, Tape())
+        params = bundle.params(Tape())
         fs = bundle.extractor.forward(Tensor(batch.src_features), params)
         ft = bundle.extractor.forward(Tensor(batch.tgt_features), params)
         plain = losses.domain_cls_loss(bundle.discriminator.forward(fs, params),
                                        bundle.discriminator.forward(ft, params))
-        g_plain = backward(plain, bundle.theta_ids)
-        for pid in bundle.theta_ids:
-            np.testing.assert_array_equal(g_flip[pid], -2.0 * g_plain[pid])
+        g_plain = backward(plain, [nn.FLAT_ID])[nn.FLAT_ID]
+        theta = bundle.spans[bundle.extractor]
+        np.testing.assert_array_equal(g_flip[theta], -2.0 * g_plain[theta])
 
     def test_sign_relation_between_dom_cls_and_dom(self):
         # larger discriminator BCE means smaller alignment objective: evaluate

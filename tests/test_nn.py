@@ -25,6 +25,8 @@ def plain(net):
 
 class TestParams:
     def test_one_leaf_holds_every_parameter_and_names_its_parts(self):
+        """One leaf holds a copy of every array; slices name each id's part,
+        and backward answers for the leaf alone."""
         bundle = make_bundle()
         tape = Tape()
         arrays = bundle.network_params()
@@ -35,10 +37,10 @@ class TestParams:
         assert not np.shares_memory(params.p.values, bundle.flat)
         for pid, arr in arrays.items():
             np.testing.assert_array_equal(params.p.values[params.slices[pid]], arr.ravel())
-        g = backward(T.reduce_sum(out), [nn.FLAT_ID, "G.l1.b", "C.l0.W"])
-        np.testing.assert_array_equal(g["G.l1.b"], np.full(8, 2.0))
-        assert g["C.l0.W"].shape == arrays["C.l0.W"].shape
-        assert np.shares_memory(g["G.l1.b"], g[nn.FLAT_ID])
+        g = backward(T.reduce_sum(out), [nn.FLAT_ID, "G.l1.b"])
+        assert g.keys() == {nn.FLAT_ID} and g[nn.FLAT_ID].shape == params.p.shape
+        np.testing.assert_array_equal(g[nn.FLAT_ID][params.slices["G.l1.b"]], np.full(8, 2.0))
+        assert (g[nn.FLAT_ID][params.slices["C.l0.W"]] == 0.0).all()  # not read
 
     def test_without_a_tape_reads_constants_of_the_live_arrays(self):
         bundle = make_bundle()
@@ -152,9 +154,8 @@ class TestFeatureExtractor:
             out = bundle.extractor.forward(Tensor(x), plain(bundle.extractor))
             return float(T.reduce_mean(T.mul(out, out)).values)
 
-        out = bundle.extractor.forward(Tensor(x),
-                                       nn.Params(bundle.extractor.params(), Tape()))
-        g = backward(T.reduce_mean(T.mul(out, out)), [wid])
+        out = bundle.extractor.forward(Tensor(x), bundle.params(Tape()))
+        g = bundle.all_params(backward(T.reduce_mean(T.mul(out, out)), [nn.FLAT_ID])[nn.FLAT_ID])
         fd = finite_diff_grad(lambda _: value(),
                               {wid: bundle.extractor.layers[0].weight})
         np.testing.assert_allclose(g[wid], fd[wid], rtol=1e-4, atol=1e-6)
@@ -193,11 +194,10 @@ class TestDiscriminator:
         z = np.random.default_rng(3).uniform(-2, 2, size=(5, 8))
 
         def build(tape):
-            out = disc.forward(Tensor(z), nn.Params(disc.params(), tape))
+            out = disc.forward(Tensor(z), bundle.params(tape))
             return T.reduce_mean(T.mul(out, out))
 
-        tape = Tape()
-        g = backward(build(tape), disc.param_ids)
+        g = bundle.all_params(backward(build(Tape()), [nn.FLAT_ID])[nn.FLAT_ID])
         fd = finite_diff_grad(lambda _: float(build(None).values), disc.params())
         for pid in disc.param_ids:
             np.testing.assert_allclose(g[pid], fd[pid], rtol=1e-4, atol=1e-6)
@@ -230,15 +230,15 @@ class TestGrl:
         lam = 2.0  # power of two so the scaling itself is exact
 
         def grads(use_grl):
-            params = nn.Params(bundle.network_params(), Tape())
+            params = bundle.params(Tape())
             feats = bundle.extractor.forward(Tensor(x), params)
             z = nn.grl(feats, lam) if use_grl else feats
             out = bundle.discriminator.forward(z, params)
-            return backward(T.reduce_mean(T.mul(out, out)), bundle.theta_ids)
+            return backward(T.reduce_mean(T.mul(out, out)), [nn.FLAT_ID])[nn.FLAT_ID]
 
         g_flip, g_plain = grads(True), grads(False)
-        for pid in bundle.theta_ids:
-            np.testing.assert_array_equal(g_flip[pid], -lam * g_plain[pid])
+        theta = bundle.spans[bundle.extractor]
+        np.testing.assert_array_equal(g_flip[theta], -lam * g_plain[theta])
 
 
 class TestGroups:

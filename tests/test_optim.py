@@ -139,10 +139,9 @@ class TestVirtualUpdate:
         params = nn.Params({"t": np.array([1.0, 2.0]), "beta": np.array([1.5])}, Tape())
         prime = virtual_update(params, g_vec, alpha, [[slice(0, 2)]])
         loss = T.reduce_sum(T.mul(prime.theta, Tensor(upstream)))
-        g = backward(loss, ["t", "beta"])
-        np.testing.assert_array_equal(g["t"], upstream)
-        assert g["beta"][0] == pytest.approx(-alpha * float(np.dot(g_vec, upstream)),
-                                             abs=1e-15)
+        g = backward(loss, [nn.FLAT_ID])[nn.FLAT_ID]  # [t, beta]
+        np.testing.assert_array_equal(g[:2], upstream)
+        assert g[2] == pytest.approx(-alpha * float(np.dot(g_vec, upstream)), abs=1e-15)
 
 
 class TestRoleSchedule:
@@ -180,10 +179,9 @@ class TestJointStep:
         batch = random_batch(rng)
         applied = bundle.all_params(joint_grads(bundle, batch, variant)[0])
 
-        sup = backward(optim._cls_loss(bundle, batch,
-                                       nn.Params(bundle.network_params(), Tape())),
-                       bundle.theta_ids + bundle.classifier.param_ids)
-        for pid in bundle.theta_ids + bundle.classifier.param_ids:
+        sup = backward(optim._cls_loss(bundle, batch, bundle.params(Tape())), [nn.FLAT_ID])
+        sup = bundle.all_params(sup[nn.FLAT_ID])
+        for pid in bundle.extractor.param_ids + bundle.classifier.param_ids:
             np.testing.assert_array_equal(applied[pid], sup[pid])
 
     def test_mmd_variant_has_no_discriminator(self):

@@ -251,18 +251,28 @@ LAYER_SHAPES = [(128, 2, 64), (128, 64, 64), (128, 64, 32), (128, 32, 2), (128, 
 CHAIN_ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "identity": lambda t: t}
 
 
-def chain_dense(x, w, b, act):
-    """The three-node layer dense replaces."""
-    return CHAIN_ACTIVATIONS[act](T.add_bias(T.matmul(x, w), b))
+def chain_dense(tape, x, w, b, act):
+    """The three-node layer dense replaces, W and b leaves of their own."""
+    return CHAIN_ACTIVATIONS[act](T.add_bias(T.matmul(x, tape.param(w, "w")),
+                                             tape.param(b, "b")))
+
+
+def flat_dense(tape, x, w, b, act):
+    """dense reading W, then b, from one leaf p."""
+    p = tape.param(np.concatenate([w.ravel(), b]), "p")
+    return T.dense(x, p, slice(0, w.size), slice(w.size, None), act)
 
 
 def layer_value_and_grads(build, x, w, b, u, act, const_x=False):
     """The layer's output and the gradients of sum(u * output) it sends to
-    x (unless x is a constant), w and b."""
+    x (unless x is a constant), W and b; p's gradient is split into W's and b's."""
     tape = Tape()
     xt = Tensor(x) if const_x else tape.param(x, "x")
-    out = build(xt, tape.param(w, "w"), tape.param(b, "b"), act)
-    grads = backward(T.reduce_sum(T.mul(out, Tensor(u))), ["x", "w", "b"])
+    out = build(tape, xt, w, b, act)
+    grads = backward(T.reduce_sum(T.mul(out, Tensor(u))), ["x", "w", "b", "p"])
+    if "p" in grads:
+        g = grads.pop("p")
+        grads.update(w=g[:w.size].reshape(w.shape), b=g[w.size:])
     return out.values, grads
 
 
@@ -283,7 +293,7 @@ class TestDense:
         rng = np.random.default_rng(23)
         for n, k, m in LAYER_SHAPES:
             x, w, b, u = self.layer(rng, n, k, m)
-            got = layer_value_and_grads(T.dense, x, w, b, u, act, const_x)
+            got = layer_value_and_grads(flat_dense, x, w, b, u, act, const_x)
             want = layer_value_and_grads(chain_dense, x, w, b, u, act, const_x)
             assert_same_bits(got[0], want[0])
             assert got[1].keys() == want[1].keys() == ({"w", "b"} if const_x
@@ -298,7 +308,7 @@ class TestDense:
         rng = np.random.default_rng(24)
         x, w, b, u = self.layer(rng, 128, 64, 16)
         x[5] = np.nan
-        got = layer_value_and_grads(T.dense, x, w, b, u, act)
+        got = layer_value_and_grads(flat_dense, x, w, b, u, act)
         want = layer_value_and_grads(chain_dense, x, w, b, u, act)
         assert np.isnan(got[0][5]).all() and not np.isnan(got[0][:5]).any()
         assert_same_bits(got[0], want[0])
@@ -307,10 +317,10 @@ class TestDense:
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
     def test_flat_read_bitwise_equal_to_tensor_operands(self, act):
-        """dense reading W and b at their slices of one flat leaf, twice, gives
-        the gradients it gives with W and b as leaves of their own, bit for
-        bit: a first partial keeps its bits and a second adds as prev +
-        partial does."""
+        """dense reading W and b at their slices of one flat leaf that holds
+        more, twice, gives the gradients the chain gives W and b as leaves of
+        their own, bit for bit: a first partial keeps its bits and a second
+        adds as prev + partial does."""
         rng = np.random.default_rng(27)
         for n, k, m in LAYER_SHAPES:
             x, w, b, u = self.layer(rng, n, k, m)
@@ -323,55 +333,56 @@ class TestDense:
                              T.reduce_sum(T.mul(read(Tensor(x2)), Tensor(u2))))
 
             tape = Tape()
-            wt, bt = tape.param(w, "w"), tape.param(b, "b")
-            want = backward(loss(lambda xt: T.dense(xt, wt, bt, act)), ["w", "b"])
+            want = backward(loss(lambda xt: chain_dense(tape, xt, w, b, act)), ["w", "b"])
             tape = Tape()
             p = tape.param(flat, "p")
-            got = backward(loss(lambda xt: T.dense(xt, ws, bs, act, flat=p)), ["p"])["p"]
+            got = backward(loss(lambda xt: T.dense(xt, p, ws, bs, act)), ["p"])["p"]
             assert_same_bits(got[ws].reshape(w.shape), want["w"])
             assert_same_bits(got[bs], want["b"])
+            assert_same_bits(got[:3], -np.zeros(3))  # no partial reaches them
+            assert_same_bits(got[bs.stop:], -np.zeros(2))
 
     def test_constant_x_vjp_slot_is_none(self):
         rng = np.random.default_rng(25)
         x, w, b, u = self.layer(rng, 6, 3, 4)
         tape = Tape()
         c = Tensor(x)
-        out = T.dense(c, tape.param(w, "w"), tape.param(b, "b"), "relu")
+        out = flat_dense(tape, c, w, b, "relu")
         assert all(n is not c for n in tape.nodes)
-        gx, gw, gb = out._vjp(u)
-        assert gx is None and gw is not None and gb is not None
+        gx, gp = out._vjp(u)
+        (ws, gw), (bs, gb) = gp
+        assert gx is None and (ws, bs) == (slice(0, 12), slice(12, None))
         mask = x @ w + b > 0.0
         assert_same_bits(gw, x.T @ (u * mask))
         assert_same_bits(gb, (u * mask).sum(axis=0))
 
     def test_on_constants_is_constant(self):
-        out = T.dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))),
-                      Tensor(np.array([-4.0, 1.0])), "relu")
+        p = Tensor(np.array([1.0] * 6 + [-4.0, 1.0]))
+        out = T.dense(Tensor(np.ones((2, 3))), p, slice(0, 6), slice(6, 8), "relu")
         assert out.tape is None
         np.testing.assert_array_equal(out.values, [[0.0, 4.0], [0.0, 4.0]])
 
-    @pytest.mark.parametrize("operand", ["x", "w", "b"])
+    @pytest.mark.parametrize("operand", ["x", "p"])
     def test_operand_from_another_tape_rejected(self, operand):
-        """Every operand's tape is checked, the third one too, also when the
-        first is a constant."""
+        """Each operand's tape is checked, the second one's too."""
         rng = np.random.default_rng(26)
-        arrays = dict(zip("xwb", self.layer(rng, 4, 3, 2)))
-        for first_const in (False, True):
-            t1, t2 = Tape(), Tape()
-            ops = {k: (t2 if k == operand else t1).param(v, k) for k, v in arrays.items()}
-            if first_const and operand != "x":
-                ops["x"] = Tensor(arrays["x"])
-            with pytest.raises(GraphError, match="two different graphs"):
-                T.dense(ops["x"], ops["w"], ops["b"], "relu")
+        x, w, b, _ = self.layer(rng, 4, 3, 2)
+        arrays = {"x": x, "p": np.concatenate([w.ravel(), b])}
+        t1, t2 = Tape(), Tape()
+        ops = {k: (t2 if k == operand else t1).param(v, k) for k, v in arrays.items()}
+        with pytest.raises(GraphError, match="two different graphs"):
+            T.dense(ops["x"], ops["p"], slice(0, 6), slice(6, 8), "relu")
 
     def test_bad_shapes_and_activation_rejected(self):
-        x, w, b = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(2))
-        with pytest.raises(DimensionError):
-            T.dense(x, Tensor(np.ones((2, 2))), b)
-        with pytest.raises(DimensionError):
-            T.dense(x, w, Tensor(np.ones(3)))
+        x, p = Tensor(np.ones((4, 3))), Tensor(np.ones(9))
+        for bad_x, bad_p, w, b in [(x, p, slice(0, 4), slice(6, 8)),   # W not 3 x 2
+                                   (x, p, slice(0, 6), slice(6, 9)),   # W not 3 x 3
+                                   (Tensor(np.ones(3)), p, slice(0, 6), slice(6, 8)),
+                                   (x, Tensor(np.ones((9, 1))), slice(0, 6), slice(6, 8))]:
+            with pytest.raises(DimensionError):
+                T.dense(bad_x, bad_p, w, b, "relu")
         with pytest.raises(ValueError, match="unknown activation"):
-            T.dense(x, w, b, "sigmoid")
+            T.dense(x, p, slice(0, 6), slice(6, 8), "sigmoid")
 
 
 # upstream factors on a loss node: 1, a negative, +0 and -0 (the chain's pick
@@ -565,7 +576,7 @@ class TestBackward:
         x, u, w = rng.normal(size=(4, 2)), rng.normal(size=(4, 3)), rng.normal(size=9)
         tape = Tape()
         p, q = tape.param(rng.normal(size=9), "p"), tape.param(rng.normal(size=9), "q")
-        y = T.dense(Tensor(x), slice(0, 6), slice(6, 9), "identity", flat=p)
+        y = T.dense(Tensor(x), p, slice(0, 6), slice(6, 9), "identity")
         loss = T.add(T.reduce_sum(T.mul(y, Tensor(u))),
                      T.reduce_sum(T.mul(T.add(p, q), Tensor(w))))
         g = backward(loss, ["p", "q"])
@@ -633,18 +644,17 @@ class TestBackward:
     def test_full_mlp_cross_entropy_matches_fd(self):
         from metalign import optim
         from metalign.gradcheck import random_batch, random_bundle
-        from metalign.nn import Params
+        from metalign.nn import FLAT_ID
         rng = np.random.default_rng(3)
         bundle, _ = random_bundle(rng, "dann")
         batch = random_batch(rng)
-        wanted = bundle.theta_ids + bundle.classifier.param_ids
-        arrays = bundle.network_params()
-        g = backward(optim._cls_loss(bundle, batch, Params(arrays, Tape())), wanted)
-        params = {pid: arr for pid, arr in arrays.items() if pid in wanted}
+        g = backward(optim._cls_loss(bundle, batch, bundle.params(Tape())), [FLAT_ID])
+        g = bundle.all_params(g[FLAT_ID])
+        params = {**bundle.extractor.params(), **bundle.classifier.params()}
         fd = finite_diff_grad(
-            lambda _: float(optim._cls_loss(bundle, batch, Params(arrays)).values),
+            lambda _: float(optim._cls_loss(bundle, batch, bundle.params()).values),
             params, h=1e-5)
-        for pid in wanted:
+        for pid in params:
             np.testing.assert_allclose(g[pid], fd[pid], rtol=1e-4, atol=1e-6)
 
 
