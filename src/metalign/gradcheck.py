@@ -320,9 +320,6 @@ def loss_checks(seed: int) -> list[CheckResult]:
     out.append(_fd_check(
         "mmd2_rbf", {"fs": _rng_arr(rng, 5, 3), "ft": _rng_arr(rng, 4, 3)},
         lambda p: losses.mmd2_rbf(p["fs"], p["ft"], sigma=1.2)))
-    out.append(_fd_check(
-        "beta_penalty", {"beta": rng.uniform(0.2, 1.8, size=4)},
-        lambda p: losses.beta_penalty(p["beta"], budget=3.0)))
 
     # full-model gradients, every parameter
     for variant_name in losses.VARIANTS:

@@ -1,6 +1,6 @@
 """Scalar training objectives: source cross-entropy, adversarial domain
-classification (plain and entropy-reweighted), squared MMD with an RBF
-kernel, and the L1 budget penalty on the group weights."""
+classification (plain and entropy-reweighted) and squared MMD with an RBF
+kernel."""
 
 from __future__ import annotations
 
@@ -128,12 +128,6 @@ def median_sq_dist(fs: np.ndarray, ft: np.ndarray) -> float:
     vals = sq[~np.eye(sq.shape[0], dtype=bool)]
     med = float(np.median(vals))
     return med if med > 0.0 else 1.0
-
-
-def beta_penalty(beta: Tensor, budget: float) -> Tensor:
-    """L1 budget penalty |sum(beta) - budget|; subgradient 0 at the kink."""
-    gap = T.sub(T.reduce_sum(beta), Tensor(np.asarray(float(budget))))
-    return T.absolute(gap)
 
 
 def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,

@@ -242,25 +242,6 @@ class TestMmd:
                                      rng.normal(size=(5, 3))) > 0.0
 
 
-class TestBetaPenalty:
-    def test_budget_met(self):
-        v = losses.beta_penalty(Tensor(np.ones(4)), 4.0)
-        assert float(v.values) == 0.0
-
-    def test_unit_deviation(self):
-        v = losses.beta_penalty(Tensor(np.array([2.0, 1.0, 1.0, 1.0])), 4.0)
-        assert float(v.values) == 1.0
-
-    def test_subgradient_is_sign(self):
-        for beta, want in ((np.array([2.0, 1.0]), 1.0),
-                           (np.array([0.2, 0.3]), -1.0),
-                           (np.array([1.0, 1.0]), 0.0)):
-            tape = Tape()
-            leaf = tape.param(beta, "beta")
-            g = backward(losses.beta_penalty(leaf, 2.0), ["beta"])
-            np.testing.assert_array_equal(g["beta"], np.full(2, want))
-
-
 class TestAlignmentLoss:
     def test_mmd_identical_features_zero(self):
         rng = np.random.default_rng(7)

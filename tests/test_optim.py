@@ -292,6 +292,23 @@ class TestMetaStep:
         np.testing.assert_allclose(applied[bundle.slices["beta"]], fd["beta"],
                                    rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize("beta,gap", [([1.5, 1.0], 0.5), ([0.25, 0.5], -1.25),
+                                          ([1.25, 0.75], 0.0)],
+                             ids=["above", "below", "at"])
+    def test_budget_penalty_subgradient_and_value(self, beta, gap):
+        """beta's gradient is -alpha times the group dots plus sign(sum(beta) - B),
+        0 at the kink, and L_beta is |sum(beta) - B|; the budget is 2."""
+        rng = np.random.default_rng(10)
+        bundle, variant = random_bundle(rng, "dann")
+        bundle.group_weights.beta[...] = beta
+        alpha = 0.05
+        applied, record, _ = metaalign_grads(bundle, random_batch(rng), variant, alpha,
+                                             ALIGNMENT)
+        dots = np.array(record.grad_dot_per_group)
+        np.testing.assert_array_equal(applied[bundle.slices["beta"]],
+                                      -alpha * dots + np.sign(gap))
+        assert record.L_beta == abs(gap)
+
     def test_total_dot_is_sum_of_group_dots(self):
         rng = np.random.default_rng(8)
         bundle, variant = random_bundle(rng, "dann")
