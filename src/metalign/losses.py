@@ -28,20 +28,13 @@ class AlignmentVariant:
 
     grl_lambda scales the flipped gradient for the adversarial variants and
     acts as a plain loss weight for MMD. sigma is the RBF bandwidth; None
-    means "resolve with the median heuristic on the first batch".
+    means "resolve with the median heuristic on the first batch". The config
+    schema checks all three where a config is parsed.
     """
 
     name: str
     grl_lambda: float = 1.0
     sigma: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.name not in VARIANTS:
-            raise ValueError(f"unknown alignment variant {self.name!r}")
-        if not np.isfinite(self.grl_lambda) or self.grl_lambda < 0.0:
-            raise ValueError("grl_lambda must be finite and >= 0")
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
 
     @property
     def adversarial(self) -> bool:
