@@ -3,8 +3,9 @@ change in the work a step does shows as a diff here, with no timing noise.
 
 It holds, for every shipped config and for the MMD config at the batch of
 the benchmark's gaussian-mmd-wide workload, the tape's node count at each
-backward of the first steps, the Python calls one training step makes, and
-the calls of each tensor op in one step. Under the alternate role policy
+backward of the first steps, the Python calls one training step makes, the
+calls of each tensor op in one step, and the peak of memory one step
+allocates. Under the alternate role policy
 step 0 is an alignment and step 1 a classification meta-train step; a joint
 step runs the alignment tape, then the classification tape.
 
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -47,14 +49,16 @@ RUNS = {
 
 def load_costs():
     """The ledger: "nodes" (run: the node counts at each backward, one list
-    per step), "calls" (calls_key(): run: Python calls per counted step) and
-    "ops" (run: op: calls per step)."""
+    per step), "calls" (calls_key(): run: Python calls per counted step),
+    "ops" (run: op: calls per step) and "peak_bytes" (calls_key(): run: the
+    tracemalloc peak per counted step)."""
     with open(COSTS, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 LEDGER = load_costs()
 NODES, CALLS, OPS = LEDGER["nodes"], LEDGER["calls"], LEDGER["ops"]
+PEAKS = LEDGER.get("peak_bytes", {})
 
 
 def calls_key():
@@ -179,6 +183,50 @@ def test_op_calls_per_step(config, tmp_path, monkeypatch):
     assert got == [OPS[config]] * COUNTED
 
 
+# tracemalloc's peak inside optim.*_step above what is traced as the step
+# begins, in bytes, for steps 4-9 after 4 warm-up steps. It depends on
+# numpy's allocations, so it is keyed as the calls are. A step repeats its
+# peak within a few hundred bytes; the pin allows 1 %.
+PEAK_TOLERANCE = 0.01
+
+
+def step_peak_bytes(config, out_dir, monkeypatch):
+    """The tracemalloc peak of each training step of a short run, after the
+    warm-up steps, above the memory traced when the step begins."""
+    peaks = []
+
+    def traced(step):
+        def run(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return step(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return run
+
+    for name in ("joint_step", "metaalign_step"):
+        monkeypatch.setattr(optim, name, traced(getattr(optim, name)))
+    tracemalloc.start()
+    try:
+        run_config(config, WARMUP + COUNTED, out_dir)
+    finally:
+        tracemalloc.stop()
+    return peaks[WARMUP:]
+
+
+@pytest.mark.parametrize("config", sorted(NODES))
+def test_tracemalloc_peak_per_step(config, tmp_path, monkeypatch):
+    key = calls_key()
+    got = step_peak_bytes(config, tmp_path, monkeypatch)
+    want = PEAKS.get(key, {}).get(config)
+    if want is None:
+        print(f"add to costs.json's peak_bytes[{key!r}]: {config!r}: {got},")
+        pytest.skip(f"no peaks for {config} under {key}; the entry is printed")
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= PEAK_TOLERANCE * w for g, w in zip(got, want)), (got, want)
+
+
 def _dump(doc, indent=""):
     """JSON with each dict's entries on lines of their own and every other
     value on one line, so a changed count is a one-line diff."""
@@ -194,6 +242,7 @@ def write_entries():
     a run keeps its number of node-count steps."""
     ledger = load_costs()
     calls = ledger["calls"].setdefault(calls_key(), {})
+    peaks = ledger.setdefault("peak_bytes", {}).setdefault(calls_key(), {})
 
     def count(measure, *args):
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
@@ -204,5 +253,6 @@ def write_entries():
         ledger["nodes"][run] = count(step_node_counts, run, steps)
         calls[run] = count(step_call_counts, run)
         ledger["ops"][run] = dict(sorted(count(step_op_counts, run)[0].items()))
+        peaks[run] = count(step_peak_bytes, run)
     with open(COSTS, "w", encoding="utf-8") as fh:
         fh.write(_dump(ledger) + "\n")
