@@ -15,21 +15,26 @@ from .tensor import Tensor
 NORM_FLOOR = 1e-15
 
 
-def grad_dot(a: np.ndarray, b: np.ndarray,
-             groups: list[list[slice]]) -> tuple[float, Optional[float], list[float]]:
+def grad_dot(a: np.ndarray, b: np.ndarray, groups: list[list[slice]],
+             dots: Optional[list] = None) -> tuple[float, Optional[float], list[float]]:
     """Dot products of two 1-d gradients laid out alike, per group and
     overall; groups lists each group's slices (ModelBundle.group_slices).
 
     Returns (total, cosine, per_group). The cosine is None when either
     gradient's norm over the groups is below NORM_FLOOR. Each group's dots
-    are summed in slice order; the total is the sum of the per-group dots.
+    are summed in slice order from 0.0, or given as dots, the per-group sums
+    from the group's first (group_step's): 0.0 + such a sum has the same bits.
+    The total is the sum of the per-group dots.
     """
-    per_group: list[float] = []
-    for group in groups:
-        d = 0.0
-        for at in group:
-            d += float(np.dot(a[at], b[at]))
-        per_group.append(d)
+    if dots is None:
+        per_group: list[float] = []
+        for group in groups:
+            d = 0.0
+            for at in group:
+                d += float(np.dot(a[at], b[at]))
+            per_group.append(d)
+    else:
+        per_group = [0.0 + float(d) for d in dots]
     total = sum(per_group)
     ats = [at for group in groups for at in group]
     na = math.sqrt(sum(float(np.dot(a[at], a[at])) for at in ats))

@@ -140,6 +140,10 @@ def cmd_eval(args) -> int:
         if src.dim != bundle.extractor.widths[0]:
             raise ConfigError(f"the config's data has {src.dim} features; the checkpoint's "
                               f"model takes {bundle.extractor.widths[0]}")
+        # where labels meet a classifier they did not size: each must be one of its classes
+        if src.num_classes > bundle.classifier.num_classes:
+            raise ConfigError(f"the config's source data has {src.num_classes} classes; the "
+                              f"checkpoint's model has {bundle.classifier.num_classes}")
     except (ConfigError, CsvFormatError, CheckpointError, ValueError) as e:
         kind = "checkpoint" if isinstance(e, CheckpointError) else "config"
         return _fail(kind, str(e), EXIT_CONFIG)

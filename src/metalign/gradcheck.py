@@ -194,20 +194,20 @@ def op_checks(seed: int) -> list[CheckResult]:
 
 
 def _fused_rows(seed: int) -> list:
-    """The op table's rows of the fused layer and loss nodes and of the flat
+    """The op table's rows of the fused network and loss nodes and of the flat
     reads. They draw from a generator of their own, so every other check draws
     what it drew without them. Each loss is scaled so the upstream gradient is
     not 1, and one discriminator output of the bce rows lies outside the clip."""
     rng = np.random.default_rng((seed, 1))
-    w_dense = Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)))
+    w_mlp = Tensor(rng.uniform(-1.0, 1.0, size=(4, 2)))
     rows = []
     for act in ("relu", "tanh", "identity"):
-        # W (3 x 2) then b, read at their slices of one flat leaf
+        # one layer, W (3 x 2) then b, read at their slices of one flat leaf
         x, w, b = _rng_arr(rng, 4, 3), _rng_arr(rng, 3, 2), _rng_arr(rng, 2, lo=-0.5, hi=0.5)
-        rows.append(("dense" if act == "relu" else f"dense_{act}",
+        rows.append(("mlp" if act == "relu" else f"mlp_{act}",
                      {"x": x, "p": np.concatenate([w.ravel(), b])},
-                     lambda p, act=act: T.reduce_sum(T.mul(T.dense(
-                         p["x"], p["p"], slice(0, 6), slice(6, 8), act), w_dense))))
+                     lambda p, act=act: T.reduce_sum(T.mul(T.mlp(
+                         p["x"], p["p"], [(slice(0, 6), slice(6, 8))], (act,)), w_mlp))))
     labels = rng.integers(0, 5, size=4)
     rows.append(("nll_mean", {"x": _rng_arr(rng, 4, 5)},
                  lambda p: T.scale(T.nll_mean(p["x"], labels), 1.3)))
@@ -224,6 +224,14 @@ def _fused_rows(seed: int) -> list:
     groups = [[slice(0, 2), slice(2, 3)], [slice(3, 6)]]
     rows.append(("group_step", {"p": _rng_arr(rng, 10, lo=0.5, hi=1.5)}, lambda p: T.reduce_sum(
         T.mul(T.tanh(T.group_step(p["p"], d, 0.3, groups, slice(8, 10))), w_step))))
+    # drawn last: the discriminator's output layer, and 3 -> 4 -> 3 -> 2 at an offset
+    three = [(slice(1, 13), slice(13, 17)), (slice(17, 29), slice(29, 32)),
+             (slice(32, 38), slice(38, 40))]
+    for name, layers, acts in [("mlp_sigmoid", [(slice(0, 6), slice(6, 8))], ("sigmoid",)),
+                               ("mlp_three_layer", three, ("relu", "tanh", "sigmoid"))]:
+        p = _rng_arr(rng, layers[-1][1].stop + 1, lo=-1.0, hi=1.0)
+        rows.append((name, {"x": _rng_arr(rng, 4, 3), "p": p}, lambda p, layers=layers, acts=acts:
+                     T.reduce_sum(T.mul(T.mlp(p["x"], p["p"], layers, acts), w_mlp))))
     return rows
 
 

@@ -42,8 +42,7 @@ class Params:
 
 
 class Linear:
-    """A fully connected layer's parameters, weight in x out and bias out;
-    MLP.forward applies the layer as one tensor.dense node."""
+    """A fully connected layer's parameters, weight in x out and bias out."""
 
     def __init__(self, in_dim: int, out_dim: int, name: str) -> None:
         self.in_dim = in_dim
@@ -63,20 +62,22 @@ class Linear:
 
 
 # the activations an MLP takes, by name (the config's enum reads the keys);
-# MLP.forward hands the name to tensor.dense, which applies it in the layer's node
+# MLP.forward hands the names to tensor.mlp, which applies them in its node
 _ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "identity": lambda t: t}
 
 
 class MLP:
-    """Stack of Linear layers with an activation between consecutive layers."""
+    """Stack of Linear layers with an activation between consecutive layers
+    and output applied to the last layer's result."""
 
-    def __init__(self, widths: Sequence[int], name: str, activation: str = "relu") -> None:
+    def __init__(self, widths: Sequence[int], name: str, activation: str = "relu",
+                 output: str = "identity") -> None:
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.widths = list(widths)
-        self.activation = activation
         self.layers = [Linear(widths[i], widths[i + 1], f"{name}.l{i}")
                        for i in range(len(widths) - 1)]
+        self.acts = (activation,) * (len(self.layers) - 1) + (output,)  # for 1+ layers
 
     @property
     def param_ids(self) -> list[str]:
@@ -86,13 +87,13 @@ class MLP:
         return {pid: arr for layer in self.layers for pid, arr in layer.params().items()}
 
     def forward(self, x: Tensor, params: Params, flat: Optional[Tensor] = None) -> Tensor:
-        # each layer reads W and b at their slices of flat, params.p unless given
-        flat, slices, last = flat or params.p, params.slices, len(self.layers) - 1
-        out = x
-        for i, layer in enumerate(self.layers):
-            out = T.dense(out, flat, slices[layer.weight_id], slices[layer.bias_id],
-                          self.activation if i < last else "identity")
-        return out
+        """One tensor.mlp node, or x for no layers; each layer reads W and b
+        at their slices of flat, params.p unless given."""
+        if not self.layers:
+            return x
+        slices = params.slices
+        return T.mlp(x, flat or params.p, [(slices[layer.weight_id], slices[layer.bias_id])
+                                           for layer in self.layers], self.acts)
 
 
 class FeatureExtractor(MLP):
@@ -127,13 +128,13 @@ class DomainDiscriminator(MLP):
     def __init__(self, in_dim: int, hidden: Sequence[int] = (64, 64)) -> None:
         if len(hidden) != 2:
             raise ValueError("discriminator uses exactly two hidden widths")
-        super().__init__([in_dim, hidden[0], hidden[1], 1], "D", activation="relu")
+        super().__init__([in_dim, hidden[0], hidden[1], 1], "D", "relu", output="sigmoid")
 
     def forward(self, z: Tensor, params: Params) -> Tensor:
         if z.values.ndim != 2 or z.shape[1] != self.widths[0]:
             raise T.DimensionError(
                 f"discriminator expects n x {self.widths[0]} input, got {z.shape}")
-        return T.sigmoid(super().forward(z, params))
+        return super().forward(z, params)
 
 
 BETA_ID = "beta"  # id of the group weights, the one parameter weight decay skips

@@ -73,12 +73,13 @@ def sgd_update(params: np.ndarray, grads: np.ndarray, state: OptimState,
 
 
 def virtual_update(params: Params, g_train: np.ndarray, alpha: float,
-                   groups: list[list[slice]]) -> Params:
+                   groups: list[list[slice]], dots: Optional[list] = None) -> Params:
     """params with theta' read by the extractor: theta_m + g_m * (beta_m * -alpha)
     on each group m, the bits of theta_m - alpha * beta_m * g_m, as one
     tensor.group_step node, which reads theta and beta from params.p. g_train
-    is laid out like the extractor's part; groups lists each group's slices."""
-    prime = T.group_step(params.p, g_train, alpha, groups, params.slices[BETA_ID])
+    is laid out like the extractor's part; groups lists each group's slices.
+    A given list dots gets <grad at theta', g_train> per group in backward."""
+    prime = T.group_step(params.p, g_train, alpha, groups, params.slices[BETA_ID], dots)
     return Params.over(params.p, params.slices, prime)
 
 
@@ -208,11 +209,13 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant, alpha
     train_loss, train_info = _task_loss(bundle, batch, variant, meta_train, bundle.params(Tape()))
     g1 = backward(train_loss, [FLAT_ID])[FLAT_ID]
 
-    prime = virtual_update(bundle.params(Tape()), g1[theta], alpha, bundle.group_slices)
+    dots: list = []  # group_step's vjp puts the per-group dots here
+    prime = virtual_update(bundle.params(Tape()), g1[theta], alpha, bundle.group_slices, dots)
     test_loss, test_info = _task_loss(bundle, batch, variant, meta_test, prime)
     applied = backward(test_loss, [FLAT_ID])[FLAT_ID]
 
-    total_dot, cos, per_group = analysis.grad_dot(g1, applied, bundle.group_slices)
+    total_dot, cos, per_group = analysis.grad_dot(g1, applied, bundle.group_slices,
+                                                  dots or None)
 
     gap, head = gw.beta.sum() - gw.budget, _head_span(bundle, meta_train, variant)
     applied[theta] += g1[theta]

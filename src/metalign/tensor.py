@@ -153,36 +153,52 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
                             None if b._index is None else g.sum(axis=0)))
 
 
-def dense(x: Tensor, p: Tensor, w: slice, b: slice, act: str) -> Tensor:
-    """act(x @ W + b) as one node, act "relu", "tanh" or "identity", W and b
-    the views of the 1-d p at slices w (W row-major) and b, with the bits of
-    matmul, add_bias and the activation op in value and gradients. The
-    forward adds b and applies act in place; the vjp applies the relu mask or
-    the tanh derivative once, then forms the gradients, p's as slice-tagged
-    pairs."""
+def mlp(x: Tensor, p: Tensor, layers: list, acts) -> Tensor:
+    """A whole MLP pass as one node: layer i computes h @ W + b, W and b the
+    views of the 1-d p at the slices layers[i] = (w, b), W row-major, then
+    applies acts[i] in place: "relu", "tanh", "identity", or "sigmoid" with
+    sigmoid's bits and clamp. Value and gradients have the bits of the chain
+    matmul, add_bias, activation per layer. The vjp walks the layers in
+    reverse and hands p slice-tagged pairs; a constant x gets no gradient."""
     xv, pv = x.values, p.values
-    wv, bv = pv[w], pv[b]
-    if pv.ndim != 1 or xv.ndim != 2 or wv.size != xv.shape[1] * bv.size:
-        raise DimensionError(f"dense: x {xv.shape}, W at {w} and b at {b} of {pv.shape}")
-    wv = wv.reshape(xv.shape[1], bv.size)
+    if pv.ndim != 1 or xv.ndim != 2 or not 0 < len(layers) == len(acts):
+        raise DimensionError(f"mlp: x {xv.shape}, p {pv.shape}, {len(layers)} layers")
+    hs, ws = [xv], []  # each layer's input, then the last output; each W
     with np.errstate(over="ignore", invalid="ignore"):  # divergence -> inf/NaN
-        out = xv @ wv
-    out += bv
-    if act == "relu":
-        mask = out > 0.0
-        np.maximum(out, 0.0, out=out)  # a NaN stays NaN
-    elif act == "tanh":
-        np.tanh(out, out=out)
-    elif act != "identity":
-        raise ValueError(f"unknown activation {act!r}")
+        for (w, b), act in zip(layers, acts):
+            h, wv, bv = hs[-1], pv[w], pv[b]
+            if wv.size != h.shape[1] * bv.size:
+                raise DimensionError(f"mlp: input {h.shape}, W at {w} and b at {b}")
+            ws.append(wv.reshape(h.shape[1], bv.size))
+            out = h @ ws[-1]
+            out += bv
+            if act == "relu":
+                np.maximum(out, 0.0, out=out)  # a NaN stays NaN
+            elif act == "tanh":
+                np.tanh(out, out=out)
+            elif act == "sigmoid":  # 1 / (1 + exp(-out)), clamped
+                np.exp(np.negative(out, out=out), out=out)
+                np.divide(1.0, np.add(out, 1.0, out=out), out=out)
+                np.minimum(np.maximum(out, _SIGMOID_LO, out=out), _SIGMOID_HI, out=out)
+            elif act != "identity":
+                raise ValueError(f"unknown activation {act!r}")
+            hs.append(out)
 
     def vjp(g):
-        if act == "relu":
-            g = g * mask
-        elif act == "tanh":
-            g = g * (1.0 - out * out)
-        return (None if x._index is None else g @ wv.T,
-                None if p._index is None else ((w, xv.T @ g), (b, g.sum(axis=0))))
+        parts = []
+        for i in range(len(ws) - 1, -1, -1):
+            out, act = hs[i + 1], acts[i]
+            if act == "relu":
+                g = g * (out > 0.0)  # out > 0 where the input was
+            elif act == "tanh":
+                g = g * (1.0 - out * out)
+            elif act == "sigmoid":
+                g = g * out * (1.0 - out)
+            if p._index is not None:
+                parts += ((layers[i][0], hs[i].T @ g), (layers[i][1], g.sum(axis=0)))
+            if i or x._index is not None:
+                g = g @ ws[i].T
+        return (None if x._index is None else g, None if p._index is None else tuple(parts))
 
     return _make(out, (x, p), vjp)
 
@@ -236,7 +252,9 @@ def _log_softmax(z: np.ndarray, op: str) -> np.ndarray:
     if z.ndim != 2 or z.shape[1] < 2:
         raise DimensionError(f"{op} expects n x K logits with K >= 2")
     with np.errstate(invalid="ignore"):  # divergent inputs propagate NaN
-        m = z.max(axis=1, keepdims=True)
+        # numpy reduces a short inner axis row by row: take the max over the
+        # rows of a contiguous (K, n) copy instead
+        m = np.maximum.reduce(z.T.copy())[:, None]
         lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
         return z - lse
 
@@ -289,7 +307,7 @@ def bce_mean(d: Tensor, lo: float, hi: float, complement: bool,
     mask = (dv >= lo) & (dv <= hi)
     if clamped is not None:
         clamped.append(not mask.all())
-    inner = np.clip(dv, lo, hi)
+    inner = np.minimum(np.maximum(dv, lo), hi)
     if complement:
         inner = 1.0 - inner
     ll = np.log(inner)
@@ -404,12 +422,13 @@ def scale_grad(x: Tensor, factor: float) -> Tensor:
     return _make(x.values, (x,), lambda g: (g * factor,))
 
 
-def group_step(p: Tensor, d: np.ndarray, alpha: float, groups: list, beta: slice) -> Tensor:
+def group_step(p: Tensor, d: np.ndarray, alpha: float, groups: list, beta: slice,
+               dots: Optional[list] = None) -> Tensor:
     """p[:n] + d * (p[beta][m] * -alpha) on group m's part as one node, n = d.size;
     groups[m] lists the slices of group m's ids, tiling [0, n) in order. The
     vjp hands p the upstream gradient at [0, n) and, at beta[m], -alpha times
-    the dots <upstream, d> over group m's slices summed in order (as
-    analysis.grad_dot sums them)."""
+    the dots <upstream, d> over group m's slices summed in order from the
+    first; a given list dots gets those per-group sums."""
     c, theta, out = -float(alpha), slice(0, d.size), np.empty(d.size)
     for ids, coeff in zip(groups, p.values[beta] * c):
         at = slice(ids[0].start, ids[-1].stop)
@@ -417,9 +436,11 @@ def group_step(p: Tensor, d: np.ndarray, alpha: float, groups: list, beta: slice
     out += p.values[theta]
 
     def vjp(g):
-        dots = [sum([np.dot(g[at], d[at]) for at in ids[1:]], np.dot(g[ids[0]], d[ids[0]]))
+        sums = [sum([np.dot(g[at], d[at]) for at in ids[1:]], np.dot(g[ids[0]], d[ids[0]]))
                 for ids in groups]
-        return (((theta, g), (beta, np.array(dots) * c)),)
+        if dots is not None:
+            dots.extend(sums)
+        return (((theta, g), (beta, np.array(sums) * c)),)
 
     return _make(out, (p,), vjp)
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from metalign import analysis, nn, runner
+from metalign import tensor as T
 from metalign.analysis import MetricsRecord, grad_dot, evaluate, record_metrics
 from metalign.config import load_config
 from metalign.data import Dataset, SOURCE
+from metalign.tensor import Tape, Tensor, backward
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SHIPPED = sorted(name[:-len(".json")] for name in os.listdir(CONFIGS))
@@ -87,18 +89,20 @@ class TestGradDot:
                                                            monkeypatch):
         """On the gradients of a shipped config's first step, the slice form
         gives the id-keyed form's per_group, total and cos bit for bit, and
-        a zero gradient gives cos None in both."""
+        a zero gradient gives cos None in both. A meta step hands it the
+        per-group dots group_step's vjp summed; they give the same bits."""
         calls, real = [], analysis.grad_dot
 
-        def recording(a, b, groups):
-            out = real(a, b, groups)
-            calls.append((a.copy(), b.copy(), groups, out))
+        def recording(a, b, groups, dots=None):
+            out = real(a, b, groups, dots)
+            calls.append((a.copy(), b.copy(), groups, dots, out))
             return out
 
         monkeypatch.setattr(analysis, "grad_dot", recording)
         cfg = load_config(os.path.join(CONFIGS, f"{config}.json"))
         runner.run_training(replace(cfg, iterations=1), str(tmp_path))
-        (a, b, groups, got), = calls
+        (a, b, groups, dots, got), = calls
+        assert (dots is None) == (cfg.strategy.kind == "joint")
         ids = [[(m, i) for i in range(len(group))] for m, group in enumerate(groups)]
         by_id = [{(m, i): arr[at] for m, group in enumerate(groups)
                   for i, at in enumerate(group)} for arr in (a, b)]
@@ -107,6 +111,30 @@ class TestGradDot:
         zero = {pid: np.zeros_like(g) for pid, g in by_id[0].items()}
         want = id_keyed_grad_dot(zero, by_id[1], ids)
         assert want[1] is None and bits(real(np.zeros_like(a), b, groups)) == bits(want)
+
+    def test_group_step_sums_give_the_loop_bits_at_a_negative_zero_first_dot(self):
+        """Sums from each group's first dot, as group_step's vjp hands them
+        to the meta step, give the bits and record bytes of the sums from
+        0.0: group 0's first dot is -0.0, and so is each of group 1's."""
+        groups = [[slice(0, 1), slice(1, 3)], [slice(3, 4), slice(4, 5)]]
+        d = np.array([0.0, 0.5, -2.0, 0.0, -0.0])
+        upstream = np.array([-1.5, 3.0, 0.25, -1.0, 2.0])
+        tape = Tape()
+        p = tape.param(np.array([0.5, 0.75, 1.0, 1.25, 1.5, 1.0, 1.0]), "p")
+        sums: list = []
+        prime = T.group_step(p, d, 0.25, groups, slice(5, 7), sums)
+        g = backward(T.reduce_sum(T.mul(prime, Tensor(upstream))), ["p"])["p"]
+        assert [math.copysign(1.0, s) for s in sums] == [1.0, -1.0] and sums[1] == 0.0
+        a = np.concatenate([d, [0.0, 0.0]])
+        got = grad_dot(a, g, groups, sums)
+        by_id = [{(m, i): arr[at] for m, group in enumerate(groups)
+                  for i, at in enumerate(group)} for arr in (a, g)]
+        ids = [[(m, i) for i in range(len(group))] for m, group in enumerate(groups)]
+        assert bits(got) == bits(grad_dot(a, g, groups)) == bits(id_keyed_grad_dot(*by_id, ids))
+        record = MetricsRecord(L_cls=1.0, L_dom_cls=None, L_dom=0.0, L_beta=0.0, L_total=1.0,
+                               grad_dot_total=got[0], grad_cos=got[1],
+                               grad_dot_per_group=got[2], beta=[1.0, 1.0])
+        assert '"grad_dot_per_group": [1.0, 0.0]' in record.to_json()
 
 
 class TestEvaluate:

@@ -1004,6 +1004,20 @@ class TestCmdEval:
         assert err["error"] == "config"
         assert "4 features" in err["detail"] and "takes 2" in err["detail"]
 
+    def test_labels_outside_the_checkpoint_classes_rejected(self, tmp_path, capsys):
+        """Source labels the checkpoint's classifier has no logit for exit 2
+        as a config fault; cross_entropy no longer checks them every step."""
+        cfg = write_config(tmp_path, base_doc(tmp_path, iterations=3))
+        assert main(["run", cfg]) == 0
+        capsys.readouterr()
+        doc = shipped_doc("gaussian_mmd_metaalign.json")
+        doc["dataset"]["dim"] = 2
+        three = write_config(tmp_path, doc, "three.json")
+        assert main(["eval", str(tmp_path / "run" / "checkpoint.npz"), three]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert "3 classes" in err["detail"] and "has 2" in err["detail"]
+
     def test_unsupported_version_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(tmp_path, iterations=1))
         assert main(["run", cfg]) == 0
@@ -1061,7 +1075,8 @@ class TestCmdGradcheck:
         assert "meta_beta_dann_alignment" in report.failing()
 
     @pytest.mark.parametrize("check", [
-        "matmul", "rbf_mean", "grl", "mmd2_rbf", "cls_loss_mmd",
+        "matmul", "rbf_mean", "mlp_sigmoid", "mlp_three_layer", "grl", "mmd2_rbf",
+        "cls_loss_mmd",
         "align_disc_dann",
         "meta_theta_dannpe_classification", "meta_beta_closed_form_mmd_alignment",
         "toy_beta_alpha_0.1",

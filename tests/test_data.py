@@ -46,6 +46,10 @@ class TestTwoMoons:
         np.testing.assert_allclose(tgt1.features - tgt0.features,
                                    np.tile([2.0, -1.0], (40, 1)))
 
+    def test_default_translation_is_zero(self):
+        src, tgt = gen_two_moons(40, 0.1, 0.0, seed=4)
+        np.testing.assert_array_equal(src.features, tgt.features)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_two_moons(1, 0.1, 0.0)

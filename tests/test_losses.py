@@ -52,12 +52,6 @@ class TestCrossEntropy:
         loss = losses.cross_entropy(logits, np.array([0]))
         assert abs(float(loss.values) + math.log(0.7)) < 1e-12
 
-    def test_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            losses.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
-        with pytest.raises(ValueError):
-            losses.cross_entropy(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
-
     def test_nonnegative_property(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -143,12 +137,6 @@ class TestEntropyWeights:
 
     def test_detached(self):
         assert losses.entropy_weights(Tensor(np.array([[0.3, 0.7]]))).tape is None
-
-    def test_invalid_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            losses.entropy_weights(Tensor(np.array([[0.9, 0.4]])))
-        with pytest.raises(ValueError):
-            losses.entropy_weights(Tensor(np.array([[-0.1, 1.1]])))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2,

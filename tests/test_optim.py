@@ -106,6 +106,9 @@ class TestSgd:
         with pytest.raises(ValueError):
             sgd_update(np.ones(2), np.ones(1), state, 2)
 
+    def test_defaults_take_no_weight_decay(self):
+        assert OptimState().weight_decay == 0.0
+
     def test_state_validation(self):
         with pytest.raises(ValueError):
             OptimState(lr=0.0)
@@ -365,6 +368,23 @@ class TestMetaStep:
                 metaalign_step(bundle, batch, variant, OptimState(), step)
         for pid, arr in bundle.all_params().items():
             np.testing.assert_array_equal(arr, before[pid])
+
+    @pytest.mark.parametrize("step", ["joint", ALIGNMENT, CLASSIFICATION])
+    def test_non_finite_probabilities_abort_dannpe_step(self, step):
+        """Softmax rows are the only input entropy_weights gets; a logit of
+        inf makes them NaN, and the step ends in NonFiniteError before any
+        parameter moves, without a check of the rows every step."""
+        rng = np.random.default_rng(11)
+        bundle, variant = random_bundle(rng, "dannpe")
+        batch = random_batch(rng)
+        bundle.classifier.layers[-1].bias[1] = np.inf
+        before = bundle.flat.copy()
+        with pytest.raises(NonFiniteError):
+            if step == "joint":
+                joint_step(bundle, batch, variant, OptimState())
+            else:
+                metaalign_step(bundle, batch, variant, OptimState(), step)
+        np.testing.assert_array_equal(bundle.flat, before)
 
     @pytest.mark.parametrize("config", ["moons_dann_metaalign.json", "moons_dann_joint.json"])
     def test_nan_batch_aborts_run_without_record(self, config, tmp_path, monkeypatch):

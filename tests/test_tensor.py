@@ -153,6 +153,20 @@ class TestLogSoftmax:
         with pytest.raises(DimensionError):
             T.log_softmax(Tensor(np.ones((3, 1))))
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_bitwise_equal_to_row_max_reference(self, k):
+        """The max over the rows of a (K, n) copy gives the bits of the
+        row-wise max, on ties, all-zero and signed-zero rows, NaN and inf."""
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=(64, k)) * 10.0
+        z[0], z[1], z[2], z[3] = 0.0, -0.0, 1.5, [-0.0] + [0.0] * (k - 1)
+        z[4, :2], z[5, 0], z[6, 0], z[7, :] = 3.25, np.nan, np.inf, -np.inf
+        z[8, :] = [800.0] + [-800.0] * (k - 1)
+        with np.errstate(invalid="ignore"):
+            m = z.max(axis=1, keepdims=True)
+            want = z - (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))
+        assert_same_bits(T.log_softmax(Tensor(z)).values, want)
+
 
 class TestReduceOps:
     def test_mean_arithmetic(self):
@@ -252,15 +266,15 @@ CHAIN_ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "identity": lambda t: t}
 
 
 def chain_dense(tape, x, w, b, act):
-    """The three-node layer dense replaces, W and b leaves of their own."""
+    """The three-node layer one layer of mlp replaces, W and b leaves of their own."""
     return CHAIN_ACTIVATIONS[act](T.add_bias(T.matmul(x, tape.param(w, "w")),
                                              tape.param(b, "b")))
 
 
 def flat_dense(tape, x, w, b, act):
-    """dense reading W, then b, from one leaf p."""
+    """One layer of mlp reading W, then b, from one leaf p."""
     p = tape.param(np.concatenate([w.ravel(), b]), "p")
-    return T.dense(x, p, slice(0, w.size), slice(w.size, None), act)
+    return T.mlp(x, p, [(slice(0, w.size), slice(w.size, None))], (act,))
 
 
 def layer_value_and_grads(build, x, w, b, u, act, const_x=False):
@@ -277,6 +291,9 @@ def layer_value_and_grads(build, x, w, b, u, act, const_x=False):
 
 
 class TestDense:
+    """One layer of mlp, a dense layer, against the matmul, add_bias and
+    activation chain; TestMlp runs whole networks."""
+
     @staticmethod
     def layer(rng, n, k, m):
         x = rng.normal(size=(n, k))
@@ -317,7 +334,7 @@ class TestDense:
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
     def test_flat_read_bitwise_equal_to_tensor_operands(self, act):
-        """dense reading W and b at their slices of one flat leaf that holds
+        """A layer reading W and b at their slices of one flat leaf that holds
         more, twice, gives the gradients the chain gives W and b as leaves of
         their own, bit for bit: a first partial keeps its bits and a second
         adds as prev + partial does."""
@@ -336,7 +353,7 @@ class TestDense:
             want = backward(loss(lambda xt: chain_dense(tape, xt, w, b, act)), ["w", "b"])
             tape = Tape()
             p = tape.param(flat, "p")
-            got = backward(loss(lambda xt: T.dense(xt, p, ws, bs, act)), ["p"])["p"]
+            got = backward(loss(lambda xt: T.mlp(xt, p, [(ws, bs)], (act,))), ["p"])["p"]
             assert_same_bits(got[ws].reshape(w.shape), want["w"])
             assert_same_bits(got[bs], want["b"])
             assert_same_bits(got[:3], -np.zeros(3))  # no partial reaches them
@@ -358,7 +375,7 @@ class TestDense:
 
     def test_on_constants_is_constant(self):
         p = Tensor(np.array([1.0] * 6 + [-4.0, 1.0]))
-        out = T.dense(Tensor(np.ones((2, 3))), p, slice(0, 6), slice(6, 8), "relu")
+        out = T.mlp(Tensor(np.ones((2, 3))), p, [(slice(0, 6), slice(6, 8))], ("relu",))
         assert out.tape is None
         np.testing.assert_array_equal(out.values, [[0.0, 4.0], [0.0, 4.0]])
 
@@ -371,7 +388,7 @@ class TestDense:
         t1, t2 = Tape(), Tape()
         ops = {k: (t2 if k == operand else t1).param(v, k) for k, v in arrays.items()}
         with pytest.raises(GraphError, match="two different graphs"):
-            T.dense(ops["x"], ops["p"], slice(0, 6), slice(6, 8), "relu")
+            T.mlp(ops["x"], ops["p"], [(slice(0, 6), slice(6, 8))], ("relu",))
 
     def test_bad_shapes_and_activation_rejected(self):
         x, p = Tensor(np.ones((4, 3))), Tensor(np.ones(9))
@@ -380,9 +397,124 @@ class TestDense:
                                    (Tensor(np.ones(3)), p, slice(0, 6), slice(6, 8)),
                                    (x, Tensor(np.ones((9, 1))), slice(0, 6), slice(6, 8))]:
             with pytest.raises(DimensionError):
-                T.dense(bad_x, bad_p, w, b, "relu")
+                T.mlp(bad_x, bad_p, [(w, b)], ("relu",))
+        for layers, acts in [([], ()), ([(slice(0, 6), slice(6, 8))], ("relu", "relu"))]:
+            with pytest.raises(DimensionError):
+                T.mlp(x, p, layers, acts)
         with pytest.raises(ValueError, match="unknown activation"):
-            T.dense(x, p, slice(0, 6), slice(6, 8), "sigmoid")
+            T.mlp(x, p, [(slice(0, 6), slice(6, 8))], ("softplus",))
+
+
+# the networks the shipped configs build, as widths: extractors, classifier
+# heads and discriminators (dannpe's reads the 2 class probabilities)
+NETS = [[2, 64, 64], [2, 32, 32, 32, 32], [4, 32, 32], [64, 32, 2], [32, 32, 2],
+        [32, 16, 3], [64, 16, 16, 1], [2, 16, 16, 1], [2, 64, 64, 32, 2]]
+
+
+def chain_net(tape, x, weights, acts):
+    """A network as the per-layer chain: matmul, add_bias and the activation
+    op, every W and b a leaf of its own (w0, b0, w1, ...)."""
+    ops = {**CHAIN_ACTIVATIONS, "sigmoid": T.sigmoid}
+    for i, ((w, b), act) in enumerate(zip(weights, acts)):
+        x = ops[act](T.add_bias(T.matmul(x, tape.param(w, f"w{i}")), tape.param(b, f"b{i}")))
+    return x
+
+
+def flat_net(tape, x, weights, acts):
+    """The network as one mlp node over one leaf p holding W0, b0, W1, ...
+    after two leading entries no layer reads."""
+    arrays = [np.zeros(2)] + [arr.ravel() for wb in weights for arr in wb]
+    ends = np.cumsum([0] + [arr.size for arr in arrays]).tolist()
+    spans = [slice(a, b) for a, b in zip(ends[1:], ends[2:])]
+    p = tape.param(np.concatenate(arrays), "p")
+    return T.mlp(x, p, list(zip(spans[::2], spans[1::2])), acts)
+
+
+def net_value_and_grads(build, x, weights, acts, u, const_x):
+    """The network's output and the gradients of sum(u * output) it sends
+    to x (unless x is a constant) and to each W and b, p's split by layer."""
+    tape = Tape()
+    xt = Tensor(x) if const_x else tape.param(x, "x")
+    out = build(tape, xt, weights, acts)
+    ids = ["x", "p"] + [f"{k}{i}" for i in range(len(weights)) for k in "wb"]
+    grads = backward(T.reduce_sum(T.mul(out, Tensor(u))), ids)
+    if "p" in grads:
+        g, at = grads.pop("p"), 2
+        assert_same_bits(g[:2], -np.zeros(2))  # no layer reads them
+        for i, (w, b) in enumerate(weights):
+            grads[f"w{i}"] = g[at:at + w.size].reshape(w.shape)
+            grads[f"b{i}"] = g[at + w.size:at + w.size + b.size]
+            at += w.size + b.size
+    return out.values, grads
+
+
+class TestMlp:
+    @staticmethod
+    def net(rng, n, widths):
+        x = rng.normal(size=(n, widths[0]))
+        x[rng.random(size=n) < 0.05] = 0.0  # rows whose first pre-activation is b
+        weights = [(rng.uniform(-1.0, 1.0, size=(k, m)) * np.sqrt(6.0 / (k + m)),
+                    rng.normal(size=m) * 0.1) for k, m in zip(widths, widths[1:])]
+        u = rng.normal(size=(n, widths[-1]))
+        u[rng.random(size=u.shape) < 0.1] = 0.0
+        return x, weights, u
+
+    @staticmethod
+    def assert_same(got, want, const_x):
+        assert_same_bits(got[0], want[0])
+        assert got[1].keys() == want[1].keys()
+        assert ("x" in want[1]) != const_x
+        for pid in want[1]:
+            assert_same_bits(got[1][pid], want[1][pid])
+
+    @pytest.mark.parametrize("hidden", ["relu", "tanh"])
+    @pytest.mark.parametrize("output", ["identity", "sigmoid"])
+    @pytest.mark.parametrize("const_x", [False, True])
+    def test_bitwise_equal_to_per_layer_chain(self, hidden, output, const_x):
+        """Every shipped network at batches 128, 256 and the 1000-row eval,
+        in value and in the gradients of x, each W and each b."""
+        rng = np.random.default_rng(29)
+        for n in (128, 256, 1000):
+            for widths in NETS:
+                x, weights, u = self.net(rng, n, widths)
+                acts = (hidden,) * (len(weights) - 1) + (output,)
+                got = net_value_and_grads(flat_net, x, weights, acts, u, const_x)
+                want = net_value_and_grads(chain_net, x, weights, acts, u, const_x)
+                self.assert_same(got, want, const_x)
+
+    @pytest.mark.parametrize("acts", [("relu", "relu", "sigmoid"), ("tanh", "tanh", "identity"),
+                                      ("identity", "relu", "tanh")])
+    def test_nan_row_bitwise_equal_to_chain(self, acts):
+        """A NaN input row gives a NaN output row, the other rows stay
+        finite, and the gradients keep the chain's bits."""
+        rng = np.random.default_rng(30)
+        x, weights, u = self.net(rng, 128, [64, 16, 16, 1])
+        x[5] = np.nan
+        got = net_value_and_grads(flat_net, x, weights, acts, u, False)
+        want = net_value_and_grads(chain_net, x, weights, acts, u, False)
+        assert np.isnan(got[0][5]).all() and not np.isnan(np.delete(got[0], 5, axis=0)).any()
+        self.assert_same(got, want, False)
+
+    def test_sigmoid_output_keeps_the_clamp(self):
+        """Saturated pre-activations land on sigmoid's clamp, strictly
+        inside (0, 1), with the bits of T.sigmoid."""
+        x = np.array([[-800.0], [-40.0], [0.0], [40.0], [800.0]])
+        p = Tensor(np.array([1.0, 0.0]))
+        out = T.mlp(Tensor(x), p, [(slice(0, 1), slice(1, 2))], ("sigmoid",)).values
+        assert_same_bits(out, T.sigmoid(Tensor(x)).values)
+        assert out[0, 0] == np.nextafter(0.0, 1.0) and out[-1, 0] == np.nextafter(1.0, 0.0)
+
+    def test_constant_p_gives_x_its_gradient_only(self):
+        rng = np.random.default_rng(31)
+        x, weights, u = self.net(rng, 6, [3, 4, 2])
+        p = Tensor(np.concatenate([arr.ravel() for wb in weights for arr in wb]))
+        tape = Tape()
+        out = T.mlp(tape.param(x, "x"), p, [(slice(0, 12), slice(12, 16)),
+                                            (slice(16, 24), slice(24, 26))], ("tanh", "identity"))
+        gx, gp = out._vjp(u)
+        want = net_value_and_grads(chain_net, x, weights, ("tanh", "identity"), u, False)
+        assert gp is None
+        assert_same_bits(gx, want[1]["x"])
 
 
 # upstream factors on a loss node: 1, a negative, +0 and -0 (the chain's pick
@@ -576,7 +708,7 @@ class TestBackward:
         x, u, w = rng.normal(size=(4, 2)), rng.normal(size=(4, 3)), rng.normal(size=9)
         tape = Tape()
         p, q = tape.param(rng.normal(size=9), "p"), tape.param(rng.normal(size=9), "q")
-        y = T.dense(Tensor(x), p, slice(0, 6), slice(6, 9), "identity")
+        y = T.mlp(Tensor(x), p, [(slice(0, 6), slice(6, 9))], ("identity",))
         loss = T.add(T.reduce_sum(T.mul(y, Tensor(u))),
                      T.reduce_sum(T.mul(T.add(p, q), Tensor(w))))
         g = backward(loss, ["p", "q"])
