@@ -60,8 +60,16 @@ class TestMatmul:
             np.testing.assert_allclose(g[k], fd[k], rtol=1e-6, atol=1e-9)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        """Mismatched inner dimensions, and a 1-d operand on either side."""
+        for a, b in [((2, 3), (2, 3)), ((3,), (3, 2)), ((2, 3), (3,))]:
+            with pytest.raises(DimensionError):
+                T.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
+
+    def test_add_bias_shapes_checked(self):
+        """x must be 2-d, b 1-d, and b as wide as x's rows; each alone fails."""
+        for x, b in [((3,), (3,)), ((2, 3), (1, 3)), ((2, 3), (2,))]:
+            with pytest.raises(DimensionError):
+                T.add_bias(Tensor(np.ones(x)), Tensor(np.ones(b)))
 
 
 class TestRelu:
@@ -131,6 +139,35 @@ class TestSigmoid:
         assert np.all((got[finite] > 0.0) & (got[finite] < 1.0))
 
 
+def test_log_rejects_zero_and_negative_inputs():
+    for bad in ([0.0, 1.0], [2.0, -1e-300]):
+        with pytest.raises(DimensionError, match="nonpositive"):
+            T.log(Tensor(np.array(bad)))
+
+
+def test_absolute_subgradient_is_zero_at_zero():
+    tape = Tape()
+    x = tape.param(np.array([0.0, -2.0, 3.0]), "x")
+    g = backward(T.reduce_sum(T.absolute(x)), ["x"])["x"]
+    assert_same_bits(g, np.array([0.0, -1.0, 1.0]))
+
+
+def test_clip_passes_gradient_on_its_bounds():
+    tape = Tape()
+    x = tape.param(np.array([-1.5, -1.0, 0.25, 1.0, 1.5]), "x")
+    g = backward(T.reduce_sum(T.clip(x, -1.0, 1.0)), ["x"])["x"]
+    np.testing.assert_array_equal(g, [0.0, 1.0, 1.0, 1.0, 0.0])
+
+
+def test_pick_and_select1_check_their_operands():
+    for shape, idx in [((4,), [0, 1, 2, 3]), ((4, 3), [0, 1]), ((4, 3), [[0], [1], [2], [0]])]:
+        with pytest.raises(DimensionError):
+            T.pick(Tensor(np.ones(shape)), np.array(idx))
+    for shape, i in [((2, 2), 0), ((3,), 3), ((3,), -1)]:
+        with pytest.raises(DimensionError):
+            T.select1(Tensor(np.ones(shape)), i)
+
+
 class TestLogSoftmax:
     def test_uniform_row(self):
         out = T.log_softmax(Tensor(np.zeros((1, 4))))
@@ -183,8 +220,9 @@ class TestReduceOps:
         np.testing.assert_array_equal(g["x"], np.full((2, 3), 1.0 / 6.0))
 
     def test_invalid_axis(self):
-        with pytest.raises(DimensionError):
-            T.reduce_mean(Tensor(np.ones((2, 2))), axis=5)
+        for op, axis in [(T.reduce_mean, 5), (T.reduce_mean, 2), (T.reduce_sum, -1)]:
+            with pytest.raises(DimensionError):
+                op(Tensor(np.ones((2, 2))), axis=axis)
 
     @staticmethod
     def spread_oracle(g, shape, axis):
@@ -605,6 +643,7 @@ class TestBceMean:
                 T.bce_mean(d, lo, hi, False)
         with pytest.raises(DimensionError):
             T.bce_mean(d, 0.1, 0.9, False, np.ones(3))
+        assert float(T.bce_mean(d, 0.5, 0.5, False).values) == -math.log(0.5)  # lo == hi
 
 
 class TestBackward:
@@ -870,6 +909,11 @@ class TestFiniteDiff:
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda p: 0.0, {"p": np.ones(1)}, h=0.0)
+
+    def test_rejects_params_other_than_float64_arrays(self):
+        for bad in (np.ones(2, dtype=np.float32), [1.0, 2.0]):
+            with pytest.raises(TypeError):
+                finite_diff_grad(lambda p: 0.0, {"p": bad})
 
 
 @settings(max_examples=25, deadline=None)
