@@ -211,14 +211,15 @@ def _fused_rows(seed: int) -> list:
     labels = rng.integers(0, 5, size=4)
     rows.append(("nll_mean", {"x": _rng_arr(rng, 4, 5)},
                  lambda p: T.scale(T.nll_mean(p["x"], labels), 1.3)))
-    weights = rng.uniform(0.2, 1.5, size=(5, 1))
-    for complement in (False, True):
-        for w in (None, weights):
-            d = rng.uniform(0.05, 0.95, size=(5, 1))
-            d[int(rng.integers(0, 5))] = 0.995  # clipped: zero gradient both ways
-            name = "bce_mean" + "_complement" * complement + "_weighted" * (w is not None)
-            rows.append((name, {"x": d}, lambda p, c=complement, w=w: T.scale(
-                T.bce_mean(p["x"], 0.02, 0.98, c, w), 0.7)))
+    # two-domain stacks of the draws of four one-domain rows: source then target
+    weights, ds = rng.uniform(0.2, 1.5, size=(5, 1)), []
+    for _ in range(4):
+        ds.append(rng.uniform(0.05, 0.95, size=(5, 1)))
+        ds[-1][int(rng.integers(0, 5))] = 0.995  # clipped: zero gradient both ways
+    for name, d, w in [("bce_mean", (ds[0], ds[2]), None),
+                       ("bce_mean_weighted", (ds[1], ds[3]), np.stack((weights, weights[::-1])))]:
+        rows.append((name, {"x": np.stack(d)}, lambda p, w=w: T.scale(
+            T.bce_mean(p["x"], 0.02, 0.98, w), 0.7)))
     # theta' over the first 6 of 10 entries, in groups [2, 1] and [3], beta last
     d, w_step = rng.uniform(-1.0, 1.0, size=6), Tensor(rng.uniform(-1.0, 1.0, size=6))
     groups = [[slice(0, 2), slice(2, 3)], [slice(3, 6)]]
@@ -232,6 +233,18 @@ def _fused_rows(seed: int) -> list:
         p = _rng_arr(rng, layers[-1][1].stop + 1, lo=-1.0, hi=1.0)
         rows.append((name, {"x": _rng_arr(rng, 4, 3), "p": p}, lambda p, layers=layers, acts=acts:
                      T.reduce_sum(T.mul(T.mlp(p["x"], p["p"], layers, acts), w_mlp))))
+    # drawn after those: the two-domain stacks, 2 x n x k
+    w_stack = Tensor(rng.uniform(-1.0, 1.0, size=(2, 4, 2)))
+    x, p = _rng_arr(rng, 2, 4, 3), _rng_arr(rng, 41, lo=-1.0, hi=1.0)
+    rows.append(("mlp_stacked", {"x": x, "p": p}, lambda p: T.reduce_sum(
+        T.mul(T.mlp(p["x"], p["p"], three, ("relu", "tanh", "sigmoid")), w_stack))))
+    w_soft = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 4)))
+    rows.append(("softmax", {"x": _rng_arr(rng, 2, 3, 4)},
+                 lambda p: T.reduce_sum(T.mul(T.softmax(p["x"]), w_soft))))
+    w_sel = [Tensor(rng.uniform(-1.0, 1.0, size=(3, 2))) for _ in range(2)]
+    rows.append(("select1_stacked", {"x": _rng_arr(rng, 2, 3, 2)}, lambda p: T.add(
+        T.reduce_sum(T.mul(T.tanh(T.select1(p["x"], 0)), w_sel[0])),
+        T.reduce_sum(T.mul(T.mul(T.select1(p["x"], 1), T.select1(p["x"], 1)), w_sel[1])))))
     return rows
 
 
@@ -302,13 +315,13 @@ def _grads_by_id(bundle: ModelBundle, loss: Tensor) -> GradientMap:
     return bundle.all_params(backward(loss, [nn.FLAT_ID])[nn.FLAT_ID])
 
 
-def _frozen_weights(bundle, batch, params: Params):
-    """Entropy weights at the given parameters; the analytic gradient treats
-    them as constants, so finite differences must too."""
-    feats = [bundle.extractor.forward(Tensor(x), params)
-             for x in (batch.src_features, batch.tgt_features)]
-    return tuple(losses.entropy_weights(T.exp(T.log_softmax(
-        bundle.classifier.forward(f, params)))).values.copy() for f in feats)
+def _frozen_weights(bundle, batch, params: Params) -> np.ndarray:
+    """Entropy weights at the given parameters, 2 x n, from one pass per
+    domain; the analytic gradient treats them as constants, so finite
+    differences must too."""
+    return np.stack([losses.entropy_weights(T.softmax(bundle.classifier.forward(
+        bundle.extractor.forward(Tensor(x), params), params))).values
+        for x in (batch.src_features, batch.tgt_features)])
 
 
 def loss_checks(seed: int) -> list[CheckResult]:
@@ -318,13 +331,11 @@ def loss_checks(seed: int) -> list[CheckResult]:
     out.append(_fd_check(
         "cross_entropy", {"logits": _rng_arr(rng, 4, 5)},
         lambda p: losses.cross_entropy(p["logits"], np.array([0, 2, 4, 1]))))
-    wsrc = Tensor(rng.uniform(0.2, 1.5, size=5))
-    wtgt = Tensor(rng.uniform(0.2, 1.5, size=4))
-    out.append(_fd_check(
-        "domain_cls_loss",
-        {"ds": rng.uniform(0.05, 0.95, size=(5, 1)),
-         "dt": rng.uniform(0.05, 0.95, size=(4, 1))},
-        lambda p: losses.domain_cls_loss(p["ds"], p["dt"], wsrc, wtgt)))
+    # source and target stacked at 4 rows each, from draws of 5 and 4
+    w = Tensor(np.stack((rng.uniform(0.2, 1.5, size=5)[:4], rng.uniform(0.2, 1.5, size=4))))
+    d = np.stack((rng.uniform(0.05, 0.95, size=(5, 1))[:4], rng.uniform(0.05, 0.95, size=(4, 1))))
+    out.append(_fd_check("domain_cls_loss", {"d": d},
+                         lambda p: losses.domain_cls_loss(p["d"], w)))
     out.append(_fd_check(
         "mmd2_rbf", {"fs": _rng_arr(rng, 5, 3), "ft": _rng_arr(rng, 4, 3)},
         lambda p: losses.mmd2_rbf(p["fs"], p["ft"], sigma=1.2)))

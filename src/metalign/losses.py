@@ -57,43 +57,36 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def entropy_weights(probs: Tensor) -> Tensor:
-    """Per-sample weights exp(-entropy) of rows of softmax outputs, a constant,
-    so no gradient reaches C; a non-finite row gives a non-finite weight."""
+    """Per-sample weights exp(-entropy) of rows of softmax outputs (n x K, or a
+    2 x n x K stack), a constant, so no gradient reaches C; a non-finite row
+    gives a non-finite weight."""
     p = probs.values
-    if p.ndim != 2:
-        raise ValueError("entropy_weights expects n x K probabilities")
+    if p.ndim not in (2, 3):
+        raise ValueError("entropy_weights expects [2 x] n x K probabilities")
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0.0, p * np.log(p), 0.0)
-    return Tensor(np.exp(plogp.sum(axis=1)))
+    return Tensor(np.exp(plogp.sum(axis=-1)))
 
 
-def domain_cls_loss(d_src: Tensor, d_tgt: Tensor, w_src: Optional[Tensor] = None,
-                    w_tgt: Optional[Tensor] = None,
+def domain_cls_loss(d: Tensor, w: Optional[Tensor] = None,
                     clamped: Optional[list[bool]] = None) -> Tensor:
-    """Two-domain BCE: -mean log d_src - mean log(1 - d_tgt).
+    """Two-domain BCE over a 2 x n x 1 stack of discriminator outputs, source
+    first: -mean log d[0] - mean log(1 - d[1]).
 
-    Optional nonnegative weights are normalized to mean one per domain batch
-    and applied inside the means. Inputs are clamped to [EPS, 1-EPS] so the
+    Optional nonnegative 2 x n weights are normalized to mean one per domain
+    and applied inside the means. Outputs are clamped to [EPS, 1-EPS] so the
     loss stays finite; a given list clamped gets one flag per domain, whether
     the clamp changed any output, NaN included.
     """
-    term_s = _bce_term(d_src, w_src, True, clamped)
-    term_t = _bce_term(d_tgt, w_tgt, False, clamped)
-    return T.add(term_s, term_t)
-
-
-def _bce_term(d: Tensor, w: Optional[Tensor], true_side: bool, clamped: Optional[list]) -> Tensor:
-    if d.values.ndim != 2 or d.shape[1] != 1:
-        raise ValueError(f"discriminator outputs must be n x 1, got {d.shape}")
     norm = None
     if w is not None:
         wv = w.values
         if np.any(wv < 0.0):
             raise ValueError("weights must be nonnegative")
-        norm = (wv / wv.mean()).reshape(-1, 1)
-        if norm.shape != d.shape:
-            raise ValueError(f"weight shape {w.shape} does not match batch {d.shape}")
-    return T.bce_mean(d, EPS, 1.0 - EPS, not true_side, norm, clamped)
+        if wv.shape != d.shape[:2]:
+            raise ValueError(f"weight shape {w.shape} does not match outputs {d.shape}")
+        norm = (wv / wv.mean(axis=1, keepdims=True))[:, :, None]
+    return T.bce_mean(d, EPS, 1.0 - EPS, norm, clamped)
 
 
 def mmd2_rbf(fs: Tensor, ft: Tensor, sigma: float) -> Tensor:
@@ -119,45 +112,41 @@ def median_sq_dist(fs: np.ndarray, ft: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def alignment_loss(variant: AlignmentVariant, fs: Tensor, ft: Tensor,
+def alignment_loss(variant: AlignmentVariant, feats: Tensor,
                    params: Optional[nn.Params] = None,
                    classifier: Optional[nn.ClassifierHead] = None,
                    discriminator: Optional[nn.DomainDiscriminator] = None,
-                   weights_override: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                   weights_override: Optional[np.ndarray] = None,
                    ) -> tuple[Tensor, AlignmentInfo]:
-    """Scalar alignment objective over source/target features: for MMD
-    grl_lambda * mmd^2; for the adversarial variants the discriminator BCE on
-    gradient-reversed inputs, which trains the discriminator while the shared
-    parameters receive the flipped (alignment) gradient, scaled by grl_lambda.
+    """Scalar alignment objective over a 2 x n x d stack of source and target
+    features: for MMD grl_lambda * mmd^2 between the two slices; for the
+    adversarial variants the discriminator BCE on gradient-reversed inputs,
+    which trains the discriminator while the shared parameters receive the
+    flipped (alignment) gradient, scaled by grl_lambda. Each network runs
+    once, over the stack.
 
-    weights_override pins the entropy weights to given arrays, as the analytic
-    gradient treats them as constants; finite-difference checks use it.
+    weights_override pins the 2 x n entropy weights to a given array, as the
+    analytic gradient treats them as constants; finite-difference checks use it.
     """
     if variant.name == MMD:
         if variant.sigma is None:
             raise ValueError("sigma unresolved; call median_sq_dist on the first batch")
-        raw = mmd2_rbf(fs, ft, variant.sigma)
+        raw = mmd2_rbf(T.select1(feats, 0), T.select1(feats, 1), variant.sigma)
         loss = T.scale(raw, variant.grl_lambda) if variant.grl_lambda != 1.0 else raw
         return loss, AlignmentInfo(dom_cls=None, dom=float(raw.values))
 
     if discriminator is None or params is None:
         raise ValueError("adversarial variants need a discriminator and params")
-    w_src = w_tgt = None
+    w = None
     if variant.name == DANNPE:
         if classifier is None:
             raise ValueError("dannpe needs the classifier for probability inputs")
-        zs = T.exp(T.log_softmax(classifier.forward(fs, params)))
-        zt = T.exp(T.log_softmax(classifier.forward(ft, params)))
-        if weights_override is not None:
-            w_src, w_tgt = Tensor(weights_override[0]), Tensor(weights_override[1])
-        else:
-            w_src = entropy_weights(zs)
-            w_tgt = entropy_weights(zt)
+        z = T.softmax(classifier.forward(feats, params))
+        w = entropy_weights(z) if weights_override is None else Tensor(weights_override)
     else:
-        zs, zt = fs, ft
-    d_src = discriminator.forward(nn.grl(zs, variant.grl_lambda), params)
-    d_tgt = discriminator.forward(nn.grl(zt, variant.grl_lambda), params)
+        z = feats
     clamped: list[bool] = []
-    loss = domain_cls_loss(d_src, d_tgt, w_src, w_tgt, clamped)
+    loss = domain_cls_loss(discriminator.forward(nn.grl(z, variant.grl_lambda), params),
+                           w, clamped)
     dom_cls = float(loss.values)
     return loss, AlignmentInfo(dom_cls=dom_cls, dom=-dom_cls, clamped=any(clamped))

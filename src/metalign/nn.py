@@ -107,9 +107,9 @@ class FeatureExtractor(MLP):
         return self.widths[-1]
 
     def forward(self, x: Tensor, params: Params) -> Tensor:
-        if x.values.ndim != 2 or x.shape[1] != self.widths[0]:
+        if x.values.ndim not in (2, 3) or x.shape[-1] != self.widths[0]:
             raise T.DimensionError(
-                f"extractor expects n x {self.widths[0]} input, got {x.shape}")
+                f"extractor expects [2 x] n x {self.widths[0]} input, got {x.shape}")
         return super().forward(x, params, params.theta)
 
 
@@ -131,9 +131,9 @@ class DomainDiscriminator(MLP):
         super().__init__([in_dim, hidden[0], hidden[1], 1], "D", "relu", output="sigmoid")
 
     def forward(self, z: Tensor, params: Params) -> Tensor:
-        if z.values.ndim != 2 or z.shape[1] != self.widths[0]:
+        if z.values.ndim not in (2, 3) or z.shape[-1] != self.widths[0]:
             raise T.DimensionError(
-                f"discriminator expects n x {self.widths[0]} input, got {z.shape}")
+                f"discriminator expects [2 x] n x {self.widths[0]} input, got {z.shape}")
         return super().forward(z, params)
 
 

@@ -95,9 +95,8 @@ def _cls_loss(bundle: ModelBundle, batch, params: Params) -> Tensor:
 
 def _align_loss(bundle: ModelBundle, batch, variant: AlignmentVariant,
                 params: Params, weights_override=None) -> tuple[Tensor, AlignmentInfo]:
-    fs = bundle.extractor.forward(Tensor(batch.src_features), params)
-    ft = bundle.extractor.forward(Tensor(batch.tgt_features), params)
-    return losses.alignment_loss(variant, fs, ft, params,
+    stack = np.stack((batch.src_features, batch.tgt_features))  # one pass over both domains
+    return losses.alignment_loss(variant, bundle.extractor.forward(Tensor(stack), params), params,
                                  classifier=bundle.classifier,
                                  discriminator=bundle.discriminator,
                                  weights_override=weights_override)

@@ -159,17 +159,23 @@ def mlp(x: Tensor, p: Tensor, layers: list, acts) -> Tensor:
     applies acts[i] in place: "relu", "tanh", "identity", or "sigmoid" with
     sigmoid's bits and clamp. Value and gradients have the bits of the chain
     matmul, add_bias, activation per layer. The vjp walks the layers in
-    reverse and hands p slice-tagged pairs; a constant x gets no gradient."""
+    reverse and hands p slice-tagged pairs; a constant x gets no gradient.
+
+    x is n x k, or a 2 x n x k stack of two batches (source, target): each
+    product then runs one gemm per batch, and the two batches' W and b
+    partials are added in one step, which is commutative, so the bits are
+    those of one node per batch."""
     xv, pv = x.values, p.values
-    if pv.ndim != 1 or xv.ndim != 2 or not 0 < len(layers) == len(acts):
+    if (pv.ndim != 1 or xv.ndim < 2 or xv.shape[:-2] not in ((), (2,))
+            or not 0 < len(layers) == len(acts)):
         raise DimensionError(f"mlp: x {xv.shape}, p {pv.shape}, {len(layers)} layers")
     hs, ws = [xv], []  # each layer's input, then the last output; each W
     with np.errstate(over="ignore", invalid="ignore"):  # divergence -> inf/NaN
         for (w, b), act in zip(layers, acts):
             h, wv, bv = hs[-1], pv[w], pv[b]
-            if wv.size != h.shape[1] * bv.size:
+            if wv.size != h.shape[-1] * bv.size:
                 raise DimensionError(f"mlp: input {h.shape}, W at {w} and b at {b}")
-            ws.append(wv.reshape(h.shape[1], bv.size))
+            ws.append(wv.reshape(h.shape[-1], bv.size))
             out = h @ ws[-1]
             out += bv
             if act == "relu":
@@ -185,17 +191,20 @@ def mlp(x: Tensor, p: Tensor, layers: list, acts) -> Tensor:
             hs.append(out)
 
     def vjp(g):
-        parts = []
-        for i in range(len(ws) - 1, -1, -1):
+        parts, top = [], len(ws) - 1
+        for i in range(top, -1, -1):
             out, act = hs[i + 1], acts[i]
-            if act == "relu":
-                g = g * (out > 0.0)  # out > 0 where the input was
+            if act == "relu":  # out > 0 where the input was; below the top, g is our own
+                g = g * (out > 0.0) if i == top else np.multiply(g, out > 0.0, out=g)
             elif act == "tanh":
                 g = g * (1.0 - out * out)
             elif act == "sigmoid":
                 g = g * out * (1.0 - out)
             if p._index is not None:
-                parts += ((layers[i][0], hs[i].T @ g), (layers[i][1], g.sum(axis=0)))
+                gw, gb = hs[i].mT @ g, g.sum(axis=-2)
+                if g.ndim == 3:
+                    gw, gb = gw[0] + gw[1], gb[0] + gb[1]
+                parts += ((layers[i][0], gw), (layers[i][1], gb))
             if i or x._index is not None:
                 g = g @ ws[i].T
         return (None if x._index is None else g, None if p._index is None else tuple(parts))
@@ -249,13 +258,14 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def _log_softmax(z: np.ndarray, op: str) -> np.ndarray:
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise DimensionError(f"{op} expects n x K logits with K >= 2")
+    """log_softmax over the last axis of n x K or 2 x n x K logits."""
+    if z.ndim not in (2, 3) or z.shape[-1] < 2:
+        raise DimensionError(f"{op} expects n x K or 2 x n x K logits with K >= 2")
     with np.errstate(invalid="ignore"):  # divergent inputs propagate NaN
         # numpy reduces a short inner axis row by row: take the max over the
-        # rows of a contiguous (K, n) copy instead
-        m = np.maximum.reduce(z.T.copy())[:, None]
-        lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+        # rows of a contiguous (K, rows) copy instead
+        m = np.maximum.reduce(z.reshape(-1, z.shape[-1]).T.copy()).reshape(*z.shape[:-1], 1)
+        lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
         return z - lse
 
 
@@ -263,9 +273,21 @@ def log_softmax(logits: Tensor) -> Tensor:
     out = _log_softmax(logits.values, "log_softmax")
 
     def vjp(g):
-        return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
     return _make(out, (logits,), vjp)
+
+
+def softmax(logits: Tensor) -> Tensor:
+    """Softmax over the last axis in one node, with the bits of
+    exp(log_softmax(logits)) in value and gradient."""
+    e = np.exp(_log_softmax(logits.values, "softmax"))
+
+    def vjp(g):
+        gl = g * e
+        return (gl - e * gl.sum(axis=-1, keepdims=True),)
+
+    return _make(e, (logits,), vjp)
 
 
 def nll_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -276,7 +298,7 @@ def nll_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     out = _log_softmax(logits.values, "nll_mean")
     idx = np.asarray(labels)
     count = out.shape[0]
-    if idx.shape != (count,):
+    if out.ndim != 2 or idx.shape != (count,):
         raise DimensionError(f"nll_mean: labels {idx.shape} for {count} rows")
     rows = np.arange(count)
 
@@ -291,41 +313,45 @@ def nll_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _make(out[rows, idx].sum() / count * -1.0, (logits,), vjp)
 
 
-def bce_mean(d: Tensor, lo: float, hi: float, complement: bool,
-             weights: Optional[np.ndarray] = None, clamped: Optional[list] = None) -> Tensor:
-    """-mean(weights * log(c)) with c = clip(d, lo, hi), or 1 - that clip when
-    complement, over every element of d, 0 < lo <= hi < 1; weights is a
-    constant of d's shape, or None for all ones. One node with the bits of
-    the chain clip, sub from ones, log, mul, reduce_mean, scale(-1) in value
-    and gradient; the clip passes gradient where lo <= d <= hi. A given list
-    clamped gets whether any element lies outside [lo, hi] or is NaN."""
+def bce_mean(d: Tensor, lo: float, hi: float, weights: Optional[np.ndarray] = None,
+             clamped: Optional[list] = None) -> Tensor:
+    """The two-domain BCE over a 2 x n x 1 stack d of source and target
+    discriminator outputs: -mean(w * log(c)) over the source plus
+    -mean(w * log(1 - c)) over the target, c = clip(d, lo, hi),
+    0 < lo <= hi < 1; weights is a constant of d's shape, or None for all
+    ones. One node with the bits of the chain clip, (1 - c on the target),
+    log, mul, reduce_mean, scale(-1) per domain and an add of the two, in
+    value and gradient; the clip passes gradient where lo <= d <= hi. A given
+    list clamped gets, per domain, whether any output lies outside [lo, hi]
+    or is NaN."""
     if not 0.0 < lo <= hi < 1.0:
         raise DimensionError(f"bce_mean: clip bounds [{lo}, {hi}] not inside (0, 1)")
     dv = d.values
+    if dv.ndim != 3 or dv.shape[0] != 2 or dv.shape[2] != 1:
+        raise DimensionError(f"bce_mean: outputs {dv.shape}, not a 2 x n x 1 stack")
     if weights is not None and weights.shape != dv.shape:
         raise DimensionError(f"bce_mean: weights {weights.shape} vs {dv.shape}")
     mask = (dv >= lo) & (dv <= hi)
     if clamped is not None:
-        clamped.append(not mask.all())
+        clamped += (not mask[0].all(), not mask[1].all())
     inner = np.minimum(np.maximum(dv, lo), hi)
-    if complement:
-        inner = 1.0 - inner
+    np.subtract(1.0, inner[1], out=inner[1])
     ll = np.log(inner)
     if weights is not None:
         ll *= weights
-    count = ll.size
+    count = dv.shape[1]
+    terms = ll.reshape(2, count).sum(axis=1) / count * -1.0
 
     def vjp(g):
         gd = g * -1.0 / count
         if weights is not None:
             gd = gd * weights
         gd = gd / inner
-        if complement:
-            np.negative(gd, out=gd)
+        np.negative(gd[1], out=gd[1])
         gd *= mask
         return (gd,)
 
-    return _make(ll.sum() / count * -1.0, (d,), vjp)
+    return _make(terms[0] + terms[1], (d,), vjp)
 
 
 def reduce_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -349,17 +375,17 @@ def rbf_mean(d: Tensor, inv: float) -> Tensor:
     """mean(exp(inv * d)) over every element, the mean of an RBF kernel
     matrix, in one node with the bits of reduce_mean(exp(scale(d, inv))): the
     forward scales and exponentiates one array in place, and the vjp forms
-    e * (g / count) * inv, that chain's (g / count) * e * inv commuted."""
+    e * (g / count) * inv in e, that chain's (g / count) * e * inv commuted."""
     inv = float(inv)
     with np.errstate(over="ignore"):
         e = d.values * inv
         np.exp(e, out=e)
     count = e.size
 
-    def vjp(g):
-        out = e * (g / count)
-        out *= inv
-        return (out,)
+    def vjp(g):  # the vjp runs once, so it may take e over
+        np.multiply(e, g / count, out=e)
+        np.multiply(e, inv, out=e)
+        return (e,)
 
     return _make(e.sum() / count, (d,), vjp)
 
@@ -392,16 +418,19 @@ def pick(x: Tensor, index: np.ndarray) -> Tensor:
 
 
 def select1(x: Tensor, i: int) -> Tensor:
-    """Scalar view of x[i] for a 1-d tensor; backward scatters into slot i."""
-    if x.values.ndim != 1 or not (0 <= i < x.shape[0]):
-        raise DimensionError(f"select1: index {i} into shape {x.shape}")
+    """x[i] along the leading axis, a view; backward scatters into slot i of
+    an array of -0.0, the exact identity of addition, so the gradients of
+    every slot's select1 add up to the stacked gradient bit for bit."""
+    shape = x.shape
+    if not shape or not (0 <= i < shape[0]):
+        raise DimensionError(f"select1: index {i} into shape {shape}")
 
     def vjp(g):
-        out = np.zeros_like(x.values)
+        out = np.full(shape, -0.0)
         out[i] = g
         return (out,)
 
-    return _make(np.asarray(x.values[i]), (x,), vjp)
+    return _make(x.values[i], (x,), vjp)
 
 
 def scale_by(x: Tensor, s: Tensor) -> Tensor:

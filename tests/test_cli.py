@@ -1076,6 +1076,7 @@ class TestCmdGradcheck:
 
     @pytest.mark.parametrize("check", [
         "matmul", "rbf_mean", "mlp_sigmoid", "mlp_three_layer", "grl", "mmd2_rbf",
+        "bce_mean_weighted", "mlp_stacked", "softmax", "select1_stacked",
         "cls_loss_mmd",
         "align_disc_dann",
         "meta_theta_dannpe_classification", "meta_beta_closed_form_mmd_alignment",

@@ -60,43 +60,58 @@ class TestCrossEntropy:
             assert float(losses.cross_entropy(logits, labels).values) >= 0.0
 
 
+def stack(ds, dt):
+    return Tensor(np.stack((ds, dt)))
+
+
 class TestDomainClsLoss:
     def test_all_half_gives_two_log_two(self):
-        loss = losses.domain_cls_loss(Tensor(np.full((4, 1), 0.5)),
-                                      Tensor(np.full((3, 1), 0.5)))
+        loss = losses.domain_cls_loss(Tensor(np.full((2, 4, 1), 0.5)))
         assert abs(float(loss.values) - 2.0 * math.log(2.0)) < 1e-12
 
     def test_perfect_discrimination_limit(self):
         # the EPS clamp floors the loss near -2*log(1 - EPS) ~ 2e-7
-        loss = losses.domain_cls_loss(Tensor(np.full((4, 1), 1.0 - 1e-9)),
-                                      Tensor(np.full((3, 1), 1e-9)))
+        loss = losses.domain_cls_loss(stack(np.full((4, 1), 1.0 - 1e-9),
+                                            np.full((4, 1), 1e-9)))
         assert float(loss.values) < 1e-6
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             ds = rng.uniform(0.01, 0.99, size=(6, 1))
-            dt = rng.uniform(0.01, 0.99, size=(4, 1))
-            got = float(losses.domain_cls_loss(Tensor(ds), Tensor(dt)).values)
+            dt = rng.uniform(0.01, 0.99, size=(6, 1))
+            got = float(losses.domain_cls_loss(stack(ds, dt)).values)
             want = domain_loss_oracle(ds.ravel(), dt.ravel())
             assert abs(got - want) < 1e-12
 
     def test_weighted_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         ds = rng.uniform(0.05, 0.95, size=(5, 1))
-        dt = rng.uniform(0.05, 0.95, size=(4, 1))
+        dt = rng.uniform(0.05, 0.95, size=(5, 1))
         ws = rng.uniform(0.1, 2.0, size=5)
-        wt = rng.uniform(0.1, 2.0, size=4)
-        got = float(losses.domain_cls_loss(Tensor(ds), Tensor(dt),
-                                           Tensor(ws), Tensor(wt)).values)
+        wt = rng.uniform(0.1, 2.0, size=5)
+        got = float(losses.domain_cls_loss(stack(ds, dt), Tensor(np.stack((ws, wt)))).values)
         want = domain_loss_oracle(ds.ravel(), dt.ravel(), list(ws), list(wt))
         assert abs(got - want) < 1e-12
 
+    def test_weights_normalized_with_the_bits_of_each_domain_alone(self, monkeypatch):
+        """Mean-one weights of a 2 x n stack have the bits of each domain's
+        weights normalized on their own, as one term per domain had them."""
+        rng, seen, real = np.random.default_rng(12), [], T.bce_mean
+        monkeypatch.setattr(T, "bce_mean", lambda d, lo, hi, weights, clamped:
+                            seen.append(weights) or real(d, lo, hi, weights, clamped))
+        for n in (1, 7, 128, 256, 1000):
+            w = np.exp(-rng.uniform(0.0, np.log(3.0), size=(2, n)))
+            losses.domain_cls_loss(Tensor(np.full((2, n, 1), 0.5)), Tensor(w))
+            want = np.stack([(ws / ws.mean()).reshape(-1, 1) for ws in w])
+            np.testing.assert_array_equal(seen.pop().view(np.int64), want.view(np.int64))
+
     def test_clamp_saturated_outputs_and_flag(self):
         tape = Tape()
-        d = tape.param(np.array([[1.0], [0.5]]), "d")
-        loss = losses.domain_cls_loss(d, Tensor(np.array([[0.5]])))
-        assert np.isfinite(float(loss.values))
+        d = tape.param(np.array([[[1.0], [0.5]], [[0.5], [0.5]]]), "d")
+        flags = []
+        loss = losses.domain_cls_loss(d, clamped=flags)
+        assert np.isfinite(float(loss.values)) and flags == [True, False]
 
     @pytest.mark.parametrize("value,clamped", [
         (losses.EPS, False), (1.0 - losses.EPS, False),
@@ -111,14 +126,26 @@ class TestDomainClsLoss:
         odd[1] = value
         for d_src, d_tgt, want in ((odd, half, [clamped, False]), (half, odd, [False, clamped])):
             flags = []
-            losses.domain_cls_loss(Tensor(d_src), Tensor(d_tgt), clamped=flags)
+            losses.domain_cls_loss(stack(d_src, d_tgt), clamped=flags)
             assert flags == want
+
+    def test_zero_weights_taken(self):
+        w = Tensor(np.array([[0.0, 1.0], [1.0, 1.0]]))  # mean-one: [0, 2] and [1, 1]
+        loss = losses.domain_cls_loss(Tensor(np.full((2, 2, 1), 0.5)), w)
+        assert abs(float(loss.values) - 2.0 * math.log(2.0)) < 1e-12
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            losses.domain_cls_loss(Tensor(np.full((2, 1), 0.5)),
-                                   Tensor(np.full((2, 1), 0.5)),
-                                   Tensor(np.array([1.0, -0.1])))
+            losses.domain_cls_loss(Tensor(np.full((2, 2, 1), 0.5)),
+                                   Tensor(np.array([[1.0, -0.1], [1.0, 1.0]])))
+
+    def test_shapes_checked(self):
+        for shape in [(2, 1), (3, 2, 1), (2, 2, 2)]:
+            with pytest.raises(ValueError, match="2 x n x 1"):
+                losses.domain_cls_loss(Tensor(np.full(shape, 0.5)))
+        for shape in [(2,), (2, 3), (2, 2, 1), (1, 2)]:
+            with pytest.raises(ValueError, match="weight shape"):
+                losses.domain_cls_loss(Tensor(np.full((2, 2, 1), 0.5)), Tensor(np.ones(shape)))
 
 
 class TestEntropyWeights:
@@ -137,6 +164,16 @@ class TestEntropyWeights:
 
     def test_detached(self):
         assert losses.entropy_weights(Tensor(np.array([[0.3, 0.7]]))).tape is None
+
+    def test_stack_gives_each_domain_its_bits(self):
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=(2, 128, 3)) * 4.0
+        p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+        p[0, 0] = [1.0, 0.0, 0.0]
+        got = losses.entropy_weights(Tensor(p)).values
+        for s in (0, 1):
+            want = losses.entropy_weights(Tensor(p[s])).values
+            np.testing.assert_array_equal(got[s].view(np.int64), want.view(np.int64))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2,
@@ -221,13 +258,25 @@ class TestMmd:
         assert set(grads) == {"fs", "ft"}
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            losses.mmd2_rbf(Tensor(np.zeros((0, 3))), Tensor(np.zeros((2, 3))), 1.0)
+        for ns, nt in [(0, 2), (2, 0)]:
+            with pytest.raises(ValueError, match="at least one sample"):
+                losses.mmd2_rbf(Tensor(np.zeros((ns, 3))), Tensor(np.zeros((nt, 3))), 1.0)
+
+    def test_nonpositive_sigma_rejected(self):
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma"):
+                losses.mmd2_rbf(Tensor(np.zeros((2, 3))), Tensor(np.ones((2, 3))), sigma)
 
     def test_median_heuristic_positive(self):
         rng = np.random.default_rng(6)
         assert losses.median_sq_dist(rng.normal(size=(8, 3)),
                                      rng.normal(size=(5, 3))) > 0.0
+
+    def test_median_heuristic_value_and_fallback(self):
+        """The median of the off-diagonal squared distances; 1.0 where it is 0."""
+        half = np.array([[0.0], [0.5]])
+        assert losses.median_sq_dist(half, half) == 0.25  # 8 of the 12 pairs at 0.25
+        assert losses.median_sq_dist(np.zeros((3, 2)), np.zeros((2, 2))) == 1.0
 
 
 class TestAlignmentLoss:
@@ -235,14 +284,19 @@ class TestAlignmentLoss:
         rng = np.random.default_rng(7)
         f = rng.normal(size=(6, 4))
         variant = AlignmentVariant("mmd", sigma=1.0)
-        loss, info = losses.alignment_loss(variant, Tensor(f), Tensor(f.copy()))
+        loss, info = losses.alignment_loss(variant, stack(f, f))
         assert abs(float(loss.values)) <= 1e-12
         assert info.dom_cls is None
 
+    def test_mmd_weight_defaults_to_one(self):
+        rng = np.random.default_rng(14)
+        feats = stack(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
+        loss, info = losses.alignment_loss(AlignmentVariant("mmd", sigma=1.0), feats)
+        assert float(loss.values) == info.dom > 0.0
+
     def test_mmd_requires_sigma(self):
         with pytest.raises(ValueError):
-            losses.alignment_loss(AlignmentVariant("mmd"), Tensor(np.ones((2, 2))),
-                                  Tensor(np.ones((2, 2))))
+            losses.alignment_loss(AlignmentVariant("mmd"), Tensor(np.ones((2, 2, 2))))
 
     def test_dann_theta_gradient_is_minus_lambda_of_unflipped(self):
         rng = np.random.default_rng(8)
@@ -255,10 +309,8 @@ class TestAlignmentLoss:
 
         # same objective without the reversal
         params = bundle.params(Tape())
-        fs = bundle.extractor.forward(Tensor(batch.src_features), params)
-        ft = bundle.extractor.forward(Tensor(batch.tgt_features), params)
-        plain = losses.domain_cls_loss(bundle.discriminator.forward(fs, params),
-                                       bundle.discriminator.forward(ft, params))
+        feats = bundle.extractor.forward(stack(batch.src_features, batch.tgt_features), params)
+        plain = losses.domain_cls_loss(bundle.discriminator.forward(feats, params))
         g_plain = backward(plain, [nn.FLAT_ID])[nn.FLAT_ID]
         theta = bundle.spans[bundle.extractor]
         np.testing.assert_array_equal(g_flip[theta], -2.0 * g_plain[theta])
@@ -311,7 +363,7 @@ class TestAlignmentLoss:
         disc.layers[-1].weight[...] = 100.0  # sigmoid(200) rounds to 1 for a ones row
         calm, saturated = np.zeros((3, 2)), np.ones((3, 2))
         for fs, ft in ((calm, saturated), (saturated, calm), (calm, calm)):
-            _, info = losses.alignment_loss(AlignmentVariant("dann"), Tensor(fs), Tensor(ft),
+            _, info = losses.alignment_loss(AlignmentVariant("dann"), stack(fs, ft),
                                             nn.Params(disc.params()), discriminator=disc)
             assert info.clamped is (fs is saturated or ft is saturated)
 

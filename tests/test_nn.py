@@ -145,6 +145,18 @@ class TestFeatureExtractor:
         with pytest.raises(T.DimensionError):
             bundle.extractor.forward(Tensor(np.zeros((2, 5))), plain(bundle.extractor))
 
+    def test_takes_a_two_domain_stack(self):
+        bundle = make_bundle()
+        x = np.random.default_rng(4).uniform(-1, 1, size=(2, 5, 3))
+        params = plain(bundle.extractor)
+        out = bundle.extractor.forward(Tensor(x), params).values
+        assert out.shape == (2, 5, 8)
+        for s in (0, 1):
+            np.testing.assert_array_equal(out[s], bundle.extractor.forward(Tensor(x[s]), params).values)
+        for shape in [(2, 5, 4), (3,), (1, 2, 5, 3)]:
+            with pytest.raises(T.DimensionError):
+                bundle.extractor.forward(Tensor(np.zeros(shape)), params)
+
     def test_first_layer_gradient_matches_fd(self):
         bundle = make_bundle(seed=3)
         x = np.random.default_rng(1).uniform(-2, 2, size=(4, 3))
@@ -187,6 +199,13 @@ class TestDiscriminator:
         extreme = Tensor(np.array([[1e6] * 8, [-1e6] * 8, [0.0] * 8]))
         out = disc.forward(extreme, plain(disc)).values
         assert np.all(out > 0.0) and np.all(out < 1.0)
+
+    def test_takes_a_two_domain_stack(self):
+        disc = nn.DomainDiscriminator(4, (8, 8))
+        assert disc.forward(Tensor(np.zeros((2, 3, 4))), plain(disc)).values.shape == (2, 3, 1)
+        for shape in [(2, 3, 5), (4,)]:
+            with pytest.raises(T.DimensionError):
+                disc.forward(Tensor(np.zeros(shape)), plain(disc))
 
     def test_gradient_matches_fd(self):
         bundle = make_bundle(seed=11)

@@ -163,7 +163,7 @@ def test_pick_and_select1_check_their_operands():
     for shape, idx in [((4,), [0, 1, 2, 3]), ((4, 3), [0, 1]), ((4, 3), [[0], [1], [2], [0]])]:
         with pytest.raises(DimensionError):
             T.pick(Tensor(np.ones(shape)), np.array(idx))
-    for shape, i in [((2, 2), 0), ((3,), 3), ((3,), -1)]:
+    for shape, i in [((), 0), ((3,), 3), ((3,), -1), ((2, 4, 3), 2)]:
         with pytest.raises(DimensionError):
             T.select1(Tensor(np.ones(shape)), i)
 
@@ -458,14 +458,19 @@ def chain_net(tape, x, weights, acts):
     return x
 
 
-def flat_net(tape, x, weights, acts):
-    """The network as one mlp node over one leaf p holding W0, b0, W1, ...
-    after two leading entries no layer reads."""
+def flat_layout(weights):
+    """W0, b0, W1, ... after two leading entries no layer reads, in one
+    array, and each layer's (W, b) slices of it."""
     arrays = [np.zeros(2)] + [arr.ravel() for wb in weights for arr in wb]
     ends = np.cumsum([0] + [arr.size for arr in arrays]).tolist()
     spans = [slice(a, b) for a, b in zip(ends[1:], ends[2:])]
-    p = tape.param(np.concatenate(arrays), "p")
-    return T.mlp(x, p, list(zip(spans[::2], spans[1::2])), acts)
+    return np.concatenate(arrays), list(zip(spans[::2], spans[1::2]))
+
+
+def flat_net(tape, x, weights, acts):
+    """The network as one mlp node over one leaf p laid out by flat_layout."""
+    flat, layers = flat_layout(weights)
+    return T.mlp(x, tape.param(flat, "p"), layers, acts)
 
 
 def net_value_and_grads(build, x, weights, acts, u, const_x):
@@ -566,6 +571,159 @@ def loss_value_and_grad(build, x, factor):
     return out.values, backward(T.scale(out, factor), ["x"])["x"]
 
 
+def domain_pass(x, weights, acts, u, const_x, stacked):
+    """The network over two batches x[0] and x[1] (source, target) as one
+    mlp node over the 2 x n x k stack, or as one node per batch: both
+    outputs, stacked, and the gradients of sum(u * outputs) that reach x
+    (stacked; None for a constant x) and p."""
+    tape = Tape()
+    flat, layers = flat_layout(weights)
+    p = tape.param(flat, "p")
+    if stacked:
+        out = T.mlp(Tensor(x) if const_x else tape.param(x, "x"), p, layers, acts)
+        outs, loss = out.values, T.reduce_sum(T.mul(out, Tensor(u)))
+    else:
+        nodes = [T.mlp(Tensor(x[s]) if const_x else tape.param(x[s], f"x{s}"), p, layers, acts)
+                 for s in (0, 1)]
+        outs = np.stack([node.values for node in nodes])
+        loss = T.add(*(T.reduce_sum(T.mul(node, Tensor(u[s]))) for s, node in enumerate(nodes)))
+    grads = backward(loss, ["x", "x0", "x1", "p"])
+    gx = None if const_x else grads["x"] if stacked else np.stack((grads["x0"], grads["x1"]))
+    return outs, gx, grads["p"]
+
+
+class TestStackedMlp:
+    """One mlp node over a 2 x n x k source/target stack against one node per
+    batch, bit for bit: one gemm per batch, and the two batches' W and b
+    partials added once, as backward adds the partials of two nodes."""
+
+    @pytest.mark.parametrize("hidden", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("output", ["identity", "sigmoid", "relu"])
+    @pytest.mark.parametrize("const_x", [False, True])
+    def test_bitwise_equal_to_one_node_per_batch(self, hidden, output, const_x):
+        """Every shipped network at batches 2, 128, 256 and 1000, in value
+        and in the gradients of x and of p."""
+        rng = np.random.default_rng(33)
+        for n in (2, 128, 256, 1000):
+            for widths in NETS:
+                _, weights, _ = TestMlp.net(rng, n, widths)
+                x, u = rng.normal(size=(2, n, widths[0])), rng.normal(size=(2, n, widths[-1]))
+                x[:, rng.random(size=n) < 0.05] = 0.0
+                u[rng.random(size=u.shape) < 0.1] = 0.0
+                acts = (hidden,) * (len(weights) - 1) + (output,)
+                got = domain_pass(x, weights, acts, u, const_x, True)
+                want = domain_pass(x, weights, acts, u, const_x, False)
+                for g, w in zip(got, want):
+                    if w is None:
+                        assert g is None
+                    else:
+                        assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("domain", [0, 1])
+    def test_nan_row_bitwise_equal_to_one_node_per_batch(self, domain):
+        """A NaN input row in one batch gives a NaN output row there, leaves
+        the other rows finite, and keeps the two nodes' gradient bits."""
+        rng = np.random.default_rng(34)
+        _, weights, _ = TestMlp.net(rng, 128, [2, 16, 16, 1])
+        x, u = rng.normal(size=(2, 128, 2)), rng.normal(size=(2, 128, 1))
+        x[domain, 5] = np.nan
+        got = domain_pass(x, weights, ("relu", "relu", "sigmoid"), u, False, True)
+        want = domain_pass(x, weights, ("relu", "relu", "sigmoid"), u, False, False)
+        assert np.isnan(got[0][domain, 5]).all()
+        assert np.isnan(got[0]).sum() == 1
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+    def test_only_a_stack_of_two_is_taken(self):
+        p = Tensor(np.ones(8))
+        for shape in [(3, 4, 3), (1, 4, 3), (2, 2, 4, 3)]:
+            with pytest.raises(DimensionError):
+                T.mlp(Tensor(np.ones(shape)), p, [(slice(0, 6), slice(6, 8))], ("relu",))
+        out = T.mlp(Tensor(np.ones((2, 4, 3))), p, [(slice(0, 6), slice(6, 8))], ("relu",))
+        np.testing.assert_array_equal(out.values, np.full((2, 4, 2), 4.0))
+
+
+def layer_value_and_grads_of(op, x, u, factor):
+    """op(x) and the gradient of factor * sum(u * op(x)) that reaches x."""
+    tape = Tape()
+    out = op(tape.param(x, "x"))
+    loss = T.scale(T.reduce_sum(T.mul(out, Tensor(u))), factor)
+    return out.values, backward(loss, ["x"])["x"]
+
+
+class TestSoftmax:
+    @staticmethod
+    def chain(t):
+        return T.exp(T.log_softmax(t))
+
+    @staticmethod
+    def logits(rng, shape):
+        """Logits of every scale, with tie, all-zero, signed-zero, NaN and
+        saturating rows where there are rows enough."""
+        z = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 3)
+        rows = z.reshape(-1, shape[-1])
+        if len(rows) > 8:
+            rows[0], rows[1], rows[2, :2] = 0.0, -0.0, 3.25
+            rows[3], rows[4, 0] = np.nan, 800.0
+        return z
+
+    @pytest.mark.parametrize("factor", UPSTREAM)
+    def test_bitwise_equal_to_exp_log_softmax_chain(self, factor):
+        """n x K logits: value and gradient have the bits of exp(log_softmax)."""
+        rng = np.random.default_rng(35)
+        for n, k in [(1, 2), (7, 3), (128, 2), (256, 3), (1000, 2)]:
+            z, u = self.logits(rng, (n, k)), rng.normal(size=(n, k))
+            got = layer_value_and_grads_of(T.softmax, z, u, factor)
+            want = layer_value_and_grads_of(self.chain, z, u, factor)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("factor", UPSTREAM)
+    def test_stacked_bitwise_equal_to_one_chain_per_batch(self, factor):
+        """A 2 x n x K stack gives, per batch, the bits of the chain on that
+        batch alone, in value and gradient."""
+        rng = np.random.default_rng(36)
+        for n, k in [(2, 2), (128, 2), (256, 3), (1000, 2)]:
+            z, u = self.logits(rng, (2, n, k)), rng.normal(size=(2, n, k))
+            got = layer_value_and_grads_of(T.softmax, z, u, factor)
+            for s in (0, 1):
+                want = layer_value_and_grads_of(self.chain, z[s], u[s], factor)
+                assert_same_bits(got[0][s], want[0])
+                assert_same_bits(got[1][s], want[1])
+
+    def test_shapes_checked(self):
+        for shape in [(3,), (3, 1), (2, 3, 1), (2, 2, 3, 2)]:
+            with pytest.raises(DimensionError):
+                T.softmax(Tensor(np.zeros(shape)))
+        with pytest.raises(DimensionError):  # the class loss takes n x K only
+            T.nll_mean(Tensor(np.zeros((2, 3, 2))), np.zeros(2, dtype=int))
+
+
+class TestSelect1:
+    def test_leading_axis_slices_sum_to_the_stack_gradient(self):
+        """x[0] and x[1] of a stack as two nodes: each is a view of its slot,
+        and their gradients add up to the stacked gradient bit for bit, the
+        -0.0 entries included, because each scatters into -0.0."""
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(2, 5, 3))
+        u = rng.normal(size=(2, 5, 3))
+        u[0, 0], u[1, 1] = -0.0, 0.0
+        tape = Tape()
+        xt = tape.param(x, "x")
+        parts = [T.select1(xt, s) for s in (0, 1)]
+        assert all(part.values.base is x for part in parts)
+        loss = T.add(*(T.reduce_sum(T.mul(part, Tensor(u[s]))) for s, part in enumerate(parts)))
+        g = backward(loss, ["x"])["x"]
+        assert_same_bits(g, u)  # a +0.0 fill would have turned u[0, 0]'s -0.0 to +0.0
+        assert np.signbit(g[0, 0]).all() and not np.signbit(g[1, 1]).any()
+
+    def test_scalar_of_a_vector(self):
+        tape = Tape()
+        out = T.select1(tape.param(np.array([1.0, 2.0, 3.0]), "x"), 1)
+        assert out.values.shape == () and float(out.values) == 2.0
+        assert_same_bits(backward(T.scale(out, 2.5), ["x"])["x"], np.array([-0.0, 2.5, -0.0]))
+
+
 class TestNllMean:
     @staticmethod
     def chain(logits, labels):
@@ -592,58 +750,118 @@ class TestNllMean:
             T.nll_mean(Tensor(np.zeros((3, 2))), np.zeros(2, dtype=int))
 
 
+def one_domain_bce_mean(dv, lo, hi, complement, weights):
+    """The one-domain bce_mean node the two-domain one replaces, as numpy:
+    -mean(weights * log(c)), c = clip(dv, lo, hi) or 1 minus that clip when
+    complement. Returns its value, its vjp and whether it clamped."""
+    mask = (dv >= lo) & (dv <= hi)
+    inner = np.minimum(np.maximum(dv, lo), hi)
+    if complement:
+        inner = 1.0 - inner
+    ll = np.log(inner)
+    if weights is not None:
+        ll *= weights
+    count = ll.size
+
+    def vjp(g):
+        gd = g * -1.0 / count
+        if weights is not None:
+            gd = gd * weights
+        gd = gd / inner
+        if complement:
+            np.negative(gd, out=gd)
+        gd *= mask
+        return gd
+
+    return ll.sum() / count * -1.0, vjp, not mask.all()
+
+
+def two_domain_chain(d, lo, hi, weights, g):
+    """Value, gradient and clamp flags of the chain the two-domain node
+    replaces: the one-domain node on the source, the complemented one on the
+    target, and an add node, which hands both the upstream g."""
+    (vs, gs, cs), (vt, gt, ct) = (
+        one_domain_bce_mean(d[s], lo, hi, s == 1, None if weights is None else weights[s])
+        for s in (0, 1))
+    return np.asarray(vs + vt), np.stack((gs(g), gt(g))), [cs, ct]
+
+
 class TestBceMean:
     EPS = 1e-7
 
     @staticmethod
-    def chain(d, lo, hi, complement, weights):
-        """The chain losses._bce_term built before the fused node."""
-        c = T.clip(d, lo, hi)
-        inner = T.sub(Tensor(np.ones_like(c.values)), c) if complement else c
-        ll = T.log(inner)
-        if weights is not None:
-            ll = T.mul(ll, Tensor(weights))
-        return T.scale(T.reduce_mean(ll), -1.0)
+    def node(d, factor, weights=None, lo=EPS, hi=1.0 - EPS):
+        """The node's value, the gradient of factor * node, and its flags."""
+        tape, flags = Tape(), []
+        out = T.bce_mean(tape.param(d, "d"), lo, hi, weights, flags)
+        return out.values, backward(T.scale(out, factor), ["d"])["d"], flags
 
     @pytest.mark.parametrize("factor", UPSTREAM)
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("complement", [False, True])
     def test_bitwise_equal_to_clip_log_mean_chain(self, complement, weighted, factor):
-        """Sigmoid outputs of every range, some on or past the clamp at either
-        end, one NaN; the weights are dannpe's, normalized to mean one."""
+        """Sigmoid outputs of every range in both domains, some on or past
+        the clamp at either end and one NaN in the source, or in the target
+        (whose term takes the complement) when complement; the weights are
+        dannpe's, normalized to mean one per domain. Value, gradient and
+        flags are those of the one-domain nodes and their add."""
         rng = np.random.default_rng(28)
         lo, hi = self.EPS, 1.0 - self.EPS
         for n in (1, 7, 128, 1000):
-            d = 1.0 / (1.0 + np.exp(-rng.normal(size=(n, 1)) * 10.0))
+            d = 1.0 / (1.0 + np.exp(-rng.normal(size=(2, n, 1)) * 10.0))
             if n > 4:
-                d[:4, 0] = [0.0, 1e-12, 1.0, np.nextafter(1.0, 0.0)]
-                d[-1, 0] = np.nan
+                d[int(complement), :4, 0] = [0.0, 1e-12, 1.0, np.nextafter(1.0, 0.0)]
+                d[int(complement), -1, 0] = np.nan
             weights = None
             if weighted:
-                wv = np.exp(-rng.uniform(0.0, np.log(3.0), size=n))
-                weights = (wv / wv.mean()).reshape(-1, 1)
-            got = loss_value_and_grad(
-                lambda t: T.bce_mean(t, lo, hi, complement, weights), d, factor)
-            want = loss_value_and_grad(
-                lambda t: self.chain(t, lo, hi, complement, weights), d, factor)
+                wv = np.exp(-rng.uniform(0.0, np.log(3.0), size=(2, n)))
+                weights = np.stack([(w / w.mean()).reshape(-1, 1) for w in wv])
+            got = self.node(d, factor, weights)
+            want = two_domain_chain(d, lo, hi, weights, np.ones(()) * factor)
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[1], want[1])
+            assert got[2] == want[2] and (n < 5 or got[2][int(complement)])
+
+    @pytest.mark.parametrize("value,clamped", [
+        (EPS, False), (1.0 - EPS, False), (np.nextafter(EPS, 0.0), True),
+        (np.nextafter(1.0 - EPS, 1.0), True), (np.nan, True),
+    ], ids=["at_eps", "at_one_minus_eps", "below_eps", "above_one_minus_eps", "nan"])
+    def test_clamp_flag_per_domain(self, value, clamped):
+        """An output on a clamp bound is not clamped; one ulp past it or a NaN
+        is, and only its domain's flag says so. A clamped finite output takes
+        no gradient; the value and gradient keep the chain's bits."""
+        for s in (0, 1):
+            d = np.full((2, 3, 1), 0.5)
+            d[s, 1, 0] = value
+            got = self.node(d, 1.0)
+            want = two_domain_chain(d, self.EPS, 1.0 - self.EPS, None, np.ones(()))
+            assert got[2] == want[2] == [clamped and s == 0, clamped and s == 1]
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+            if not np.isnan(value):  # a NaN output's gradient is NaN, as in the chain
+                assert (got[1][s, 1, 0] == 0.0) == clamped
 
     def test_clamped_outputs_take_no_gradient(self):
-        tape = Tape()
-        d = tape.param(np.array([[0.0], [0.5], [1.0]]), "d")
-        g = backward(T.bce_mean(d, self.EPS, 1.0 - self.EPS, False), ["d"])["d"]
-        # the mask multiplies the negative gradient of a clamped output to -0
-        assert_same_bits(g, np.array([[-0.0], [-1.0 / 3.0 / 0.5], [-0.0]]))
+        d = np.array([[0.0], [0.5], [1.0]])
+        _, g, flags = self.node(np.stack((d, d)), 1.0)
+        # the mask multiplies a clamped output's gradient to a zero of its sign:
+        # negative on the source, positive on the complemented target
+        assert_same_bits(g, np.array([[[-0.0], [-1.0 / 3.0 / 0.5], [-0.0]],
+                                      [[0.0], [1.0 / 3.0 / 0.5], [0.0]]]))
+        assert flags == [True, True]
 
     def test_bounds_and_weights_checked(self):
-        d = Tensor(np.full((3, 1), 0.5))
+        d = Tensor(np.full((2, 3, 1), 0.5))
         for lo, hi in [(0.0, 0.9), (0.1, 1.0), (0.6, 0.4)]:
             with pytest.raises(DimensionError):
-                T.bce_mean(d, lo, hi, False)
-        with pytest.raises(DimensionError):
-            T.bce_mean(d, 0.1, 0.9, False, np.ones(3))
-        assert float(T.bce_mean(d, 0.5, 0.5, False).values) == -math.log(0.5)  # lo == hi
+                T.bce_mean(d, lo, hi)
+        for shape in [(3, 1), (1, 3, 1), (3, 3, 1), (2, 3, 2), (2, 3)]:
+            with pytest.raises(DimensionError):
+                T.bce_mean(Tensor(np.full(shape, 0.5)), 0.1, 0.9)
+        for shape in [(2, 3), (3, 1), (2, 2, 1)]:
+            with pytest.raises(DimensionError):
+                T.bce_mean(d, 0.1, 0.9, np.ones(shape))
+        assert float(T.bce_mean(d, 0.5, 0.5).values) == -2.0 * math.log(0.5)  # lo == hi
 
 
 class TestBackward:
