@@ -24,7 +24,9 @@ def grad_dot(a: np.ndarray, b: np.ndarray, groups: list[list[slice]],
     gradient's norm over the groups is below NORM_FLOOR. Each group's dots
     are summed in slice order from 0.0, or given as dots, the per-group sums
     from the group's first (group_step's): 0.0 + such a sum has the same bits.
-    The total is the sum of the per-group dots.
+    The total is the sum of the per-group dots. Every sum adds left to right
+    from 0.0, as the builtin sum() did before Python 3.12 compensated it, so
+    the bits do not depend on the Python version.
     """
     if dots is None:
         per_group: list[float] = []
@@ -35,10 +37,14 @@ def grad_dot(a: np.ndarray, b: np.ndarray, groups: list[list[slice]],
             per_group.append(d)
     else:
         per_group = [0.0 + float(d) for d in dots]
-    total = sum(per_group)
-    ats = [at for group in groups for at in group]
-    na = math.sqrt(sum(float(np.dot(a[at], a[at])) for at in ats))
-    nb = math.sqrt(sum(float(np.dot(b[at], b[at])) for at in ats))
+    total = na = nb = 0.0
+    for d in per_group:
+        total += d
+    for group in groups:
+        for at in group:
+            na += float(np.dot(a[at], a[at]))
+            nb += float(np.dot(b[at], b[at]))
+    na, nb = math.sqrt(na), math.sqrt(nb)
     if na < NORM_FLOOR or nb < NORM_FLOOR:
         cos = None
     else:

@@ -22,6 +22,15 @@ SHIPPED = sorted(name[:-len(".json")] for name in os.listdir(CONFIGS))
 GROUPS = [[slice(0, 6)], [slice(6, 12), slice(12, 18)]]
 
 
+def in_order(values):
+    """The sum of floats added left to right from 0.0: the builtin sum()
+    before Python 3.12, which compensates it."""
+    out = 0.0
+    for v in values:
+        out += v
+    return out
+
+
 def id_keyed_grad_dot(a, b, groups):
     """grad_dot as it was over id -> gradient maps, the reference the slice
     form must match bit for bit; groups list each group's ids."""
@@ -32,9 +41,9 @@ def id_keyed_grad_dot(a, b, groups):
         for pid in group:
             d += float(np.dot(a[pid].ravel(), b[pid].ravel()))
         per_group.append(d)
-    total = sum(per_group)
-    na = math.sqrt(sum(float(np.dot(a[pid].ravel(), a[pid].ravel())) for pid in ids))
-    nb = math.sqrt(sum(float(np.dot(b[pid].ravel(), b[pid].ravel())) for pid in ids))
+    total = in_order(per_group)
+    na = math.sqrt(in_order(float(np.dot(a[pid].ravel(), a[pid].ravel())) for pid in ids))
+    nb = math.sqrt(in_order(float(np.dot(b[pid].ravel(), b[pid].ravel())) for pid in ids))
     if na < analysis.NORM_FLOOR or nb < analysis.NORM_FLOOR:
         return total, None, per_group
     return total, min(1.0, max(-1.0, total / (na * nb))), per_group
@@ -77,7 +86,27 @@ class TestGradDot:
         groups = [[slice(0, 6)], [slice(6, 12)], [slice(12, 18)]]
         a, b = rng.normal(size=18), rng.normal(size=18)
         total, _, per_group = grad_dot(a, b, groups)
-        assert total == sum(per_group)
+        assert total == in_order(per_group)
+
+    def test_sums_add_left_to_right_on_every_python(self):
+        """The total and both norms add left to right from 0.0, so a sum
+        that a compensated sum() (Python 3.12 on) would round otherwise
+        keeps the bits it has under Python 3.11."""
+        dots = [0.1, 0.2, 0.3, 1e16, -1e16]
+        assert math.fsum(dots) == 0.6 and in_order(dots) == 0.0
+        groups = [[slice(i, i + 1)] for i in range(5)]
+        total, cos, per_group = grad_dot(np.ones(5), np.ones(5), groups, dots)
+        assert total == 0.0 and per_group == dots
+        # squared norms 1e16, 1, 1: in order 1e16, compensated 1e16 + 2
+        a = np.array([1e8, 1.0, -1.0])
+        groups = [[slice(0, 1), slice(1, 2)], [slice(2, 3)]]
+        total, cos, per_group = grad_dot(a, a, groups)
+        assert total == in_order(per_group) == 1e16
+        assert math.fsum([1e16, 1.0, 1.0]) == 1e16 + 2.0
+        assert cos == 1.0  # na * nb == 1e16 == total: the in-order norms
+        b = np.array([1.0, 1e8, 1.0])
+        _, cos, _ = grad_dot(a, b, groups)
+        assert cos.hex() == (in_order([1e8, 1e8, -1.0]) / 1e16).hex()
 
     def test_zero_norm_gives_null_cosine(self):
         groups = [[slice(0, 3)]]
