@@ -298,6 +298,18 @@ class TestAlignmentLoss:
         with pytest.raises(ValueError):
             losses.alignment_loss(AlignmentVariant("mmd"), Tensor(np.ones((2, 2, 2))))
 
+    def test_adversarial_variants_need_their_networks(self):
+        disc = nn.DomainDiscriminator(2, hidden=(2, 2))
+        clf = nn.ClassifierHead(2, 2)
+        params = nn.Params({**disc.params(), **clf.params()})
+        feats = Tensor(np.zeros((2, 3, 2)))
+        for name, kwargs, missing in [
+                ("dann", {"params": params}, "discriminator"),
+                ("dann", {"discriminator": disc}, "params"),
+                ("dannpe", {"params": params, "discriminator": disc}, "classifier")]:
+            with pytest.raises(ValueError, match=missing):
+                losses.alignment_loss(AlignmentVariant(name), feats, **kwargs)
+
     def test_dann_theta_gradient_is_minus_lambda_of_unflipped(self):
         rng = np.random.default_rng(8)
         bundle, variant = random_bundle(rng, "dann")
