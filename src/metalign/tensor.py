@@ -201,8 +201,10 @@ def mlp(x: Tensor, p: Tensor, layers: list, acts) -> Tensor:
             elif act == "sigmoid":
                 g = g * out * (1.0 - out)
             if p._index is not None:
-                gw, gb = hs[i].mT @ g, g.sum(axis=-2)
-                if g.ndim == 3:
+                if g.ndim == 2:
+                    gw, gb = hs[i].T @ g, g.sum(axis=0)
+                else:  # one gemm per batch, then the two partials' sum
+                    gw, gb = hs[i].swapaxes(1, 2) @ g, g.sum(axis=1)
                     gw, gb = gw[0] + gw[1], gb[0] + gb[1]
                 parts += ((layers[i][0], gw), (layers[i][1], gb))
             if i or x._index is not None:
