@@ -750,40 +750,25 @@ class TestNllMean:
             T.nll_mean(Tensor(np.zeros((3, 2))), np.zeros(2, dtype=int))
 
 
-def one_domain_bce_mean(dv, lo, hi, complement, weights):
-    """The one-domain bce_mean node the two-domain one replaces, as numpy:
-    -mean(weights * log(c)), c = clip(dv, lo, hi) or 1 minus that clip when
-    complement. Returns its value, its vjp and whether it clamped."""
-    mask = (dv >= lo) & (dv <= hi)
-    inner = np.minimum(np.maximum(dv, lo), hi)
-    if complement:
-        inner = 1.0 - inner
-    ll = np.log(inner)
-    if weights is not None:
-        ll *= weights
-    count = ll.size
-
-    def vjp(g):
-        gd = g * -1.0 / count
+def two_domain_chain(d, lo, hi, weights, factor):
+    """Value, gradient of factor * loss and clamp flags of the op chain the
+    two-domain node replaces: per domain, select1 out of the stack, clip,
+    (1 - c on the target), log, mul by the weights, reduce_mean and
+    scale(-1), then an add of the two terms. A domain counts as clamped
+    where its clip moved an output or an output is NaN."""
+    tape, terms, flags = Tape(), [], []
+    dt = tape.param(d, "d")
+    for s in (0, 1):
+        ds = T.select1(dt, s)
+        c = T.clip(ds, lo, hi)
+        flags.append(bool((c.values != ds.values).any()))
+        inner = T.sub(Tensor(np.ones_like(c.values)), c) if s else c
+        ll = T.log(inner)
         if weights is not None:
-            gd = gd * weights
-        gd = gd / inner
-        if complement:
-            np.negative(gd, out=gd)
-        gd *= mask
-        return gd
-
-    return ll.sum() / count * -1.0, vjp, not mask.all()
-
-
-def two_domain_chain(d, lo, hi, weights, g):
-    """Value, gradient and clamp flags of the chain the two-domain node
-    replaces: the one-domain node on the source, the complemented one on the
-    target, and an add node, which hands both the upstream g."""
-    (vs, gs, cs), (vt, gt, ct) = (
-        one_domain_bce_mean(d[s], lo, hi, s == 1, None if weights is None else weights[s])
-        for s in (0, 1))
-    return np.asarray(vs + vt), np.stack((gs(g), gt(g))), [cs, ct]
+            ll = T.mul(ll, Tensor(weights[s]))
+        terms.append(T.scale(T.reduce_mean(ll), -1.0))
+    out = T.add(*terms)
+    return out.values, backward(T.scale(out, factor), ["d"])["d"], flags
 
 
 class TestBceMean:
@@ -804,7 +789,7 @@ class TestBceMean:
         the clamp at either end and one NaN in the source, or in the target
         (whose term takes the complement) when complement; the weights are
         dannpe's, normalized to mean one per domain. Value, gradient and
-        flags are those of the one-domain nodes and their add."""
+        flags are those of the clip, log, mean chain per domain and its add."""
         rng = np.random.default_rng(28)
         lo, hi = self.EPS, 1.0 - self.EPS
         for n in (1, 7, 128, 1000):
@@ -817,7 +802,7 @@ class TestBceMean:
                 wv = np.exp(-rng.uniform(0.0, np.log(3.0), size=(2, n)))
                 weights = np.stack([(w / w.mean()).reshape(-1, 1) for w in wv])
             got = self.node(d, factor, weights)
-            want = two_domain_chain(d, lo, hi, weights, np.ones(()) * factor)
+            want = two_domain_chain(d, lo, hi, weights, factor)
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[1], want[1])
             assert got[2] == want[2] and (n < 5 or got[2][int(complement)])
@@ -834,7 +819,7 @@ class TestBceMean:
             d = np.full((2, 3, 1), 0.5)
             d[s, 1, 0] = value
             got = self.node(d, 1.0)
-            want = two_domain_chain(d, self.EPS, 1.0 - self.EPS, None, np.ones(()))
+            want = two_domain_chain(d, self.EPS, 1.0 - self.EPS, None, 1.0)
             assert got[2] == want[2] == [clamped and s == 0, clamped and s == 1]
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[1], want[1])
