@@ -316,12 +316,12 @@ def _grads_by_id(bundle: ModelBundle, loss: Tensor) -> GradientMap:
 
 
 def _frozen_weights(bundle, batch, params: Params) -> np.ndarray:
-    """Entropy weights at the given parameters, 2 x n, from one pass per
-    domain; the analytic gradient treats them as constants, so finite
-    differences must too."""
-    return np.stack([losses.entropy_weights(T.softmax(bundle.classifier.forward(
-        bundle.extractor.forward(Tensor(x), params), params))).values
-        for x in (batch.src_features, batch.tgt_features)])
+    """Entropy weights at the given parameters, 2 x n, from one pass over the
+    source/target stack the run path builds; the analytic gradient treats
+    them as constants, so finite differences must too."""
+    stack = Tensor(np.stack((batch.src_features, batch.tgt_features)))
+    return losses.entropy_weights(T.softmax(bundle.classifier.forward(
+        bundle.extractor.forward(stack, params), params))).values
 
 
 def loss_checks(seed: int) -> list[CheckResult]:
