@@ -15,35 +15,30 @@ from .tensor import Tensor
 NORM_FLOOR = 1e-15
 
 
-def grad_dot(a: np.ndarray, b: np.ndarray, groups: list[list[slice]],
-             dots: Optional[list] = None) -> tuple[float, Optional[float], list[float]]:
+def grad_dot(a: np.ndarray, b: np.ndarray,
+             groups: list[list[slice]]) -> tuple[float, Optional[float], list[float]]:
     """Dot products of two 1-d gradients laid out alike, per group and
     overall; groups lists each group's slices (ModelBundle.group_slices).
 
     Returns (total, cosine, per_group). The cosine is None when either
-    gradient's norm over the groups is below NORM_FLOOR. Each group's dots
-    are summed in slice order from 0.0, or given as dots, the per-group sums
-    from the group's first (group_step's): 0.0 + such a sum has the same bits.
-    The total is the sum of the per-group dots. Every sum adds left to right
-    from 0.0, as the builtin sum() did before Python 3.12 compensated it, so
-    the bits do not depend on the Python version.
+    gradient's norm over the groups is below NORM_FLOOR. Each group's dot,
+    the total of the groups' dots and both squared norms add left to right
+    from 0.0, in slice order, as the builtin sum() did before Python 3.12
+    compensated it, so the bits do not depend on the Python version. The
+    dots are formed here from a and b, so the meta step's beta gradient,
+    which group_step's vjp sums on its own, can be checked against them.
     """
-    if dots is None:
-        per_group: list[float] = []
-        for group in groups:
-            d = 0.0
-            for at in group:
-                d += float(np.dot(a[at], b[at]))
-            per_group.append(d)
-    else:
-        per_group = [0.0 + float(d) for d in dots]
+    per_group: list[float] = []
     total = na = nb = 0.0
-    for d in per_group:
-        total += d
     for group in groups:
+        d = 0.0
         for at in group:
-            na += float(np.dot(a[at], a[at]))
-            nb += float(np.dot(b[at], b[at]))
+            x, y = a[at], b[at]
+            d += float(np.dot(x, y))
+            na += float(np.dot(x, x))
+            nb += float(np.dot(y, y))
+        per_group.append(d)
+        total += d
     na, nb = math.sqrt(na), math.sqrt(nb)
     if na < NORM_FLOOR or nb < NORM_FLOOR:
         cos = None

@@ -453,13 +453,12 @@ def scale_grad(x: Tensor, factor: float) -> Tensor:
     return _make(x.values, (x,), lambda g: (g * factor,))
 
 
-def group_step(p: Tensor, d: np.ndarray, alpha: float, groups: list, beta: slice,
-               dots: Optional[list] = None) -> Tensor:
+def group_step(p: Tensor, d: np.ndarray, alpha: float, groups: list, beta: slice) -> Tensor:
     """p[:n] + d * (p[beta][m] * -alpha) on group m's part as one node, n = d.size;
     groups[m] lists the slices of group m's ids, tiling [0, n) in order. The
     vjp hands p the upstream gradient at [0, n) and, at beta[m], -alpha times
     the dots <upstream, d> over group m's slices summed in order from the
-    first; a given list dots gets those per-group sums."""
+    first."""
     c, theta, out = -float(alpha), slice(0, d.size), np.empty(d.size)
     for ids, coeff in zip(groups, p.values[beta] * c):
         at = slice(ids[0].start, ids[-1].stop)
@@ -469,8 +468,6 @@ def group_step(p: Tensor, d: np.ndarray, alpha: float, groups: list, beta: slice
     def vjp(g):
         sums = [sum([np.dot(g[at], d[at]) for at in ids[1:]], np.dot(g[ids[0]], d[ids[0]]))
                 for ids in groups]
-        if dots is not None:
-            dots.extend(sums)
         return (((theta, g), (beta, np.array(sums) * c)),)
 
     return _make(out, (p,), vjp)

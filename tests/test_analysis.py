@@ -95,7 +95,7 @@ class TestGradDot:
         dots = [0.1, 0.2, 0.3, 1e16, -1e16]
         assert math.fsum(dots) == 0.6 and in_order(dots) == 0.0
         groups = [[slice(i, i + 1)] for i in range(5)]
-        total, cos, per_group = grad_dot(np.ones(5), np.ones(5), groups, dots)
+        total, cos, per_group = grad_dot(np.array(dots), np.ones(5), groups)
         assert total == 0.0 and per_group == dots
         # squared norms 1e16, 1, 1: in order 1e16, compensated 1e16 + 2
         a = np.array([1e8, 1.0, -1.0])
@@ -118,20 +118,18 @@ class TestGradDot:
                                                            monkeypatch):
         """On the gradients of a shipped config's first step, the slice form
         gives the id-keyed form's per_group, total and cos bit for bit, and
-        a zero gradient gives cos None in both. A meta step hands it the
-        per-group dots group_step's vjp summed; they give the same bits."""
+        a zero gradient gives cos None in both."""
         calls, real = [], analysis.grad_dot
 
-        def recording(a, b, groups, dots=None):
-            out = real(a, b, groups, dots)
-            calls.append((a.copy(), b.copy(), groups, dots, out))
+        def recording(a, b, groups):
+            out = real(a, b, groups)
+            calls.append((a.copy(), b.copy(), groups, out))
             return out
 
         monkeypatch.setattr(analysis, "grad_dot", recording)
         cfg = load_config(os.path.join(CONFIGS, f"{config}.json"))
         runner.run_training(replace(cfg, iterations=1), str(tmp_path))
-        (a, b, groups, dots, got), = calls
-        assert (dots is None) == (cfg.strategy.kind == "joint")
+        (a, b, groups, got), = calls
         ids = [[(m, i) for i in range(len(group))] for m, group in enumerate(groups)]
         by_id = [{(m, i): arr[at] for m, group in enumerate(groups)
                   for i, at in enumerate(group)} for arr in (a, b)]
@@ -141,25 +139,27 @@ class TestGradDot:
         want = id_keyed_grad_dot(zero, by_id[1], ids)
         assert want[1] is None and bits(real(np.zeros_like(a), b, groups)) == bits(want)
 
-    def test_group_step_sums_give_the_loop_bits_at_a_negative_zero_first_dot(self):
-        """Sums from each group's first dot, as group_step's vjp hands them
-        to the meta step, give the bits and record bytes of the sums from
-        0.0: group 0's first dot is -0.0, and so is each of group 1's."""
+    def test_group_step_beta_gradient_at_a_negative_zero_first_dot(self):
+        """group_step's vjp sums each group's dots from the first, and its beta
+        gradient equals -alpha times grad_dot's sums from 0.0; those keep the
+        id-keyed form's bits and record bytes: group 0's first dot is -0.0,
+        and so is each of group 1's."""
         groups = [[slice(0, 1), slice(1, 3)], [slice(3, 4), slice(4, 5)]]
         d = np.array([0.0, 0.5, -2.0, 0.0, -0.0])
         upstream = np.array([-1.5, 3.0, 0.25, -1.0, 2.0])
         tape = Tape()
         p = tape.param(np.array([0.5, 0.75, 1.0, 1.25, 1.5, 1.0, 1.0]), "p")
-        sums: list = []
-        prime = T.group_step(p, d, 0.25, groups, slice(5, 7), sums)
+        prime = T.group_step(p, d, 0.25, groups, slice(5, 7))
         g = backward(T.reduce_sum(T.mul(prime, Tensor(upstream))), ["p"])["p"]
-        assert [math.copysign(1.0, s) for s in sums] == [1.0, -1.0] and sums[1] == 0.0
+        firsts = [float(np.dot(g[at], d[at])) for at in (groups[0][0], *groups[1])]
+        assert [math.copysign(1.0, f) for f in firsts] == [-1.0] * 3 and max(firsts) == 0.0
         a = np.concatenate([d, [0.0, 0.0]])
-        got = grad_dot(a, g, groups, sums)
+        got = grad_dot(a, g, groups)
+        assert list(g[5:7]) == [-0.25 * s for s in got[2]] == [-0.25, 0.0]
         by_id = [{(m, i): arr[at] for m, group in enumerate(groups)
                   for i, at in enumerate(group)} for arr in (a, g)]
         ids = [[(m, i) for i in range(len(group))] for m, group in enumerate(groups)]
-        assert bits(got) == bits(grad_dot(a, g, groups)) == bits(id_keyed_grad_dot(*by_id, ids))
+        assert bits(got) == bits(id_keyed_grad_dot(*by_id, ids))
         record = MetricsRecord(L_cls=1.0, L_dom_cls=None, L_dom=0.0, L_beta=0.0, L_total=1.0,
                                grad_dot_total=got[0], grad_cos=got[1],
                                grad_dot_per_group=got[2], beta=[1.0, 1.0])

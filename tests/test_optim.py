@@ -2,6 +2,7 @@ import gc
 import glob
 import json
 import os
+import types
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
@@ -311,6 +312,26 @@ class TestMetaStep:
         np.testing.assert_array_equal(applied[bundle.slices["beta"]],
                                       -alpha * dots + np.sign(gap))
         assert record.L_beta == abs(gap)
+
+    def test_closed_form_dots_are_formed_apart_from_the_tape(self, monkeypatch):
+        """The record's group dots come from analysis.grad_dot, not from the
+        sums group_step's vjp forms, so criterion 4's closed form checks the
+        tape's beta gradient: a tensor-side np.dot one part in 2**30 too large
+        moves that gradient away from -alpha * dots + sign(sum(beta) - B)."""
+        skewed = types.ModuleType("numpy_skewed_dot")
+        skewed.__getattr__ = lambda name: getattr(np, name)
+        skewed.dot = lambda a, b: np.dot(a, b) * (1.0 + 2.0 ** -30)
+        monkeypatch.setattr(T, "np", skewed)
+        rng = np.random.default_rng(10)
+        bundle, variant = random_bundle(rng, "dann")
+        alpha = 0.05
+        applied, record, _ = metaalign_grads(bundle, random_batch(rng), variant, alpha,
+                                             ALIGNMENT)
+        gap = bundle.group_weights.beta.sum() - bundle.group_weights.budget
+        closed = -alpha * np.array(record.grad_dot_per_group) + np.sign(gap)
+        got = applied[bundle.slices["beta"]]
+        assert (got != closed).all()
+        np.testing.assert_allclose(got, closed, rtol=1e-8)
 
     def test_total_dot_is_sum_of_group_dots(self):
         rng = np.random.default_rng(8)
