@@ -114,10 +114,9 @@ def resolve_sigma(bundle: nn.ModelBundle, variant: AlignmentVariant,
     """Median-heuristic bandwidth from the first batch's features, then frozen."""
     if variant.name != losses.MMD or variant.sigma is not None:
         return
-    params = bundle.params()
-    fs = bundle.extractor.forward(Tensor(batch.src_features), params).values
-    ft = bundle.extractor.forward(Tensor(batch.tgt_features), params).values
-    variant.sigma = losses.median_sq_dist(fs, ft)
+    stack = np.stack((batch.src_features, batch.tgt_features))  # one pass over both domains
+    feats = bundle.extractor.forward(Tensor(stack), bundle.params()).values
+    variant.sigma = losses.median_sq_dist(*feats)
     log.info("resolved mmd bandwidth sigma=%.6g", variant.sigma)
 
 
