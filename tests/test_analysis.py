@@ -113,6 +113,26 @@ class TestGradDot:
         _, cos, _ = grad_dot(np.zeros(3), np.ones(3), groups)
         assert cos is None
 
+    @pytest.mark.parametrize("small", [0, 1])
+    def test_norm_floor_is_exclusive(self, small):
+        """A norm of exactly NORM_FLOOR gives a cosine, one just under gives None."""
+        groups = [[slice(0, 1)]]
+        at = np.array([analysis.NORM_FLOOR])
+        under = np.nextafter(at, 0.0)
+        pair = [at, np.ones(1)] if small == 0 else [np.ones(1), at]
+        assert grad_dot(*pair, groups)[1] == 1.0
+        pair[small] = under
+        assert grad_dot(*pair, groups)[1] is None
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cosine_is_clamped_at_a_round_off_overshoot(self, sign):
+        """|total| / (na * nb) rounds to 1 + 2**-52 on this vector; the cosine
+        reads +-1.0."""
+        a = np.array([14 * 0.1, 1.0, 0.3])
+        total, cos, _ = grad_dot(a, sign * a, [[slice(0, 3)]])
+        assert abs(total) / math.sqrt(float(np.dot(a, a))) ** 2 > 1.0
+        assert cos == sign
+
     @pytest.mark.parametrize("config", SHIPPED)
     def test_bits_of_the_id_keyed_form_on_a_training_step(self, config, tmp_path,
                                                            monkeypatch):

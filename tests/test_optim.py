@@ -12,7 +12,7 @@ import pytest
 
 from metalign import data, losses, nn, optim
 from metalign import tensor as T
-from metalign.config import load_config
+from metalign.config import SCHEMA, load_config
 from metalign.gradcheck import quadratic_toy, random_batch, random_bundle
 from metalign.optim import (ALIGNMENT, CLASSIFICATION, META_TEST, NonFiniteError,
                             OptimState, ROLE_POLICIES, metaalign_grads,
@@ -81,7 +81,7 @@ class TestSgd:
             v += g
             p -= state.lr * v
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4, 0.37])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4, 0.37, 1.0])
     def test_bitwise_equal_to_oracle(self, weight_decay):
         rng = np.random.default_rng(21)
         shapes = {"G.l0.W": (2, 64), "G.l0.b": (64,), "C.l0.W": (64, 3), "beta": (2,)}
@@ -109,6 +109,12 @@ class TestSgd:
 
     def test_defaults_take_no_weight_decay(self):
         assert OptimState().weight_decay == 0.0
+
+    def test_step_size_and_momentum_defaults_are_the_config_defaults(self):
+        want = {key: default for section, key, _, _, default in SCHEMA
+                if section == "optimizer" and key in ("lr", "meta_lr", "momentum")}
+        state = OptimState()
+        assert len(want) == 3 and {key: getattr(state, key) for key in want} == want
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -301,17 +307,23 @@ class TestMetaStep:
                              ids=["above", "below", "at"])
     def test_budget_penalty_subgradient_and_value(self, beta, gap):
         """beta's gradient is -alpha times the group dots plus sign(sum(beta) - B),
-        0 at the kink, and L_beta is |sum(beta) - B|; the budget is 2."""
+        0 at the kink, and L_beta is |sum(beta) - B|; the budget is 2. Finite
+        differences of meta_total_value, which holds the budget term, agree."""
         rng = np.random.default_rng(10)
         bundle, variant = random_bundle(rng, "dann")
         bundle.group_weights.beta[...] = beta
-        alpha = 0.05
-        applied, record, _ = metaalign_grads(bundle, random_batch(rng), variant, alpha,
-                                             ALIGNMENT)
+        alpha, batch = 0.05, random_batch(rng)
+        applied, record, g_train = metaalign_grads(bundle, batch, variant, alpha, ALIGNMENT)
         dots = np.array(record.grad_dot_per_group)
         np.testing.assert_array_equal(applied[bundle.slices["beta"]],
                                       -alpha * dots + np.sign(gap))
         assert record.L_beta == abs(gap)
+        fd = finite_diff_grad(
+            lambda p: optim.meta_total_value(bundle, batch, variant, alpha,
+                                             p["beta"], g_train, ALIGNMENT),
+            {"beta": np.array(beta)}, h=1e-5)
+        np.testing.assert_allclose(applied[bundle.slices["beta"]], fd["beta"],
+                                   rtol=1e-6, atol=1e-9)
 
     def test_closed_form_dots_are_formed_apart_from_the_tape(self, monkeypatch):
         """The record's group dots come from analysis.grad_dot, not from the
@@ -461,6 +473,16 @@ class TestCheckFinite:
     def test_names_first_non_finite_gradient(self, pid, bad):
         grads = {k: v.copy() for k, v in self.GRADS.items()}
         grads[pid].flat[-1] = bad
+        flat, slices = lay_out(grads)
+        with pytest.raises(NonFiniteError, match=f"non-finite gradient for {pid}$"):
+            optim._check_finite({"L_cls": 0.5}, flat, slices)
+
+    @pytest.mark.parametrize("pid", ["beta", "C.l0.b"])
+    def test_names_the_id_whose_slice_starts_at_the_entry(self, pid):
+        """A bad entry at a slice's start belongs to that slice, not to the
+        one that stops there."""
+        grads = {k: v.copy() for k, v in self.GRADS.items()}
+        grads[pid].flat[0] = np.nan
         flat, slices = lay_out(grads)
         with pytest.raises(NonFiniteError, match=f"non-finite gradient for {pid}$"):
             optim._check_finite({"L_cls": 0.5}, flat, slices)
