@@ -113,16 +113,14 @@ class TestGradDot:
         _, cos, _ = grad_dot(np.zeros(3), np.ones(3), groups)
         assert cos is None
 
-    @pytest.mark.parametrize("small", [0, 1])
-    def test_norm_floor_is_exclusive(self, small):
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_norm_floor_is_exclusive(self, side):
         """A norm of exactly NORM_FLOOR gives a cosine, one just under gives None."""
-        groups = [[slice(0, 1)]]
-        at = np.array([analysis.NORM_FLOOR])
-        under = np.nextafter(at, 0.0)
-        pair = [at, np.ones(1)] if small == 0 else [np.ones(1), at]
-        assert grad_dot(*pair, groups)[1] == 1.0
-        pair[small] = under
-        assert grad_dot(*pair, groups)[1] is None
+        floor = analysis.NORM_FLOOR
+        for norm, want in ((floor, 1.0), (np.nextafter(floor, 0.0), None)):
+            pair = [np.ones(1), np.ones(1)]
+            pair[side] = np.array([norm])
+            assert grad_dot(*pair, [[slice(0, 1)]])[1] == want
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_cosine_is_clamped_at_a_round_off_overshoot(self, sign):
