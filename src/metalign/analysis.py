@@ -9,7 +9,6 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .nn import Params
 from .tensor import Tensor
 
 NORM_FLOOR = 1e-15
@@ -47,11 +46,12 @@ def grad_dot(a: np.ndarray, b: np.ndarray,
     return total, cos, per_group
 
 
-def evaluate(extractor, classifier, dataset) -> float:
-    """Argmax accuracy; np.argmax ties break toward the lowest class index."""
-    params = Params({**extractor.params(), **classifier.params()})
-    feats = extractor.forward(Tensor(dataset.features), params)
-    logits = classifier.forward(feats, params).values
+def evaluate(bundle, dataset) -> float:
+    """Argmax accuracy of bundle's extractor and classifier at the live values
+    of its flat; np.argmax ties break toward the lowest class index."""
+    params = bundle.params()
+    feats = bundle.extractor.forward(Tensor(dataset.features), params)
+    logits = bundle.classifier.forward(feats, params).values
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == dataset.labels))
 
@@ -81,10 +81,6 @@ class MetricsRecord:
         # are read in declaration order, without asdict's deep copy
         return json.dumps({name: getattr(self, name) for name in _RECORD_FIELDS})
 
-    @classmethod
-    def from_json(cls, line: str) -> "MetricsRecord":
-        return cls(**json.loads(line))
-
 
 _RECORD_FIELDS = tuple(f.name for f in fields(MetricsRecord) if f.name != "clamped")
 
@@ -93,16 +89,6 @@ def record_metrics(sink: IO[str], record: MetricsRecord) -> None:
     """Append one line and flush immediately; I/O failures surface as raised."""
     sink.write(record.to_json() + "\n")
     sink.flush()
-
-
-def read_metrics(path: str) -> list[MetricsRecord]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(MetricsRecord.from_json(line))
-    return out
 
 
 def mean_grad_cos(records: list[MetricsRecord]) -> Optional[float]:

@@ -148,8 +148,8 @@ def cmd_eval(args) -> int:
         kind = "checkpoint" if isinstance(e, CheckpointError) else "config"
         return _fail(kind, str(e), EXIT_CONFIG)
     result = {
-        "source_acc": analysis.evaluate(bundle.extractor, bundle.classifier, src),
-        "target_acc": analysis.evaluate(bundle.extractor, bundle.classifier, tgt),
+        "source_acc": analysis.evaluate(bundle, src),
+        "target_acc": analysis.evaluate(bundle, tgt),
     }
     print(json.dumps(result))
     return EXIT_OK

@@ -260,11 +260,12 @@ def _grl_check(rng) -> CheckResult:
             layer.bias[...] = rng.uniform(-0.5, 0.5, size=layer.bias.shape)
     x = rng.uniform(-2, 2, size=(5, 3))
     cut = sum(arr.size for arr in lower.params().values())  # lower's span of the flat leaf
+    flat, slices = nn.flatten({**lower.params(), **upper.params()})
     worst = 0.0
     for lam in (1.0, 2.0, 0.5):
 
         def grads(use_grl: bool) -> np.ndarray:
-            params = Params({**lower.params(), **upper.params()}, Tape())
+            params = Params(Tape().param(flat, nn.FLAT_ID), slices)
             feats = lower.forward(Tensor(x), params)
             head_in = nn.grl(feats, lam) if use_grl else feats
             out = upper.forward(head_in, params)
@@ -297,7 +298,7 @@ def random_bundle(rng, variant_name: str,
     bundle, variant = runner.build_bundle(parse_config(doc), _DIM, _CLASSES,
                                           init_seed=int(rng.integers(0, 2**31)))
     # nonzero biases make the finite-difference surface less symmetric
-    for pid, arr in bundle.network_params().items():
+    for pid, arr in bundle.all_params().items():
         if pid.endswith(".b"):
             arr[...] = rng.uniform(-0.3, 0.3, size=arr.shape)
     return bundle, variant
@@ -380,7 +381,7 @@ def meta_checks(seed: int) -> list[CheckResult]:
         for meta_train in (optim.ALIGNMENT, optim.CLASSIFICATION):
             bundle, variant = random_bundle(rng, variant_name)
             batch = random_batch(rng)
-            beta0 = bundle.group_weights.beta.copy()
+            beta0 = bundle.beta.copy()
             flat, record, g_train = optim.metaalign_grads(
                 bundle, batch, variant, alpha, meta_train)
             applied = bundle.all_params(flat)
@@ -407,7 +408,7 @@ def meta_checks(seed: int) -> list[CheckResult]:
                                    {nn.BETA_ID: beta0.copy()}, BETA_TOL))
 
             # bookkeeping: applied beta gradient reproduces the closed form
-            sign = float(np.sign(beta0.sum() - bundle.group_weights.budget))
+            sign = float(np.sign(beta0.sum() - bundle.budget))
             closed = np.array([-alpha * d + sign for d in record.grad_dot_per_group])
             out.append(_exact(f"meta_beta_closed_form_{tag}",
                               float(np.max(np.abs(applied[nn.BETA_ID] - closed))),
@@ -428,7 +429,8 @@ def quadratic_toy(alpha: float) -> dict[str, float]:
     train = T.scale(T.mul(leaf, leaf), 0.5)
     g_train = backward(train, ["t"])
 
-    prime = optim.virtual_update(Params({**theta, "beta": np.ones(1)}, Tape()),
+    flat, slices = nn.flatten({**theta, "beta": np.ones(1)})
+    prime = optim.virtual_update(Params(Tape().param(flat, nn.FLAT_ID), slices),
                                  g_train["t"].reshape(1), alpha, [[slice(0, 1)]])
     gap = T.sub(T.reduce_sum(prime.theta), Tensor(np.asarray(1.0)))
     g2 = backward(T.scale(T.mul(gap, gap), 0.5), [nn.FLAT_ID])[nn.FLAT_ID]  # [t, beta]
@@ -468,7 +470,8 @@ def taylor_residuals(seed: int = 0) -> list[TaylorRow]:
     g_cls = backward(cls, [nn.FLAT_ID])[nn.FLAT_ID]
     dot, _, _ = analysis.grad_dot(g_cls, g_dom, bundle.group_slices)
 
-    theta = Params({**bundle.all_params(), nn.BETA_ID: np.ones(len(bundle.groups))})
+    assert (bundle.beta == 1.0).all()  # so theta' is theta - alpha * g_dom
+    theta = bundle.params()
     rows: list[TaylorRow] = []
     alpha = TAYLOR_ALPHA_MAX
     prev: Optional[float] = None

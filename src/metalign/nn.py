@@ -23,22 +23,14 @@ def flatten(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, slice]
 
 class Params:
     """What one forward pass reads: every parameter in one 1-d tensor p (the
-    tape's leaf FLAT_ID, or a constant) and slices, each id's part of p; from
-    arrays by id, copied into a new flat array. The extractor reads theta, if
-    set (theta'), in place of p's leading part."""
+    tape's leaf FLAT_ID, or a constant) and slices, each id's part of p. The
+    extractor reads theta, if set (theta'), in place of p's leading part."""
 
     __slots__ = ("p", "slices", "theta")
 
-    def __init__(self, arrays: dict[str, np.ndarray], tape: Optional[Tape] = None) -> None:
-        flat, self.slices = flatten(arrays)
-        self.p = Tensor(flat) if tape is None else tape.param(flat, FLAT_ID)
-        self.theta = None
-
-    @classmethod
-    def over(cls, p: Tensor, slices: dict[str, slice], theta: Optional[Tensor] = None):
-        out = object.__new__(cls)
-        out.p, out.slices, out.theta = p, slices, theta
-        return out
+    def __init__(self, p: Tensor, slices: dict[str, slice],
+                 theta: Optional[Tensor] = None) -> None:
+        self.p, self.slices, self.theta = p, slices, theta
 
 
 class Linear:
@@ -125,7 +117,7 @@ class ClassifierHead(MLP):
 class DomainDiscriminator(MLP):
     """Three fully connected layers with ReLU, sigmoid output in (0, 1)."""
 
-    def __init__(self, in_dim: int, hidden: Sequence[int] = (64, 64)) -> None:
+    def __init__(self, in_dim: int, hidden: Sequence[int]) -> None:
         if len(hidden) != 2:
             raise ValueError("discriminator uses exactly two hidden widths")
         super().__init__([in_dim, hidden[0], hidden[1], 1], "D", "relu", output="sigmoid")
@@ -141,32 +133,23 @@ BETA_ID = "beta"  # id of the group weights, the one parameter weight decay skip
 
 
 @dataclass
-class GroupWeights:
-    """Learnable per-group scalars with an overall budget."""
-
-    beta: np.ndarray
-    budget: float
-
-    @classmethod
-    def init(cls, num_groups: int, budget: Optional[float] = None) -> "GroupWeights":
-        b = float(num_groups) if budget is None else float(budget)
-        return cls(beta=np.full(num_groups, b / num_groups, dtype=np.float64), budget=b)
-
-
-@dataclass
 class ModelBundle:
     """Everything a training step touches. Every parameter lives in one float64
-    array, flat: each net's layers, W then b, then beta last; each
-    Linear.weight, Linear.bias and GroupWeights.beta is rebound to its view.
-    slices maps each id to its part of flat, spans each net; groups list the
-    extractor's ids in order, tiling its leading part, as group_slices."""
+    array, flat: each net's layers, W then b, then beta last, one learnable
+    weight per group, budget/M each at the start; each Linear.weight,
+    Linear.bias and beta is rebound to its view. velocity is the SGD
+    momentum, zeros laid out like flat at the start. slices maps each id to
+    its part of flat, spans each net; groups list the extractor's ids in
+    order, tiling its leading part, as group_slices."""
 
     extractor: FeatureExtractor
     classifier: ClassifierHead
     discriminator: Optional[DomainDiscriminator]
-    group_weights: GroupWeights
-    groups: list[list[str]] = field(default_factory=list)
+    groups: list[list[str]]
+    budget: float
+    beta: np.ndarray = field(init=False)
     flat: np.ndarray = field(init=False, repr=False)
+    velocity: np.ndarray = field(init=False, repr=False)
     slices: dict[str, slice] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -174,9 +157,11 @@ class ModelBundle:
             raise ValueError("groups must partition the extractor's parameters in order")
         owners = {pid: (layer, attr) for net in self.nets for layer in net.layers
                   for attr, pid in (("weight", layer.weight_id), ("bias", layer.bias_id))}
-        owners[BETA_ID] = (self.group_weights, "beta")
+        owners[BETA_ID] = (self, "beta")
+        self.beta = np.full(len(self.groups), self.budget / len(self.groups))
         arrays = {pid: getattr(*owner) for pid, owner in owners.items()}
         self.flat, self.slices = flatten(arrays)
+        self.velocity = np.zeros_like(self.flat)
         self._views = {pid: self.flat[s].reshape(arrays[pid].shape)
                        for pid, s in self.slices.items()}
         for pid, view in self._views.items():
@@ -192,11 +177,8 @@ class ModelBundle:
 
     def params(self, tape: Optional[Tape] = None) -> Params:
         """A pass over flat itself: a leaf of tape, or a constant of the live values."""
-        return Params.over(Tensor(self.flat) if tape is None else tape.param(self.flat, FLAT_ID),
-                           self.slices)
-
-    def network_params(self) -> dict[str, np.ndarray]:
-        return {pid: arr for pid, arr in self._views.items() if pid != BETA_ID}
+        return Params(Tensor(self.flat) if tape is None else tape.param(self.flat, FLAT_ID),
+                      self.slices)
 
     def all_params(self, arr: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
         """The parameters by id: flat's views, or views of arr laid out like flat."""
@@ -236,12 +218,10 @@ def default_group_count(num_layers: int) -> int:
 
 
 def init_params(bundle: ModelBundle, seed: int) -> None:
-    """Glorot-uniform weights, zero biases, beta at budget/M; deterministic per seed."""
+    """Glorot-uniform weights and zero biases; deterministic per seed."""
     rng = np.random.default_rng(seed)
     for net in bundle.nets:
         for layer in net.layers:
             bound = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
             layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)
             layer.bias[...] = 0.0
-    gw = bundle.group_weights
-    gw.beta[...] = gw.budget / gw.beta.size

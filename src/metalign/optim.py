@@ -9,8 +9,7 @@ weighting the virtual step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -20,6 +19,9 @@ from .analysis import MetricsRecord
 from .losses import AlignmentInfo, AlignmentVariant
 from .nn import BETA_ID, FLAT_ID, ModelBundle, Params
 from .tensor import Tape, Tensor, backward
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import OptimizerConfig
 
 ALIGNMENT = "alignment"
 CLASSIFICATION = "classification"
@@ -35,41 +37,19 @@ class NonFiniteError(RuntimeError):
     """A loss or gradient left the finite range; the run must abort."""
 
 
-@dataclass
-class OptimState:
-    """SGD with momentum, shared by every parameter set including beta; the
-    velocity is one array laid out like the parameters it updates."""
-
-    lr: float = 0.01
-    meta_lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    velocity: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if not self.lr > 0.0:
-            raise ValueError("lr must be positive")
-        if self.meta_lr < 0.0:
-            raise ValueError("meta_lr must be >= 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-
-
-def sgd_update(params: np.ndarray, grads: np.ndarray, state: OptimState,
-               decayed: int) -> None:
+def sgd_update(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
+               opt: OptimizerConfig, decayed: int) -> None:
     """v <- momentum*v + g (+ weight_decay*p on params[:decayed], so not on
-    beta's trailing slice); p <- p - lr*v, in place, as whole-array ops."""
+    beta's trailing slice); p <- p - lr*v, in place, as whole-array ops; the
+    velocity v is laid out like params."""
     if grads.shape != params.shape:
         raise T.DimensionError(f"grad shape {grads.shape} vs params {params.shape}")
-    if state.velocity is None:
-        state.velocity = np.zeros_like(params)
-    if state.weight_decay != 0.0:
+    if opt.weight_decay != 0.0:
         grads = grads.copy()  # the caller's gradient stays as it was
-        grads[:decayed] += state.weight_decay * params[:decayed]
-    v = state.velocity
-    v *= state.momentum
-    v += grads
-    params -= state.lr * v
+        grads[:decayed] += opt.weight_decay * params[:decayed]
+    velocity *= opt.momentum
+    velocity += grads
+    params -= opt.lr * velocity
 
 
 def virtual_update(params: Params, g_train: np.ndarray, alpha: float,
@@ -79,7 +59,7 @@ def virtual_update(params: Params, g_train: np.ndarray, alpha: float,
     tensor.group_step node, which reads theta and beta from params.p. g_train
     is laid out like the extractor's part; groups lists each group's slices."""
     prime = T.group_step(params.p, g_train, alpha, groups, params.slices[BETA_ID])
-    return Params.over(params.p, params.slices, prime)
+    return Params(params.p, params.slices, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +133,8 @@ def joint_grads(bundle: ModelBundle, batch,
     cls = _cls_loss(bundle, batch, bundle.params(Tape()))
     applied = backward(cls, [FLAT_ID])[FLAT_ID]
 
-    gw = bundle.group_weights
     l_cls = float(cls.values)
-    l_beta = float(abs(gw.beta.sum() - gw.budget))
+    l_beta = float(abs(bundle.beta.sum() - bundle.budget))
     total_dot, cos, per_group = analysis.grad_dot(g_align, applied, bundle.group_slices)
 
     theta, head = bundle.spans[bundle.extractor], _head_span(bundle, ALIGNMENT, variant)
@@ -167,23 +146,23 @@ def joint_grads(bundle: ModelBundle, batch,
         L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,
         L_total=l_cls + info.dom,
         grad_dot_per_group=per_group, grad_dot_total=total_dot, grad_cos=cos,
-        beta=gw.beta.tolist(), clamped=info.clamped)
+        beta=bundle.beta.tolist(), clamped=info.clamped)
     return applied, record
 
 
 def _apply(bundle: ModelBundle, applied: np.ndarray, record: MetricsRecord,
-           state: OptimState) -> None:
+           opt: OptimizerConfig) -> None:
     """End a step: raise on a non-finite loss or gradient, else apply the update."""
     _check_finite({"L_cls": record.L_cls, "L_dom": record.L_dom,
                    "L_beta": record.L_beta}, applied, bundle.slices)
-    sgd_update(bundle.flat, applied, state, bundle.slices[BETA_ID].start)
+    sgd_update(bundle.flat, applied, bundle.velocity, opt, bundle.slices[BETA_ID].start)
 
 
 def joint_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
-               state: OptimState) -> MetricsRecord:
+               opt: OptimizerConfig) -> MetricsRecord:
     """One combined-objective update of theta, phi_c and (if present) phi_d."""
     applied, record = joint_grads(bundle, batch, variant)
-    _apply(bundle, applied, record, state)
+    _apply(bundle, applied, record, opt)
     return record
 
 
@@ -202,7 +181,7 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant, alpha
     meta_train raises KeyError.
     """
     meta_test = META_TEST[meta_train]
-    gw, theta = bundle.group_weights, bundle.spans[bundle.extractor]
+    theta = bundle.spans[bundle.extractor]
 
     train_loss, train_info = _task_loss(bundle, batch, variant, meta_train, bundle.params(Tape()))
     g1 = backward(train_loss, [FLAT_ID])[FLAT_ID]
@@ -213,7 +192,7 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant, alpha
 
     total_dot, cos, per_group = analysis.grad_dot(g1, applied, bundle.group_slices)
 
-    gap, head = gw.beta.sum() - gw.budget, _head_span(bundle, meta_train, variant)
+    gap, head = bundle.beta.sum() - bundle.budget, _head_span(bundle, meta_train, variant)
     applied[theta] += g1[theta]
     applied[bundle.slices[BETA_ID]] += np.sign(gap)
     if head is not None:
@@ -229,16 +208,16 @@ def metaalign_grads(bundle: ModelBundle, batch, variant: AlignmentVariant, alpha
         L_cls=l_cls, L_dom_cls=info.dom_cls, L_dom=info.dom, L_beta=l_beta,
         L_total=l_cls + info.dom + l_beta,
         grad_dot_per_group=per_group, grad_dot_total=total_dot, grad_cos=cos,
-        beta=gw.beta.tolist(), clamped=info.clamped)
+        beta=bundle.beta.tolist(), clamped=info.clamped)
     return applied, record, g1[theta]
 
 
 def metaalign_step(bundle: ModelBundle, batch, variant: AlignmentVariant,
-                   state: OptimState, meta_train: str) -> MetricsRecord:
+                   opt: OptimizerConfig, meta_train: str) -> MetricsRecord:
     """One meta-optimization update of theta, phi_c, phi_d and beta."""
-    applied, record, _ = metaalign_grads(bundle, batch, variant, state.meta_lr,
+    applied, record, _ = metaalign_grads(bundle, batch, variant, opt.meta_lr,
                                          meta_train)
-    _apply(bundle, applied, record, state)
+    _apply(bundle, applied, record, opt)
     return record
 
 
@@ -251,10 +230,11 @@ def meta_total_value(bundle: ModelBundle, batch, variant: AlignmentVariant,
     function whose theta derivatives (read from the live arrays) and beta
     derivatives the meta step's gradients must match."""
     meta_test = META_TEST[meta_train]
-    params = Params({**bundle.all_params(), BETA_ID: beta_values})
+    flat = bundle.flat.copy()
+    flat[bundle.slices[BETA_ID]] = beta_values
+    params = Params(Tensor(flat), bundle.slices)
     prime = virtual_update(params, g_train, alpha, bundle.group_slices)
     train_val = _task_value(bundle, batch, variant, meta_train, params,
                             weights_override)
     test_val = _task_value(bundle, batch, variant, meta_test, prime, weights_override)
-    budget = bundle.group_weights.budget
-    return train_val + test_val + abs(float(np.sum(beta_values)) - budget)
+    return train_val + test_val + abs(float(np.sum(beta_values)) - bundle.budget)

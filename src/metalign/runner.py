@@ -20,7 +20,7 @@ from .checkpoint import save_checkpoint, write_atomic
 from .config import (ConfigError, TrainConfig, check_value, config_hash,
                      parse_config)
 from .losses import AlignmentVariant
-from .optim import NonFiniteError, OptimState
+from .optim import NonFiniteError
 from .tensor import Tensor
 
 log = logging.getLogger("metalign")
@@ -104,7 +104,7 @@ def build_bundle(cfg: TrainConfig, input_dim: int, num_classes: int,
     budget = cfg.optimizer.budget
     bundle = nn.ModelBundle(
         extractor=extractor, classifier=classifier, discriminator=discriminator,
-        group_weights=nn.GroupWeights.init(num_groups, budget), groups=groups)
+        groups=groups, budget=float(num_groups) if budget is None else budget)
     nn.init_params(bundle, init_seed)
     return bundle, variant
 
@@ -144,9 +144,6 @@ def _train(cfg: TrainConfig, out_dir: Optional[str]) -> dict:
         raise ConfigError("batch_size exceeds the smaller domain size")
     bundle, variant = build_bundle(cfg, src.dim, src.num_classes,
                                    init_seed=derive_seed(cfg.seed, 1))
-    state = OptimState(lr=cfg.optimizer.lr, meta_lr=cfg.optimizer.meta_lr,
-                       momentum=cfg.optimizer.momentum,
-                       weight_decay=cfg.optimizer.weight_decay)
     # only once every config check has passed: a rejected config leaves no directory
     os.makedirs(out, exist_ok=True)
 
@@ -169,9 +166,9 @@ def _train(cfg: TrainConfig, out_dir: Optional[str]) -> dict:
                 resolve_sigma(bundle, variant, batch)
             try:
                 if cycle is None:
-                    rec = optim.joint_step(bundle, batch, variant, state)
+                    rec = optim.joint_step(bundle, batch, variant, cfg.optimizer)
                 else:
-                    rec = optim.metaalign_step(bundle, batch, variant, state,
+                    rec = optim.metaalign_step(bundle, batch, variant, cfg.optimizer,
                                                cycle[it % len(cycle)])
             except NonFiniteError as e:
                 log.error("aborting at iteration %d: %s", it, e)
@@ -181,10 +178,8 @@ def _train(cfg: TrainConfig, out_dir: Optional[str]) -> dict:
             clamp_steps += rec.clamped
             rec.iteration = it
             if (it + 1) % cfg.eval_every == 0 or it == cfg.iterations - 1:
-                rec.source_acc = analysis.evaluate(bundle.extractor,
-                                                   bundle.classifier, src)
-                rec.target_acc = analysis.evaluate(bundle.extractor,
-                                                   bundle.classifier, tgt)
+                rec.source_acc = analysis.evaluate(bundle, src)
+                rec.target_acc = analysis.evaluate(bundle, tgt)
             analysis.record_metrics(sink, rec)
             records.append(rec)
 

@@ -93,7 +93,7 @@ def test_criterion_4_beta_gradient_closed_form():
             applied, report, g_train = metaalign_grads(
                 bundle, batch, variant, alpha, ALIGNMENT)
             applied = bundle.all_params(applied)
-            gw = bundle.group_weights
+            gw = bundle
             sign = float(np.sign(gw.beta.sum() - gw.budget))
             closed = np.array([-alpha * d + sign
                                for d in report.grad_dot_per_group])

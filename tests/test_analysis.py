@@ -186,39 +186,52 @@ class TestGradDot:
 
 class TestEvaluate:
     def _model(self, k=3):
-        extractor = nn.FeatureExtractor([2])  # identity
+        """An identity extractor (one layer, W = I, b = 0) and a zero classifier."""
+        extractor = nn.FeatureExtractor([2, 2])
+        extractor.layers[0].weight[...] = np.eye(2)
         classifier = nn.ClassifierHead(2, k)
-        return extractor, classifier
+        return nn.ModelBundle(extractor, classifier, None, [extractor.param_ids], 1.0)
 
     def test_perfect_predictions(self):
-        extractor, classifier = self._model(k=2)
+        bundle = self._model(k=2)
         # logits = features @ W: route feature sign straight to the classes
-        classifier.layers[0].weight[...] = np.array([[1.0, -1.0], [0.0, 0.0]])
+        bundle.classifier.layers[0].weight[...] = np.array([[1.0, -1.0], [0.0, 0.0]])
         feats = np.array([[2.0, 0.0], [-2.0, 0.0], [3.0, 0.0]])
         labels = np.array([0, 1, 0])
         ds = Dataset(feats, labels, SOURCE)
-        assert evaluate(extractor, classifier, ds) == 1.0
+        assert evaluate(bundle, ds) == 1.0
 
     def test_constant_model_on_balanced_data(self):
-        extractor, classifier = self._model(k=4)  # zero weights: constant logits
+        bundle = self._model(k=4)  # zero weights: constant logits
         n = 400
         rng = np.random.default_rng(3)
         ds = Dataset(rng.normal(size=(n, 2)), np.repeat(np.arange(4), n // 4),
                      SOURCE)
-        acc = evaluate(extractor, classifier, ds)
+        acc = evaluate(bundle, ds)
         # argmax ties resolve to class 0, which holds exactly 1/4 of the labels
         assert acc == pytest.approx(0.25, abs=1e-12)
 
     def test_monotone_transform_invariance(self):
-        extractor, classifier = self._model(k=3)
+        bundle = self._model(k=3)
+        classifier = bundle.classifier
         rng = np.random.default_rng(4)
         classifier.layers[0].weight[...] = rng.normal(size=(2, 3))
         ds = Dataset(rng.normal(size=(50, 2)), rng.integers(0, 3, size=50), SOURCE)
-        base = evaluate(extractor, classifier, ds)
+        base = evaluate(bundle, ds)
         classifier.layers[0].weight[...] *= 7.0  # positive scaling of logits
-        assert evaluate(extractor, classifier, ds) == base
+        assert evaluate(bundle, ds) == base
         classifier.layers[0].bias[...] += 3.25  # shared shift
-        assert evaluate(extractor, classifier, ds) == base
+        assert evaluate(bundle, ds) == base
+
+    def test_reads_the_live_flat(self):
+        """A write to bundle.flat between two calls shows in the second: the
+        classifier's bias alone picks the class of every row."""
+        bundle = self._model(k=3)
+        labels = np.array([0, 1, 1, 2, 2, 2])
+        ds = Dataset(np.zeros((6, 2)), labels, SOURCE)
+        for k in range(3):
+            bundle.flat[bundle.slices["C.l0.b"]] = np.eye(3)[k]
+            assert evaluate(bundle, ds) == np.mean(labels == k)
 
 
 class TestMetricsStream:
@@ -240,7 +253,7 @@ class TestMetricsStream:
 
     def test_round_trip_reconstructs_exactly(self):
         rec = self._record(7)
-        back = MetricsRecord.from_json(rec.to_json())
+        back = MetricsRecord(**json.loads(rec.to_json()))
         assert back == rec
         # floats survive bitwise (shortest round-trip serialization)
         assert back.grad_dot_total == rec.grad_dot_total

@@ -64,6 +64,12 @@ def stack(ds, dt):
     return Tensor(np.stack((ds, dt)))
 
 
+def plain(*nets):
+    """Constant parameters of a forward pass through nets, copied into one array."""
+    flat, slices = nn.flatten({pid: arr for net in nets for pid, arr in net.params().items()})
+    return nn.Params(Tensor(flat), slices)
+
+
 class TestDomainClsLoss:
     def test_all_half_gives_two_log_two(self):
         loss = losses.domain_cls_loss(Tensor(np.full((2, 4, 1), 0.5)))
@@ -301,7 +307,7 @@ class TestAlignmentLoss:
     def test_adversarial_variants_need_their_networks(self):
         disc = nn.DomainDiscriminator(2, hidden=(2, 2))
         clf = nn.ClassifierHead(2, 2)
-        params = nn.Params({**disc.params(), **clf.params()})
+        params = plain(disc, clf)
         feats = Tensor(np.zeros((2, 3, 2)))
         for name, kwargs, missing in [
                 ("dann", {"params": params}, "discriminator"),
@@ -337,8 +343,7 @@ class TestAlignmentLoss:
         for _ in range(5):
             for layer in bundle.discriminator.layers:
                 layer.weight[...] += rng.normal(0, 0.3, size=layer.weight.shape)
-            _, info = optim._align_loss(bundle, batch, variant,
-                                        nn.Params(bundle.network_params()))
+            _, info = optim._align_loss(bundle, batch, variant, bundle.params())
             pairs.append((info.dom_cls, info.dom))
         pairs.sort()
         doms = [d for _, d in pairs]
@@ -349,8 +354,7 @@ class TestAlignmentLoss:
         bundle, variant = random_bundle(rng, "dannpe")
         batch = random_batch(rng)
         assert bundle.discriminator.widths[0] == bundle.classifier.num_classes
-        loss, info = optim._align_loss(bundle, batch, variant,
-                                       nn.Params(bundle.network_params()))
+        loss, info = optim._align_loss(bundle, batch, variant, bundle.params())
         assert np.isfinite(float(loss.values))
         assert info.dom == -info.dom_cls
 
@@ -363,8 +367,7 @@ class TestAlignmentLoss:
         batch = random_batch(rng)
         if last_bias is not None:
             bundle.discriminator.layers[-1].bias[...] = last_bias
-        _, info = optim._align_loss(bundle, batch, variant,
-                                    nn.Params(bundle.network_params(), Tape()))
+        _, info = optim._align_loss(bundle, batch, variant, bundle.params(Tape()))
         assert info.clamped is clamped
 
     def test_info_flags_a_clamp_in_either_domain(self):
@@ -376,7 +379,7 @@ class TestAlignmentLoss:
         calm, saturated = np.zeros((3, 2)), np.ones((3, 2))
         for fs, ft in ((calm, saturated), (saturated, calm), (calm, calm)):
             _, info = losses.alignment_loss(AlignmentVariant("dann"), stack(fs, ft),
-                                            nn.Params(disc.params()), discriminator=disc)
+                                            plain(disc), discriminator=disc)
             assert info.clamped is (fs is saturated or ft is saturated)
 
     def test_all_loss_gradients_match_fd(self):

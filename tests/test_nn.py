@@ -9,18 +9,19 @@ from metalign.config import parse_config
 from metalign.tensor import Tape, Tensor, backward, finite_diff_grad
 
 
-def make_bundle(seed=0, variant="dann"):
-    """Hidden layers of 8 and 8 in 2 groups on 3 inputs and 4 classes."""
+def make_bundle(seed=0, variant="dann", hidden=(8, 8), groups=2, budget=None):
+    """Hidden layers of 8 and 8 in 2 groups on 3 inputs and 4 classes, unless given."""
     doc = {"seed": 0, "iterations": 1, "batch_size": 1,
            "dataset": {"generator": "two_moons"},
-           "model": {"hidden": [8, 8], "groups": 2, "disc_hidden": [8, 8]},
-           "variant": {"name": variant}}
+           "model": {"hidden": list(hidden), "groups": groups, "disc_hidden": [8, 8]},
+           "variant": {"name": variant}, "optimizer": {"budget": budget}}
     return runner.build_bundle(parse_config(doc), 3, 4, init_seed=seed)[0]
 
 
 def plain(net):
-    """Constant parameters of a forward pass through net."""
-    return nn.Params(net.params())
+    """Constant parameters of a forward pass through net, copied into one array."""
+    flat, slices = nn.flatten(net.params())
+    return nn.Params(Tensor(flat), slices)
 
 
 class TestParams:
@@ -29,8 +30,9 @@ class TestParams:
         and backward answers for the leaf alone."""
         bundle = make_bundle()
         tape = Tape()
-        arrays = bundle.network_params()
-        params = nn.Params(arrays, tape)
+        arrays = {pid: arr for pid, arr in bundle.all_params().items() if pid != nn.BETA_ID}
+        flat, slices = nn.flatten(arrays)
+        params = nn.Params(tape.param(flat, nn.FLAT_ID), slices)
         out = bundle.extractor.forward(Tensor(np.ones((2, 3))), params)
         leaves = [n for n in tape.nodes if n.param_id is not None]
         assert [n.param_id for n in leaves] == [nn.FLAT_ID] and leaves[0] is params.p
@@ -68,11 +70,24 @@ class TestInit:
             assert np.all(layer.bias == 0.0)
 
     def test_beta_init_budget_over_groups(self):
-        gw = nn.GroupWeights.init(4, budget=4.0)
-        np.testing.assert_array_equal(gw.beta, [1.0, 1.0, 1.0, 1.0])
-        gw = nn.GroupWeights.init(2)  # budget defaults to group count
-        np.testing.assert_array_equal(gw.beta, [1.0, 1.0])
-        assert gw.budget == 2.0
+        bundle = make_bundle(hidden=(8, 8, 8, 8), groups=4, budget=4.0)
+        np.testing.assert_array_equal(bundle.beta, [1.0, 1.0, 1.0, 1.0])
+        bundle = make_bundle()  # budget defaults to group count
+        np.testing.assert_array_equal(bundle.beta, [1.0, 1.0])
+        assert bundle.budget == 2.0
+
+    @pytest.mark.parametrize("groups,budget", [(3, None), (3, 1.7), (2, 0.3), (1, 5.0)])
+    def test_beta_is_budget_over_groups_bitwise(self, groups, budget):
+        """beta starts at budget/M in every group, with or without a configured
+        budget; the budget is M when none is set, and init_params leaves beta be."""
+        bundle = make_bundle(hidden=(8, 8, 8), groups=groups, budget=budget)
+        want = float(groups) if budget is None else budget
+        assert bundle.budget == want and type(bundle.budget) is float
+        np.testing.assert_array_equal(bundle.beta.view(np.int64),
+                                      np.full(groups, want / groups).view(np.int64))
+        bundle.beta[...] = 0.5
+        nn.init_params(bundle, seed=1)
+        np.testing.assert_array_equal(bundle.beta, 0.5)
 
 
 class TestLayout:
@@ -83,8 +98,7 @@ class TestLayout:
         bundle = make_bundle(variant=variant)
         params = bundle.all_params()
         assert list(params)[-1] == nn.BETA_ID
-        assert params[nn.BETA_ID] is bundle.group_weights.beta
-        assert list(bundle.network_params()) == list(params)[:-1]
+        assert params[nn.BETA_ID] is bundle.beta
         base = bundle.flat.__array_interface__["data"][0]
         start = 0
         for pid, arr in params.items():
@@ -125,7 +139,7 @@ class TestLayout:
                        [["G.l0.W", "G.l0.b", "G.l1.W"], ["G.l1.b", "C.l0.W"]]):
             with pytest.raises(ValueError, match="partition"):
                 nn.ModelBundle(bundle.extractor, bundle.classifier, bundle.discriminator,
-                               nn.GroupWeights.init(len(groups)), groups)
+                               groups, float(len(groups)))
 
 
 class TestFeatureExtractor:
@@ -144,6 +158,14 @@ class TestFeatureExtractor:
         bundle = make_bundle()
         with pytest.raises(T.DimensionError):
             bundle.extractor.forward(Tensor(np.zeros((2, 5))), plain(bundle.extractor))
+
+    def test_widths_of_unequal_layers(self):
+        """out_dim is the last width and the input check names the first,
+        with hidden widths that differ."""
+        g = nn.FeatureExtractor([3, 8, 5])
+        assert g.out_dim == 5
+        with pytest.raises(T.DimensionError, match=r"n x 3 input, got \(2, 8\)"):
+            g.forward(Tensor(np.zeros((2, 8))), plain(g))
 
     def test_takes_a_two_domain_stack(self):
         bundle = make_bundle()
@@ -199,6 +221,13 @@ class TestDiscriminator:
         extreme = Tensor(np.array([[1e6] * 8, [-1e6] * 8, [0.0] * 8]))
         out = disc.forward(extreme, plain(disc)).values
         assert np.all(out > 0.0) and np.all(out < 1.0)
+
+    def test_hidden_widths_in_order(self):
+        disc = nn.DomainDiscriminator(4, (8, 5))
+        assert disc.widths == [4, 8, 5, 1]
+        assert [layer.weight.shape for layer in disc.layers] == [(4, 8), (8, 5), (5, 1)]
+        with pytest.raises(T.DimensionError, match=r"n x 4 input, got \(3, 8\)"):
+            disc.forward(Tensor(np.zeros((3, 8))), plain(disc))
 
     def test_takes_a_two_domain_stack(self):
         disc = nn.DomainDiscriminator(4, (8, 8))
@@ -283,6 +312,7 @@ class TestGroups:
                 nn.group_params(g, m)
 
     def test_default_group_count(self):
+        assert nn.default_group_count(1) == 1
         assert nn.default_group_count(2) == 2
         assert nn.default_group_count(4) == 4
         assert nn.default_group_count(9) == 4

@@ -12,13 +12,13 @@ import pytest
 
 from metalign import data, losses, nn, optim
 from metalign import tensor as T
-from metalign.config import SCHEMA, load_config
+from metalign.config import OptimizerConfig, load_config, parse_config
 from metalign.gradcheck import quadratic_toy, random_batch, random_bundle
 from metalign.optim import (ALIGNMENT, CLASSIFICATION, META_TEST, NonFiniteError,
-                            OptimState, ROLE_POLICIES, metaalign_grads,
+                            ROLE_POLICIES, metaalign_grads,
                             metaalign_step, joint_grads, joint_step, sgd_update,
                             virtual_update)
-from metalign.runner import run_training
+from metalign.runner import build_bundle, run_training
 from metalign.tensor import Tape, Tensor, backward, finite_diff_grad
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -35,25 +35,37 @@ def lay_out(arrays):
     return np.concatenate(list(arrays.values()), axis=None), slices
 
 
+def settings(lr=0.01, meta_lr=0.01, momentum=0.9, weight_decay=0.0):
+    """A step's optimizer settings; budget is build_bundle's to read."""
+    return OptimizerConfig(lr=lr, meta_lr=meta_lr, momentum=momentum,
+                           weight_decay=weight_decay, budget=None)
+
+
+def plain(arrays):
+    """A leaf of a new tape holding arrays, laid out as nn.flatten does."""
+    flat, slices = nn.flatten(arrays)
+    return nn.Params(Tape().param(flat, nn.FLAT_ID), slices)
+
+
 class TestSgd:
     def test_plain_descent_arithmetic(self):
         p = np.array([1.0])
-        state = OptimState(lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_update(p, np.array([2.0]), state, 1)
+        opt = settings(lr=0.1, momentum=0.0, weight_decay=0.0)
+        sgd_update(p, np.array([2.0]), np.zeros(1), opt, 1)
         assert p[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_gradient_fixed_point(self):
         p = np.array([3.0, -1.0])
-        state = OptimState(lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_update(p, np.zeros(2), state, 2)
+        opt = settings(lr=0.1, momentum=0.0, weight_decay=0.0)
+        sgd_update(p, np.zeros(2), np.zeros(2), opt, 2)
         np.testing.assert_array_equal(p, [3.0, -1.0])
 
     def test_momentum_matches_hand_unrolled_recurrence(self):
         eta, mu, g = 0.1, 0.9, 2.0
         p = np.array([1.0])
-        state = OptimState(lr=eta, momentum=mu, weight_decay=0.0)
-        sgd_update(p, np.array([g]), state, 1)
-        sgd_update(p, np.array([g]), state, 1)
+        opt, v = settings(lr=eta, momentum=mu, weight_decay=0.0), np.zeros(1)
+        sgd_update(p, np.array([g]), v, opt, 1)
+        sgd_update(p, np.array([g]), v, opt, 1)
         # v1 = g; p1 = p0 - eta v1; v2 = mu v1 + g; p2 = p1 - eta v2
         v1 = g
         p1 = 1.0 - eta * v1
@@ -63,23 +75,23 @@ class TestSgd:
 
     def test_weight_decay_skips_exempt_params(self):
         p = np.array([1.0, 1.0])  # w, then beta after the decayed slice
-        state = OptimState(lr=0.1, momentum=0.0, weight_decay=0.5)
-        sgd_update(p, np.zeros(2), state, 1)
+        opt = settings(lr=0.1, momentum=0.0, weight_decay=0.5)
+        sgd_update(p, np.zeros(2), np.zeros(2), opt, 1)
         assert p[0] == pytest.approx(1.0 - 0.1 * 0.5)
         assert p[1] == 1.0
 
     @staticmethod
-    def sgd_oracle(params, grads, state):
+    def sgd_oracle(params, grads, velocity, opt):
         """The update as it was written: v <- m*v + (g + wd*p); p <- p - lr*v,
-        one parameter id at a time, with a velocity per id."""
+        one parameter id at a time, with a velocity per id in the dict velocity."""
         for pid, p in params.items():
             g = grads[pid]
-            if state.weight_decay != 0.0 and pid != "beta":
-                g = g + state.weight_decay * p
-            v = state.velocity.setdefault(pid, np.zeros_like(p))
-            v *= state.momentum
+            if opt.weight_decay != 0.0 and pid != "beta":
+                g = g + opt.weight_decay * p
+            v = velocity.setdefault(pid, np.zeros_like(p))
+            v *= opt.momentum
             v += g
-            p -= state.lr * v
+            p -= opt.lr * v
 
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4, 0.37, 1.0])
     def test_bitwise_equal_to_oracle(self, weight_decay):
@@ -87,47 +99,59 @@ class TestSgd:
         shapes = {"G.l0.W": (2, 64), "G.l0.b": (64,), "C.l0.W": (64, 3), "beta": (2,)}
         want = {pid: rng.normal(size=shape) for pid, shape in shapes.items()}
         flat, slices = lay_out(want)
-        state = OptimState(lr=0.05, momentum=0.5, weight_decay=weight_decay)
-        oracle = OptimState(lr=0.05, momentum=0.5, weight_decay=weight_decay)
-        oracle.velocity = {}
+        opt = settings(lr=0.05, momentum=0.5, weight_decay=weight_decay)
+        velocity, oracle = np.zeros_like(flat), {}
         for _ in range(5):
             grads = {pid: rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3)
                      for pid, p in want.items()}
-            sgd_update(flat, lay_out(grads)[0], state, slices["beta"].start)
-            self.sgd_oracle(want, grads, oracle)
+            sgd_update(flat, lay_out(grads)[0], velocity, opt, slices["beta"].start)
+            self.sgd_oracle(want, grads, oracle, opt)
             for pid, s in slices.items():
                 np.testing.assert_array_equal(flat[s].view(np.int64),
                                               want[pid].ravel().view(np.int64))
                 np.testing.assert_array_equal(
-                    state.velocity[s].view(np.int64),
-                    oracle.velocity[pid].ravel().view(np.int64))
+                    velocity[s].view(np.int64),
+                    oracle[pid].ravel().view(np.int64))
 
     def test_grads_must_cover_params(self):
-        state = OptimState()
         with pytest.raises(ValueError):
-            sgd_update(np.ones(2), np.ones(1), state, 2)
+            sgd_update(np.ones(2), np.ones(1), np.zeros(2), settings(), 2)
 
-    def test_defaults_take_no_weight_decay(self):
-        assert OptimState().weight_decay == 0.0
 
-    def test_step_size_and_momentum_defaults_are_the_config_defaults(self):
-        want = {key: default for section, key, _, _, default in SCHEMA
-                if section == "optimizer" and key in ("lr", "meta_lr", "momentum")}
-        state = OptimState()
-        assert len(want) == 3 and {key: getattr(state, key) for key in want} == want
+class TestVelocity:
+    """The SGD velocity lives in bundle.velocity, laid out like flat."""
 
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            OptimState(lr=0.0)
-        with pytest.raises(ValueError):
-            OptimState(momentum=1.0)
-        with pytest.raises(ValueError):
-            OptimState(meta_lr=-0.1)
+    @pytest.mark.parametrize("step", ["joint", ALIGNMENT, CLASSIFICATION])
+    def test_zeros_at_build_then_each_step_matches_the_oracle(self, step):
+        doc = {"seed": 0, "iterations": 1, "batch_size": 1,
+               "dataset": {"generator": "two_moons"},
+               "model": {"hidden": [8, 8], "groups": 2, "disc_hidden": [8, 8]}}
+        bundle, variant = build_bundle(parse_config(doc), 4, 3, init_seed=3)
+        assert bundle.velocity.shape == bundle.flat.shape
+        assert not np.shares_memory(bundle.velocity, bundle.flat)
+        np.testing.assert_array_equal(bundle.velocity.view(np.int64), 0)
+        opt = settings(lr=0.05, momentum=0.5, weight_decay=0.37)
+        want, oracle = {pid: arr.copy() for pid, arr in bundle.all_params().items()}, {}
+        rng = np.random.default_rng(13)
+        for _ in range(2):
+            batch = random_batch(rng)
+            if step == "joint":
+                grads = joint_grads(bundle, batch, variant)[0]
+                joint_step(bundle, batch, variant, opt)
+            else:
+                grads = metaalign_grads(bundle, batch, variant, opt.meta_lr, step)[0]
+                metaalign_step(bundle, batch, variant, opt, step)
+            TestSgd.sgd_oracle(want, bundle.all_params(grads), oracle, opt)
+            for pid, s in bundle.slices.items():
+                np.testing.assert_array_equal(bundle.flat[s].view(np.int64),
+                                              want[pid].ravel().view(np.int64))
+                np.testing.assert_array_equal(bundle.velocity[s].view(np.int64),
+                                              oracle[pid].ravel().view(np.int64))
 
 
 class TestVirtualUpdate:
     def _setup(self, alpha, beta, theta=1.0, g=1.0):
-        params = nn.Params({"t": np.array([theta]), "beta": np.array([beta])}, Tape())
+        params = plain({"t": np.array([theta]), "beta": np.array([beta])})
         return virtual_update(params, np.array([g]), alpha, [[slice(0, 1)]])
 
     def test_alpha_zero_identity(self):
@@ -146,7 +170,7 @@ class TestVirtualUpdate:
         alpha = 0.25
         g_vec = np.array([2.0, -1.0])
         upstream = np.array([3.0, 5.0])
-        params = nn.Params({"t": np.array([1.0, 2.0]), "beta": np.array([1.5])}, Tape())
+        params = plain({"t": np.array([1.0, 2.0]), "beta": np.array([1.5])})
         prime = virtual_update(params, g_vec, alpha, [[slice(0, 2)]])
         loss = T.reduce_sum(T.mul(prime.theta, Tensor(upstream)))
         g = backward(loss, [nn.FLAT_ID])[nn.FLAT_ID]  # [t, beta]
@@ -206,26 +230,26 @@ class TestJointStep:
     def test_quadratic_toy_single_step(self):
         # one plain sgd step on a hand-checked quadratic: p <- p - eta*(p - 1)
         p = np.array([4.0])
-        state = OptimState(lr=0.25, momentum=0.0, weight_decay=0.0)
+        opt = settings(lr=0.25, momentum=0.0, weight_decay=0.0)
         tape = Tape()
         w = tape.param(p, "w")
         gap = T.sub(w, Tensor(np.array([1.0])))
         g = backward(T.scale(T.reduce_sum(T.mul(gap, gap)), 0.5), ["w"])
-        sgd_update(p, g["w"], state, 1)
+        sgd_update(p, g["w"], np.zeros(1), opt, 1)
         assert p[0] == pytest.approx(4.0 - 0.25 * 3.0, abs=1e-15)
 
     def test_beta_untouched(self):
         # the joint step leaves beta out: its slice of the step's gradient is
         # 0, so beta and its velocity keep their bits under momentum too
-        for state in (OptimState(momentum=0.0), OptimState()):
+        for opt in (settings(momentum=0.0), settings()):
             rng = np.random.default_rng(2)
             bundle, variant = random_bundle(rng, "dann")
-            before = bundle.group_weights.beta.copy()
+            before = bundle.beta.copy()
             for _ in range(3):
-                joint_step(bundle, random_batch(rng), variant, state)
-            np.testing.assert_array_equal(bundle.group_weights.beta.view(np.int64),
+                joint_step(bundle, random_batch(rng), variant, opt)
+            np.testing.assert_array_equal(bundle.beta.view(np.int64),
                                           before.view(np.int64))
-            velocity = state.velocity[bundle.slices["beta"]]
+            velocity = bundle.velocity[bundle.slices["beta"]]
             np.testing.assert_array_equal(velocity.view(np.int64), 0)
 
 
@@ -241,9 +265,8 @@ class TestMetaStep:
         beta = bundle.slices["beta"]
         assert float(np.max(np.abs(gj[:beta.start] - gm[:beta.start]))) <= 1e-12
         # beta receives only the budget subgradient
-        gw = bundle.group_weights
-        sign = np.sign(gw.beta.sum() - gw.budget)
-        np.testing.assert_array_equal(gm[beta], np.full(len(gw.beta), sign))
+        sign = np.sign(bundle.beta.sum() - bundle.budget)
+        np.testing.assert_array_equal(gm[beta], np.full(len(bundle.beta), sign))
 
     def test_alpha_to_zero_consistency(self):
         # the theta-gradient gap between the meta step and the joint step
@@ -282,8 +305,7 @@ class TestMetaStep:
         alpha = 0.05
         applied, report, _ = metaalign_grads(bundle, batch, variant, alpha,
                                              ALIGNMENT)
-        gw = bundle.group_weights
-        sign = float(np.sign(gw.beta.sum() - gw.budget))
+        sign = float(np.sign(bundle.beta.sum() - bundle.budget))
         closed = np.array([-alpha * d + sign for d in report.grad_dot_per_group])
         np.testing.assert_array_equal(applied[bundle.slices["beta"]], closed)
 
@@ -294,7 +316,7 @@ class TestMetaStep:
         alpha = 0.05
         applied, _, g_train = metaalign_grads(bundle, batch, variant, alpha,
                                               ALIGNMENT)
-        beta0 = bundle.group_weights.beta.copy()
+        beta0 = bundle.beta.copy()
         fd = finite_diff_grad(
             lambda p: optim.meta_total_value(bundle, batch, variant, alpha,
                                              p["beta"], g_train, ALIGNMENT),
@@ -311,7 +333,7 @@ class TestMetaStep:
         differences of meta_total_value, which holds the budget term, agree."""
         rng = np.random.default_rng(10)
         bundle, variant = random_bundle(rng, "dann")
-        bundle.group_weights.beta[...] = beta
+        bundle.beta[...] = beta
         alpha, batch = 0.05, random_batch(rng)
         applied, record, g_train = metaalign_grads(bundle, batch, variant, alpha, ALIGNMENT)
         dots = np.array(record.grad_dot_per_group)
@@ -339,7 +361,7 @@ class TestMetaStep:
         alpha = 0.05
         applied, record, _ = metaalign_grads(bundle, random_batch(rng), variant, alpha,
                                              ALIGNMENT)
-        gap = bundle.group_weights.beta.sum() - bundle.group_weights.budget
+        gap = bundle.beta.sum() - bundle.budget
         closed = -alpha * np.array(record.grad_dot_per_group) + np.sign(gap)
         got = applied[bundle.slices["beta"]]
         assert (got != closed).all()
@@ -364,8 +386,8 @@ class TestMetaStep:
         batch = random_batch(rng)
         before = {pid: arr.copy() for pid, arr in bundle.all_params().items()}
         # ensure a nonzero beta gradient: move beta off the budget
-        bundle.group_weights.beta[0] += 0.2
-        metaalign_step(bundle, batch, variant, OptimState(momentum=0.0),
+        bundle.beta[0] += 0.2
+        metaalign_step(bundle, batch, variant, settings(momentum=0.0),
                        ALIGNMENT)
         after = bundle.all_params()
         changed = [pid for pid in before if not np.array_equal(before[pid],
@@ -379,10 +401,10 @@ class TestMetaStep:
         rng = np.random.default_rng(10)
         bundle, variant = random_bundle(rng, "mmd")
         batch = random_batch(rng)
-        state = OptimState(lr=1e150, momentum=0.0, weight_decay=0.0)
+        opt = settings(lr=1e150, momentum=0.0, weight_decay=0.0)
         with pytest.raises(NonFiniteError):
             for _ in range(8):
-                metaalign_step(bundle, batch, variant, state, ALIGNMENT)
+                metaalign_step(bundle, batch, variant, opt, ALIGNMENT)
 
     @pytest.mark.parametrize("field", ["src_features", "tgt_features"])
     @pytest.mark.parametrize("step", ["joint", ALIGNMENT, CLASSIFICATION])
@@ -396,9 +418,9 @@ class TestMetaStep:
         before = {pid: arr.copy() for pid, arr in bundle.all_params().items()}
         with pytest.raises(NonFiniteError):
             if step == "joint":
-                joint_step(bundle, batch, variant, OptimState())
+                joint_step(bundle, batch, variant, settings())
             else:
-                metaalign_step(bundle, batch, variant, OptimState(), step)
+                metaalign_step(bundle, batch, variant, settings(), step)
         for pid, arr in bundle.all_params().items():
             np.testing.assert_array_equal(arr, before[pid])
 
@@ -414,9 +436,9 @@ class TestMetaStep:
         before = bundle.flat.copy()
         with pytest.raises(NonFiniteError):
             if step == "joint":
-                joint_step(bundle, batch, variant, OptimState())
+                joint_step(bundle, batch, variant, settings())
             else:
-                metaalign_step(bundle, batch, variant, OptimState(), step)
+                metaalign_step(bundle, batch, variant, settings(), step)
         np.testing.assert_array_equal(bundle.flat, before)
 
     @pytest.mark.parametrize("config", ["moons_dann_metaalign.json", "moons_dann_joint.json"])
