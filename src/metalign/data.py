@@ -53,16 +53,16 @@ class Dataset:
 
 @dataclass
 class PairedBatch:
-    """One step's samples: labeled source, unlabeled target."""
+    """One step's samples, n per domain: features is the 2 x n x d stack of
+    the labeled source rows, then the unlabeled target rows."""
 
-    src_features: np.ndarray
+    features: np.ndarray
     src_labels: np.ndarray
-    tgt_features: np.ndarray
 
 
 def gen_two_moons(n_per_domain: int, noise_std: float, rotation_deg: float,
-                  translation: tuple[float, float] = (0.0, 0.0),
-                  seed: int = 0) -> tuple[Dataset, Dataset]:
+                  translation: tuple[float, float] = (0.0, 0.0), *,
+                  seed: int) -> tuple[Dataset, Dataset]:
     """Two interleaving half-circles; the target is the same draw rotated
     about the origin and translated."""
     if n_per_domain < 2:
@@ -79,7 +79,7 @@ def gen_two_moons(n_per_domain: int, noise_std: float, rotation_deg: float,
     ])
     labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     rng = np.random.default_rng(seed)
-    pts = pts + rng.normal(0.0, noise_std, size=pts.shape) if noise_std > 0 else pts
+    pts = pts + rng.normal(0.0, noise_std, size=pts.shape)  # adds +0.0 at noise_std 0
 
     phi = math.radians(rotation_deg)
     rot = np.array([[math.cos(phi), -math.sin(phi)],
@@ -89,7 +89,7 @@ def gen_two_moons(n_per_domain: int, noise_std: float, rotation_deg: float,
 
 
 def gen_gaussian_shift(n: int, num_classes: int, dim: int, class_sep: float,
-                       mean_shift: float, seed: int = 0) -> tuple[Dataset, Dataset]:
+                       mean_shift: float, seed: int) -> tuple[Dataset, Dataset]:
     """Unit-variance Gaussian class clusters with randomly placed means; the
     target distribution adds mean_shift to every coordinate of each mean."""
     if num_classes < 2 or dim < 1:
@@ -187,8 +187,9 @@ class Standardizer:
 
 def batch_iter(src: Dataset, tgt: Dataset, batch_size: int, seed: int,
                epochs: int) -> Iterator[PairedBatch]:
-    """Paired minibatches: each epoch is one pass over a fresh source shuffle;
-    the target stream reshuffles and continues whenever it runs out."""
+    """Paired minibatches, each one new 2 x n x d stack of source and target
+    rows: each epoch is one pass over a fresh source shuffle; the target
+    stream reshuffles and continues whenever it runs out."""
     if batch_size < 1 or batch_size > min(len(src.features), len(tgt.features)):
         raise ValueError(
             f"batch_size must be in [1, {min(len(src.features), len(tgt.features))}]")
@@ -218,8 +219,5 @@ def batch_iter(src: Dataset, tgt: Dataset, batch_size: int, seed: int,
                 pieces.append(tgt_order[tgt_pos:tgt_pos + room])
                 tgt_pos += room
                 need -= room
-            # fancy indexing already returns fresh arrays
-            yield PairedBatch(
-                src_features=src.features[idx],
-                src_labels=src.labels[idx],
-                tgt_features=tgt.features[np.concatenate(pieces)])
+            yield PairedBatch(np.stack((src.features[idx], tgt.features[np.concatenate(pieces)])),
+                              src.labels[idx])

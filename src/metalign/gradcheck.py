@@ -254,13 +254,11 @@ def _grl_check(rng) -> CheckResult:
     the scaling itself is exact); parameters above it are untouched."""
     lower = nn.MLP([3, 4, 3], "L", activation="relu")
     upper = nn.MLP([3, 2], "U", activation="relu")
-    for net in (lower, upper):
-        for layer in net.layers:
-            layer.weight[...] = rng.uniform(-1, 1, size=layer.weight.shape)
-            layer.bias[...] = rng.uniform(-0.5, 0.5, size=layer.bias.shape)
+    flat, slices = nn.flatten({pid: rng.uniform(-0.5, 0.5, size=s) if pid.endswith(".b")
+                               else rng.uniform(-1, 1, size=s)
+                               for pid, s in {**lower.shapes, **upper.shapes}.items()})
     x = rng.uniform(-2, 2, size=(5, 3))
-    cut = sum(arr.size for arr in lower.params().values())  # lower's span of the flat leaf
-    flat, slices = nn.flatten({**lower.params(), **upper.params()})
+    cut = slices[lower.ids[-1][1]].stop  # lower's span of the flat leaf
     worst = 0.0
     for lam in (1.0, 2.0, 0.5):
 
@@ -305,24 +303,27 @@ def random_bundle(rng, variant_name: str,
 
 
 def random_batch(rng, n: int = 6) -> PairedBatch:
-    return PairedBatch(
-        src_features=rng.uniform(-2, 2, size=(n, _DIM)),
-        src_labels=rng.integers(0, _CLASSES, size=n),
-        tgt_features=rng.uniform(-2, 2, size=(n, _DIM)))
+    src = rng.uniform(-2, 2, size=(n, _DIM))  # drawn before the labels, the target after
+    labels = rng.integers(0, _CLASSES, size=n)
+    return PairedBatch(np.stack((src, rng.uniform(-2, 2, size=(n, _DIM)))), labels)
 
 
-def _grads_by_id(bundle: ModelBundle, loss: Tensor) -> GradientMap:
-    """The gradients of a loss over bundle.params(tape), by id."""
-    return bundle.all_params(backward(loss, [nn.FLAT_ID])[nn.FLAT_ID])
+def _fd_spans(name: str, g: np.ndarray, f: Callable[[dict[str, np.ndarray]], float],
+              bundle: ModelBundle, *nets: nn.MLP) -> CheckResult:
+    """_fd_compare of the gradient g, laid out like bundle.flat, over each
+    net's span of bundle.flat, which finite differences perturb in place."""
+    def parts(arr: np.ndarray) -> dict[str, np.ndarray]:
+        return {net.ids[0][0]: arr[bundle.spans[net]] for net in nets}
+
+    return _fd_compare(name, parts(g), f, parts(bundle.flat))
 
 
 def _frozen_weights(bundle, batch, params: Params) -> np.ndarray:
     """Entropy weights at the given parameters, 2 x n, from one pass over the
-    source/target stack the run path builds; the analytic gradient treats
-    them as constants, so finite differences must too."""
-    stack = Tensor(np.stack((batch.src_features, batch.tgt_features)))
+    batch's source/target stack; the analytic gradient treats them as
+    constants, so finite differences must too."""
     return losses.entropy_weights(T.softmax(bundle.classifier.forward(
-        bundle.extractor.forward(stack, params), params))).values
+        bundle.extractor.forward(Tensor(batch.features), params), params))).values
 
 
 def loss_checks(seed: int) -> list[CheckResult]:
@@ -348,26 +349,26 @@ def loss_checks(seed: int) -> list[CheckResult]:
         frozen = (_frozen_weights(bundle, batch, bundle.params())
                   if variant_name == losses.DANNPE else None)
 
-        analytic = _grads_by_id(bundle, optim._cls_loss(bundle, batch, bundle.params(Tape())))
-        out.append(_fd_compare(
-            f"cls_loss_{variant_name}", analytic,
+        g = backward(optim._cls_loss(bundle, batch, bundle.params(Tape())), [nn.FLAT_ID])
+        out.append(_fd_spans(
+            f"cls_loss_{variant_name}", g[nn.FLAT_ID],
             lambda _: float(optim._cls_loss(bundle, batch, bundle.params()).values),
-            {**bundle.extractor.params(), **bundle.classifier.params()}))
+            bundle, bundle.extractor, bundle.classifier))
 
         align, _ = optim._align_loss(bundle, batch, variant, bundle.params(Tape()),
                                      weights_override=frozen)
-        analytic = _grads_by_id(bundle, align)
-        out.append(_fd_compare(
-            f"align_theta_{variant_name}", analytic,
+        g = backward(align, [nn.FLAT_ID])[nn.FLAT_ID]
+        out.append(_fd_spans(
+            f"align_theta_{variant_name}", g,
             lambda _: optim._task_value(bundle, batch, variant, optim.ALIGNMENT,
                                         bundle.params(), weights_override=frozen),
-            bundle.extractor.params()))
+            bundle, bundle.extractor))
         if variant.adversarial:
-            out.append(_fd_compare(
-                f"align_disc_{variant_name}", analytic,
+            out.append(_fd_spans(
+                f"align_disc_{variant_name}", g,
                 lambda _: float(optim._align_loss(bundle, batch, variant, bundle.params(),
                                                   weights_override=frozen)[0].values),
-                bundle.discriminator.params()))
+                bundle, bundle.discriminator))
     return out
 
 
@@ -382,9 +383,9 @@ def meta_checks(seed: int) -> list[CheckResult]:
             bundle, variant = random_bundle(rng, variant_name)
             batch = random_batch(rng)
             beta0 = bundle.beta.copy()
-            flat, record, g_train = optim.metaalign_grads(
+            applied, record, g_train = optim.metaalign_grads(
                 bundle, batch, variant, alpha, meta_train)
-            applied = bundle.all_params(flat)
+            g_beta = applied[bundle.slices[nn.BETA_ID]]
             tag = f"{variant_name}_{meta_train}"
 
             frozen = None
@@ -400,10 +401,9 @@ def meta_checks(seed: int) -> list[CheckResult]:
                                               g_train, meta_train,
                                               weights_override=frozen)
 
-            out.append(_fd_compare(f"meta_theta_{tag}", applied,
-                                   lambda _: total(beta0),
-                                   bundle.extractor.params()))
-            out.append(_fd_compare(f"meta_beta_{tag}", applied,
+            out.append(_fd_spans(f"meta_theta_{tag}", applied, lambda _: total(beta0),
+                                 bundle, bundle.extractor))
+            out.append(_fd_compare(f"meta_beta_{tag}", {nn.BETA_ID: g_beta},
                                    lambda p: total(p[nn.BETA_ID]),
                                    {nn.BETA_ID: beta0.copy()}, BETA_TOL))
 
@@ -411,7 +411,7 @@ def meta_checks(seed: int) -> list[CheckResult]:
             sign = float(np.sign(beta0.sum() - bundle.budget))
             closed = np.array([-alpha * d + sign for d in record.grad_dot_per_group])
             out.append(_exact(f"meta_beta_closed_form_{tag}",
-                              float(np.max(np.abs(applied[nn.BETA_ID] - closed))),
+                              float(np.max(np.abs(g_beta - closed))),
                               0.0))
     return out
 

@@ -14,11 +14,16 @@ from .tensor import Tape, Tensor
 FLAT_ID = "flat"  # tape id of the one leaf that holds every parameter of a pass
 
 
+def layout(shapes: dict[str, tuple[int, ...]]) -> dict[str, slice]:
+    """Each id's slice of one 1-d array that holds arrays of these shapes in order."""
+    ends = np.cumsum([0, *(int(np.prod(shape)) for shape in shapes.values())]).tolist()
+    return {pid: slice(a, b) for pid, a, b in zip(shapes, ends, ends[1:])}
+
+
 def flatten(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, slice]]:
     """arrays laid out in order in one new float64 array, and each id's slice of it."""
-    ends = np.cumsum([0, *(arr.size for arr in arrays.values())]).tolist()
     return (np.concatenate([np.empty(0), *arrays.values()], axis=None),
-            {pid: slice(a, b) for pid, a, b in zip(arrays, ends, ends[1:])})
+            layout({pid: arr.shape for pid, arr in arrays.items()}))
 
 
 class Params:
@@ -33,59 +38,39 @@ class Params:
         self.p, self.slices, self.theta = p, slices, theta
 
 
-class Linear:
-    """A fully connected layer's parameters, weight in x out and bias out."""
-
-    def __init__(self, in_dim: int, out_dim: int, name: str) -> None:
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.name = name
-        self.weight = np.zeros((in_dim, out_dim), dtype=np.float64)
-        self.bias = np.zeros(out_dim, dtype=np.float64)
-        self.weight_id = f"{name}.W"
-        self.bias_id = f"{name}.b"
-
-    @property
-    def param_ids(self) -> list[str]:
-        return [self.weight_id, self.bias_id]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {self.weight_id: self.weight, self.bias_id: self.bias}
-
-
 # the activations an MLP takes, by name (the config's enum reads the keys);
 # MLP.forward hands the names to tensor.mlp, which applies them in its node
 _ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh, "identity": lambda t: t}
 
 
 class MLP:
-    """Stack of Linear layers with an activation between consecutive layers
-    and output applied to the last layer's result."""
+    """Fully connected layers with an activation between consecutive layers
+    and output applied to the last layer's result. A net holds no arrays:
+    ids names each layer's (W, b), W in x out and b out, whose values live
+    at those ids' slices of a Params' p."""
 
     def __init__(self, widths: Sequence[int], name: str, activation: str = "relu",
                  output: str = "identity") -> None:
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.widths = list(widths)
-        self.layers = [Linear(widths[i], widths[i + 1], f"{name}.l{i}")
-                       for i in range(len(widths) - 1)]
-        self.acts = (activation,) * (len(self.layers) - 1) + (output,)  # for 1+ layers
+        self.ids = [(f"{name}.l{i}.W", f"{name}.l{i}.b") for i in range(len(widths) - 1)]
+        self.acts = (activation,) * (len(self.ids) - 1) + (output,)  # for 1+ layers
 
     @property
-    def param_ids(self) -> list[str]:
-        return [pid for layer in self.layers for pid in layer.param_ids]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {pid: arr for layer in self.layers for pid, arr in layer.params().items()}
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape by id, layer by layer, W then b."""
+        return {pid: shape for (w, b), n_in, n_out in zip(self.ids, self.widths, self.widths[1:])
+                for pid, shape in ((w, (n_in, n_out)), (b, (n_out,)))}
 
     def forward(self, x: Tensor, params: Params, flat: Optional[Tensor] = None) -> Tensor:
         """One tensor.mlp node, or x for no layers; each layer reads W and b
         at their slices of flat, params.p unless given."""
-        if not self.layers:
+        if not self.ids:
             return x
         slices = params.slices
-        return T.mlp(x, flat or params.p, [(slices[layer.weight_id], slices[layer.bias_id])
-                                           for layer in self.layers], self.acts)
+        return T.mlp(x, flat or params.p, [(slices[w], slices[b]) for w, b in self.ids],
+                     self.acts)
 
 
 class FeatureExtractor(MLP):
@@ -135,12 +120,12 @@ BETA_ID = "beta"  # id of the group weights, the one parameter weight decay skip
 @dataclass
 class ModelBundle:
     """Everything a training step touches. Every parameter lives in one float64
-    array, flat: each net's layers, W then b, then beta last, one learnable
-    weight per group, budget/M each at the start; each Linear.weight,
-    Linear.bias and beta is rebound to its view. velocity is the SGD
-    momentum, zeros laid out like flat at the start. slices maps each id to
-    its part of flat, spans each net; groups list the extractor's ids in
-    order, tiling its leading part, as group_slices."""
+    array, flat, zeros when built: each net's layers, W then b, then beta
+    last, one learnable weight per group, budget/M each at the start and
+    bundle.beta its view. all_params hands out the views of the others.
+    velocity is the SGD momentum, zeros laid out like flat at the start.
+    slices maps each id to its part of flat, spans each net; groups list the
+    extractor's ids in order, tiling its leading part, as group_slices."""
 
     extractor: FeatureExtractor
     classifier: ClassifierHead
@@ -153,22 +138,19 @@ class ModelBundle:
     slices: dict[str, slice] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if [pid for group in self.groups for pid in group] != self.extractor.param_ids:
+        if [pid for group in self.groups for pid in group] != list(self.extractor.shapes):
             raise ValueError("groups must partition the extractor's parameters in order")
-        owners = {pid: (layer, attr) for net in self.nets for layer in net.layers
-                  for attr, pid in (("weight", layer.weight_id), ("bias", layer.bias_id))}
-        owners[BETA_ID] = (self, "beta")
-        self.beta = np.full(len(self.groups), self.budget / len(self.groups))
-        arrays = {pid: getattr(*owner) for pid, owner in owners.items()}
-        self.flat, self.slices = flatten(arrays)
+        shapes = {pid: shape for net in self.nets for pid, shape in net.shapes.items()}
+        shapes[BETA_ID] = (len(self.groups),)
+        self.slices = layout(shapes)
+        self.flat = np.zeros(self.slices[BETA_ID].stop)
         self.velocity = np.zeros_like(self.flat)
-        self._views = {pid: self.flat[s].reshape(arrays[pid].shape)
-                       for pid, s in self.slices.items()}
-        for pid, view in self._views.items():
-            setattr(*owners[pid], view)
+        self._views = {pid: self.flat[s].reshape(shapes[pid]) for pid, s in self.slices.items()}
+        self.beta = self._views[BETA_ID]
+        self.beta[...] = self.budget / len(self.groups)
         self.group_slices = [[self.slices[pid] for pid in group] for group in self.groups]
-        self.spans = {net: slice(self.slices[net.param_ids[0]].start,
-                                 self.slices[net.param_ids[-1]].stop) for net in self.nets}
+        self.spans = {net: slice(self.slices[net.ids[0][0]].start,
+                                 self.slices[net.ids[-1][1]].stop) for net in self.nets}
 
     @property
     def nets(self) -> list[MLP]:
@@ -198,18 +180,12 @@ def grl(x: Tensor, lam: float) -> Tensor:
 
 def group_params(extractor: FeatureExtractor, num_groups: int) -> list[list[str]]:
     """Contiguous balanced partition of G's layers; earlier groups take the remainder."""
-    n = len(extractor.layers)
+    n = len(extractor.ids)
     if not (1 <= num_groups <= n):
         raise ValueError(f"num_groups must be in [1, {n}], got {num_groups}")
     base, rem = divmod(n, num_groups)
-    groups: list[list[str]] = []
-    start = 0
-    for m in range(num_groups):
-        size = base + (1 if m < rem else 0)
-        layer_slice = extractor.layers[start:start + size]
-        groups.append([pid for layer in layer_slice for pid in layer.param_ids])
-        start += size
-    return groups
+    ends = [m * base + min(m, rem) for m in range(num_groups + 1)]
+    return [[pid for pair in extractor.ids[a:b] for pid in pair] for a, b in zip(ends, ends[1:])]
 
 
 def default_group_count(num_layers: int) -> int:
@@ -220,8 +196,9 @@ def default_group_count(num_layers: int) -> int:
 def init_params(bundle: ModelBundle, seed: int) -> None:
     """Glorot-uniform weights and zero biases; deterministic per seed."""
     rng = np.random.default_rng(seed)
+    views = bundle.all_params()
     for net in bundle.nets:
-        for layer in net.layers:
-            bound = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
-            layer.weight[...] = rng.uniform(-bound, bound, size=layer.weight.shape)
-            layer.bias[...] = 0.0
+        for (w, b), n_in, n_out in zip(net.ids, net.widths, net.widths[1:]):
+            bound = np.sqrt(6.0 / (n_in + n_out))
+            views[w][...] = rng.uniform(-bound, bound, size=views[w].shape)
+            views[b][...] = 0.0

@@ -67,15 +67,15 @@ def virtual_update(params: Params, g_train: np.ndarray, alpha: float,
 
 
 def _cls_loss(bundle: ModelBundle, batch, params: Params) -> Tensor:
-    feats = bundle.extractor.forward(Tensor(batch.src_features), params)
+    feats = bundle.extractor.forward(Tensor(batch.features[0]), params)
     logits = bundle.classifier.forward(feats, params)
     return losses.cross_entropy(logits, batch.src_labels)
 
 
 def _align_loss(bundle: ModelBundle, batch, variant: AlignmentVariant,
                 params: Params, weights_override=None) -> tuple[Tensor, AlignmentInfo]:
-    stack = np.stack((batch.src_features, batch.tgt_features))  # one pass over both domains
-    return losses.alignment_loss(variant, bundle.extractor.forward(Tensor(stack), params), params,
+    feats = bundle.extractor.forward(Tensor(batch.features), params)
+    return losses.alignment_loss(variant, feats, params,
                                  classifier=bundle.classifier,
                                  discriminator=bundle.discriminator,
                                  weights_override=weights_override)

@@ -88,7 +88,7 @@ def build_bundle(cfg: TrainConfig, input_dim: int, num_classes: int,
     extractor = nn.FeatureExtractor([input_dim, *mc.hidden], activation=mc.activation)
     num_groups = mc.groups
     if num_groups is None:
-        num_groups = nn.default_group_count(len(extractor.layers))
+        num_groups = nn.default_group_count(len(extractor.ids))
     try:
         groups = nn.group_params(extractor, num_groups)
     except ValueError as e:
@@ -114,8 +114,7 @@ def resolve_sigma(bundle: nn.ModelBundle, variant: AlignmentVariant,
     """Median-heuristic bandwidth from the first batch's features, then frozen."""
     if variant.name != losses.MMD or variant.sigma is not None:
         return
-    stack = np.stack((batch.src_features, batch.tgt_features))  # one pass over both domains
-    feats = bundle.extractor.forward(Tensor(stack), bundle.params()).values
+    feats = bundle.extractor.forward(Tensor(batch.features), bundle.params()).values
     variant.sigma = losses.median_sq_dist(*feats)
     log.info("resolved mmd bandwidth sigma=%.6g", variant.sigma)
 

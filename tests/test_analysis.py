@@ -188,14 +188,15 @@ class TestEvaluate:
     def _model(self, k=3):
         """An identity extractor (one layer, W = I, b = 0) and a zero classifier."""
         extractor = nn.FeatureExtractor([2, 2])
-        extractor.layers[0].weight[...] = np.eye(2)
         classifier = nn.ClassifierHead(2, k)
-        return nn.ModelBundle(extractor, classifier, None, [extractor.param_ids], 1.0)
+        bundle = nn.ModelBundle(extractor, classifier, None, [list(extractor.shapes)], 1.0)
+        bundle.all_params()["G.l0.W"][...] = np.eye(2)
+        return bundle
 
     def test_perfect_predictions(self):
         bundle = self._model(k=2)
         # logits = features @ W: route feature sign straight to the classes
-        bundle.classifier.layers[0].weight[...] = np.array([[1.0, -1.0], [0.0, 0.0]])
+        bundle.all_params()["C.l0.W"][...] = np.array([[1.0, -1.0], [0.0, 0.0]])
         feats = np.array([[2.0, 0.0], [-2.0, 0.0], [3.0, 0.0]])
         labels = np.array([0, 1, 0])
         ds = Dataset(feats, labels, SOURCE)
@@ -213,14 +214,14 @@ class TestEvaluate:
 
     def test_monotone_transform_invariance(self):
         bundle = self._model(k=3)
-        classifier = bundle.classifier
+        params = bundle.all_params()
         rng = np.random.default_rng(4)
-        classifier.layers[0].weight[...] = rng.normal(size=(2, 3))
+        params["C.l0.W"][...] = rng.normal(size=(2, 3))
         ds = Dataset(rng.normal(size=(50, 2)), rng.integers(0, 3, size=50), SOURCE)
         base = evaluate(bundle, ds)
-        classifier.layers[0].weight[...] *= 7.0  # positive scaling of logits
+        params["C.l0.W"][...] *= 7.0  # positive scaling of logits
         assert evaluate(bundle, ds) == base
-        classifier.layers[0].bias[...] += 3.25  # shared shift
+        params["C.l0.b"][...] += 3.25  # shared shift
         assert evaluate(bundle, ds) == base
 
     def test_reads_the_live_flat(self):

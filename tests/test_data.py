@@ -52,9 +52,11 @@ class TestTwoMoons:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gen_two_moons(1, 0.1, 0.0)
+            gen_two_moons(1, 0.1, 0.0, seed=0)
         with pytest.raises(ValueError):
-            gen_two_moons(10, -0.1, 0.0)
+            gen_two_moons(10, -0.1, 0.0, seed=0)
+        src, tgt = gen_two_moons(2, 0.1, 0.0, seed=0)  # the smallest size allowed
+        assert len(src.features) == len(tgt.features) == 2
 
 
 class TestGaussianShift:
@@ -88,6 +90,15 @@ class TestGaussianShift:
         b, _ = gen_gaussian_shift(100, 2, 3, 1.0, 0.5, seed=9)
         assert np.array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("num_classes,dim", [(1, 3), (2, 0)])
+    def test_validation(self, num_classes, dim):
+        with pytest.raises(ValueError, match="num_classes >= 2 and dim >= 1"):
+            gen_gaussian_shift(10, num_classes, dim, 1.0, 0.0, seed=0)
+
+    def test_smallest_shape_allowed(self):
+        src, tgt = gen_gaussian_shift(4, 2, 1, 1.0, 0.0, seed=0)
+        assert src.features.shape == tgt.features.shape == (4, 1)
+
 
 class TestCsv:
     def test_round_trip_full_precision(self, tmp_path):
@@ -112,7 +123,7 @@ class TestCsv:
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("feature_0,feature_1,domain\n0.5,1.5,source\n")
-        with pytest.raises(CsvFormatError, match="label"):
+        with pytest.raises(CsvFormatError, match="header missing column 'label'"):
             load_csv(str(p))
 
     def test_malformed_row_reports_index(self, tmp_path):
@@ -142,6 +153,16 @@ class TestCsv:
     def test_missing_file(self):
         with pytest.raises(CsvFormatError, match="not found"):
             load_csv("/nonexistent/never.csv")
+
+    def test_unreadable_file_names_the_reason(self, tmp_path):
+        """The message ends with the OS error's own text where it has one,
+        else with the decoder's."""
+        with pytest.raises(CsvFormatError, match=r"cannot read dataset file .*: Is a directory$"):
+            load_csv(str(tmp_path))
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"feature_0,label,domain\n\xe9,0,source\n")
+        with pytest.raises(CsvFormatError, match=r"latin1\.csv: 'utf-8' codec can't decode"):
+            load_csv(str(p))
 
 
 class TestStandardizer:
@@ -174,28 +195,28 @@ class TestBatchIter:
         b = list(batch_iter(src, tgt, 3, seed=1, epochs=2))
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert np.array_equal(x.src_features, y.src_features)
+            assert np.array_equal(x.features[0], y.features[0])
             assert np.array_equal(x.src_labels, y.src_labels)
-            assert np.array_equal(x.tgt_features, y.tgt_features)
+            assert np.array_equal(x.features[1], y.features[1])
 
     def test_one_epoch_source_union_is_dataset(self):
         src, tgt = self._sets()
         rows = []
         for batch in batch_iter(src, tgt, 3, seed=2, epochs=1):
-            rows.extend(map(tuple, batch.src_features))
+            rows.extend(map(tuple, batch.features[0]))
         assert sorted(rows) == sorted(map(tuple, src.features))
 
     def test_full_batch_single_chunk(self):
         src, tgt = self._sets(n_s=6, n_t=6)
         batches = list(batch_iter(src, tgt, 6, seed=0, epochs=1))
         assert len(batches) == 1
-        assert batches[0].src_features.shape == (6, 2)
-        assert batches[0].tgt_features.shape == (6, 2)
+        assert batches[0].features[0].shape == (6, 2)
+        assert batches[0].features[1].shape == (6, 2)
 
     def test_shorter_target_recycles(self):
         src, tgt = self._sets(n_s=10, n_t=4)
         batches = list(batch_iter(src, tgt, 4, seed=0, epochs=1))
-        assert all(b.tgt_features.shape[0] == b.src_features.shape[0]
+        assert all(b.features[1].shape[0] == b.features[0].shape[0]
                    for b in batches)
 
     @staticmethod
@@ -232,12 +253,12 @@ class TestBatchIter:
         want = list(self.gather_oracle(src, tgt, bs, seed=5, epochs=3))
         assert len(got) == len(want)
         for batch, (xs, ys, xt) in zip(got, want):
-            for arr, ref in [(batch.src_features, xs), (batch.src_labels, ys),
-                             (batch.tgt_features, xt)]:
+            for arr, ref in [(batch.features[0], xs), (batch.src_labels, ys),
+                             (batch.features[1], xt)]:
                 assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
-            for arr, owner in [(batch.src_features, src.features),
+            for arr, owner in [(batch.features, src.features),
                                (batch.src_labels, src.labels),
-                               (batch.tgt_features, tgt.features)]:
+                               (batch.features, tgt.features)]:
                 assert arr.flags.owndata and not np.shares_memory(arr, owner)
 
     def test_batch_size_too_large(self):
@@ -246,8 +267,7 @@ class TestBatchIter:
             next(batch_iter(src, tgt, 5, seed=0, epochs=1))
 
     def test_paired_batch_has_no_target_labels(self):
-        assert not hasattr(PairedBatch(np.zeros((1, 1)), np.zeros(1),
-                                       np.zeros((1, 1))), "tgt_labels")
+        assert not hasattr(PairedBatch(np.zeros((2, 1, 1)), np.zeros(1)), "tgt_labels")
         assert "tgt_labels" not in [f for f in PairedBatch.__dataclass_fields__]
 
     @settings(max_examples=15, deadline=None)
@@ -256,9 +276,9 @@ class TestBatchIter:
     def test_every_batch_paired_and_sized(self, n_s, n_t, bs, seed):
         src, tgt = self._sets(n_s=n_s, n_t=n_t)
         for batch in batch_iter(src, tgt, bs, seed=seed, epochs=2):
-            assert 1 <= batch.src_features.shape[0] <= bs
-            assert batch.tgt_features.shape[0] == batch.src_features.shape[0]
-            assert batch.src_labels.shape[0] == batch.src_features.shape[0]
+            assert 1 <= batch.features[0].shape[0] <= bs
+            assert batch.features[1].shape[0] == batch.features[0].shape[0]
+            assert batch.src_labels.shape[0] == batch.features[0].shape[0]
 
 
 class TestDatasetValidation:
@@ -269,6 +289,14 @@ class TestDatasetValidation:
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             Dataset(np.ones((1, 1)), np.array([0]), "other")
+
+    @pytest.mark.parametrize("features,labels", [
+        (np.ones((3, 2)), np.zeros(2, dtype=int)),  # one label short
+        (np.ones(3), np.zeros(3, dtype=int)),       # not N x d
+    ], ids=["labels", "ndim"])
+    def test_rejects_shape_mismatch(self, features, labels):
+        with pytest.raises(ValueError, match="N x d with one label per row"):
+            Dataset(features, labels, data.SOURCE)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -64,9 +64,14 @@ def stack(ds, dt):
     return Tensor(np.stack((ds, dt)))
 
 
-def plain(*nets):
-    """Constant parameters of a forward pass through nets, copied into one array."""
-    flat, slices = nn.flatten({pid: arr for net in nets for pid, arr in net.params().items()})
+def zeros(*nets):
+    """Zero arrays of nets' parameters by id, in their order."""
+    return {pid: np.zeros(shape) for net in nets for pid, shape in net.shapes.items()}
+
+
+def plain(arrays):
+    """Constant parameters of a forward pass, the arrays copied into one."""
+    flat, slices = nn.flatten(arrays)
     return nn.Params(Tensor(flat), slices)
 
 
@@ -307,7 +312,7 @@ class TestAlignmentLoss:
     def test_adversarial_variants_need_their_networks(self):
         disc = nn.DomainDiscriminator(2, hidden=(2, 2))
         clf = nn.ClassifierHead(2, 2)
-        params = plain(disc, clf)
+        params = plain(zeros(disc, clf))
         feats = Tensor(np.zeros((2, 3, 2)))
         for name, kwargs, missing in [
                 ("dann", {"params": params}, "discriminator"),
@@ -327,7 +332,7 @@ class TestAlignmentLoss:
 
         # same objective without the reversal
         params = bundle.params(Tape())
-        feats = bundle.extractor.forward(stack(batch.src_features, batch.tgt_features), params)
+        feats = bundle.extractor.forward(Tensor(batch.features), params)
         plain = losses.domain_cls_loss(bundle.discriminator.forward(feats, params))
         g_plain = backward(plain, [nn.FLAT_ID])[nn.FLAT_ID]
         theta = bundle.spans[bundle.extractor]
@@ -341,8 +346,9 @@ class TestAlignmentLoss:
         batch = random_batch(rng)
         pairs = []
         for _ in range(5):
-            for layer in bundle.discriminator.layers:
-                layer.weight[...] += rng.normal(0, 0.3, size=layer.weight.shape)
+            for w, _ in bundle.discriminator.ids:
+                weight = bundle.all_params()[w]
+                weight[...] += rng.normal(0, 0.3, size=weight.shape)
             _, info = optim._align_loss(bundle, batch, variant, bundle.params())
             pairs.append((info.dom_cls, info.dom))
         pairs.sort()
@@ -366,20 +372,21 @@ class TestAlignmentLoss:
         bundle, variant = random_bundle(rng, "dann")
         batch = random_batch(rng)
         if last_bias is not None:
-            bundle.discriminator.layers[-1].bias[...] = last_bias
+            bundle.all_params()[bundle.discriminator.ids[-1][1]][...] = last_bias
         _, info = optim._align_loss(bundle, batch, variant, bundle.params(Tape()))
         assert info.clamped is clamped
 
     def test_info_flags_a_clamp_in_either_domain(self):
         """Outputs clamped in one domain only still flag the step."""
         disc = nn.DomainDiscriminator(2, hidden=(2, 2))
-        for layer in disc.layers[:-1]:
-            layer.weight[...] = np.eye(2)
-        disc.layers[-1].weight[...] = 100.0  # sigmoid(200) rounds to 1 for a ones row
+        arrays = zeros(disc)
+        for w, _ in disc.ids[:-1]:
+            arrays[w][...] = np.eye(2)
+        arrays[disc.ids[-1][0]][...] = 100.0  # sigmoid(200) rounds to 1 for a ones row
         calm, saturated = np.zeros((3, 2)), np.ones((3, 2))
         for fs, ft in ((calm, saturated), (saturated, calm), (calm, calm)):
             _, info = losses.alignment_loss(AlignmentVariant("dann"), stack(fs, ft),
-                                            plain(disc), discriminator=disc)
+                                            plain(arrays), discriminator=disc)
             assert info.clamped is (fs is saturated or ft is saturated)
 
     def test_all_loss_gradients_match_fd(self):

@@ -19,9 +19,20 @@ def make_bundle(seed=0, variant="dann", hidden=(8, 8), groups=2, budget=None):
 
 
 def plain(net):
-    """Constant parameters of a forward pass through net, copied into one array."""
-    flat, slices = nn.flatten(net.params())
+    """Constant zero parameters of a forward pass through net alone, in one array."""
+    flat, slices = nn.flatten({pid: np.zeros(shape) for pid, shape in net.shapes.items()})
     return nn.Params(Tensor(flat), slices)
+
+
+def arrays_held(obj):
+    """Every np.ndarray reachable from obj through attributes, lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [arr for item in obj for arr in arrays_held(item)]
+    return arrays_held(vars(obj)) if hasattr(obj, "__dict__") else []
 
 
 class TestParams:
@@ -61,13 +72,12 @@ class TestInit:
 
     def test_different_seed_differs(self):
         b1, b2 = make_bundle(seed=1), make_bundle(seed=2)
-        assert not np.array_equal(b1.extractor.layers[0].weight,
-                                  b2.extractor.layers[0].weight)
+        assert not np.array_equal(b1.all_params()["G.l0.W"], b2.all_params()["G.l0.W"])
 
     def test_biases_zero(self):
         bundle = make_bundle()
-        for layer in bundle.extractor.layers + bundle.classifier.layers:
-            assert np.all(layer.bias == 0.0)
+        for _, b in bundle.extractor.ids + bundle.classifier.ids:
+            assert np.all(bundle.all_params()[b] == 0.0)
 
     def test_beta_init_budget_over_groups(self):
         bundle = make_bundle(hidden=(8, 8, 8, 8), groups=4, budget=4.0)
@@ -116,9 +126,18 @@ class TestLayout:
         for pid, arr in bundle.all_params().items():
             arr[...] = 7.0
             assert np.all(bundle.flat[bundle.slices[pid]] == 7.0)
-        bundle.extractor.layers[0].bias[...] = -1.0
+        bundle.all_params()["G.l0.b"][...] = -1.0
         assert np.all(bundle.flat[bundle.slices["G.l0.b"]] == -1.0)
         assert np.all(bundle.flat[bundle.slices["G.l0.W"]] == 7.0)
+
+    @pytest.mark.parametrize("variant", losses.VARIANTS)
+    def test_nets_hold_no_arrays(self, variant):
+        """flat is the one owner of every parameter: no net of a built
+        bundle keeps an array of its own, or a view."""
+        bundle = make_bundle(variant=variant)
+        assert len(bundle.nets) == (2 if variant == losses.MMD else 3)
+        for net in bundle.nets:
+            assert arrays_held(net) == []
 
     def test_all_params_views_an_array_laid_out_like_flat(self):
         bundle = make_bundle()
@@ -152,12 +171,12 @@ class TestFeatureExtractor:
         bundle = make_bundle()
         for n in (1, 7):
             x = Tensor(np.zeros((n, 3)))
-            assert bundle.extractor.forward(x, plain(bundle.extractor)).values.shape == (n, 8)
+            assert bundle.extractor.forward(x, bundle.params()).values.shape == (n, 8)
 
     def test_input_width_checked(self):
         bundle = make_bundle()
         with pytest.raises(T.DimensionError):
-            bundle.extractor.forward(Tensor(np.zeros((2, 5))), plain(bundle.extractor))
+            bundle.extractor.forward(Tensor(np.zeros((2, 5))), bundle.params())
 
     def test_widths_of_unequal_layers(self):
         """out_dim is the last width and the input check names the first,
@@ -170,7 +189,7 @@ class TestFeatureExtractor:
     def test_takes_a_two_domain_stack(self):
         bundle = make_bundle()
         x = np.random.default_rng(4).uniform(-1, 1, size=(2, 5, 3))
-        params = plain(bundle.extractor)
+        params = bundle.params()
         out = bundle.extractor.forward(Tensor(x), params).values
         assert out.shape == (2, 5, 8)
         for s in (0, 1):
@@ -182,16 +201,16 @@ class TestFeatureExtractor:
     def test_first_layer_gradient_matches_fd(self):
         bundle = make_bundle(seed=3)
         x = np.random.default_rng(1).uniform(-2, 2, size=(4, 3))
-        wid = bundle.extractor.layers[0].weight_id
+        wid = bundle.extractor.ids[0][0]
 
         def value():
-            out = bundle.extractor.forward(Tensor(x), plain(bundle.extractor))
+            out = bundle.extractor.forward(Tensor(x), bundle.params())
             return float(T.reduce_mean(T.mul(out, out)).values)
 
         out = bundle.extractor.forward(Tensor(x), bundle.params(Tape()))
         g = bundle.all_params(backward(T.reduce_mean(T.mul(out, out)), [nn.FLAT_ID])[nn.FLAT_ID])
         fd = finite_diff_grad(lambda _: value(),
-                              {wid: bundle.extractor.layers[0].weight})
+                              {wid: bundle.all_params()[wid]})
         np.testing.assert_allclose(g[wid], fd[wid], rtol=1e-4, atol=1e-6)
 
 
@@ -199,12 +218,12 @@ class TestClassifier:
     def test_single_row_logit_count(self):
         bundle = make_bundle()
         f = Tensor(np.zeros((1, 8)))
-        assert bundle.classifier.forward(f, plain(bundle.classifier)).values.shape == (1, 4)
+        assert bundle.classifier.forward(f, bundle.params()).values.shape == (1, 4)
 
     def test_softmax_rows_normalized(self):
         bundle = make_bundle(seed=5)
         f = Tensor(np.random.default_rng(2).uniform(-2, 2, size=(6, 8)))
-        logits = bundle.classifier.forward(f, plain(bundle.classifier))
+        logits = bundle.classifier.forward(f, bundle.params())
         probs = np.exp(T.log_softmax(logits).values)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -219,13 +238,13 @@ class TestDiscriminator:
         bundle = make_bundle(seed=7)
         disc = bundle.discriminator
         extreme = Tensor(np.array([[1e6] * 8, [-1e6] * 8, [0.0] * 8]))
-        out = disc.forward(extreme, plain(disc)).values
+        out = disc.forward(extreme, bundle.params()).values
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_hidden_widths_in_order(self):
         disc = nn.DomainDiscriminator(4, (8, 5))
         assert disc.widths == [4, 8, 5, 1]
-        assert [layer.weight.shape for layer in disc.layers] == [(4, 8), (8, 5), (5, 1)]
+        assert [disc.shapes[w] for w, _ in disc.ids] == [(4, 8), (8, 5), (5, 1)]
         with pytest.raises(T.DimensionError, match=r"n x 4 input, got \(3, 8\)"):
             disc.forward(Tensor(np.zeros((3, 8))), plain(disc))
 
@@ -246,8 +265,9 @@ class TestDiscriminator:
             return T.reduce_mean(T.mul(out, out))
 
         g = bundle.all_params(backward(build(Tape()), [nn.FLAT_ID])[nn.FLAT_ID])
-        fd = finite_diff_grad(lambda _: float(build(None).values), disc.params())
-        for pid in disc.param_ids:
+        fd = finite_diff_grad(lambda _: float(build(None).values),
+                              {pid: bundle.all_params()[pid] for pid in disc.shapes})
+        for pid in disc.shapes:
             np.testing.assert_allclose(g[pid], fd[pid], rtol=1e-4, atol=1e-6)
 
 
@@ -298,7 +318,7 @@ class TestGroups:
     def test_single_group_contains_everything(self):
         g = nn.FeatureExtractor([3, 4, 4])
         groups = nn.group_params(g, 1)
-        assert groups == [g.param_ids]
+        assert groups == [list(g.shapes)]
 
     def test_remainder_goes_to_earlier_groups(self):
         g = nn.FeatureExtractor([3, 4, 4, 4, 4, 4])  # 5 layers
@@ -325,6 +345,6 @@ class TestGroups:
         g = nn.FeatureExtractor([3] + [4] * layers)
         groups = nn.group_params(g, m)
         flat = [pid for grp in groups for pid in grp]
-        assert sorted(flat) == sorted(g.param_ids)
+        assert sorted(flat) == sorted(g.shapes)
         assert len(flat) == len(set(flat))
         assert nn.group_params(g, m) == groups  # stable across calls

@@ -215,7 +215,7 @@ class TestJointStep:
 
         sup = backward(optim._cls_loss(bundle, batch, bundle.params(Tape())), [nn.FLAT_ID])
         sup = bundle.all_params(sup[nn.FLAT_ID])
-        for pid in bundle.extractor.param_ids + bundle.classifier.param_ids:
+        for pid in [*bundle.extractor.shapes, *bundle.classifier.shapes]:
             np.testing.assert_array_equal(applied[pid], sup[pid])
 
     def test_mmd_variant_has_no_discriminator(self):
@@ -406,15 +406,15 @@ class TestMetaStep:
             for _ in range(8):
                 metaalign_step(bundle, batch, variant, opt, ALIGNMENT)
 
-    @pytest.mark.parametrize("field", ["src_features", "tgt_features"])
+    @pytest.mark.parametrize("domain", [0, 1], ids=["src_features", "tgt_features"])
     @pytest.mark.parametrize("step", ["joint", ALIGNMENT, CLASSIFICATION])
-    def test_nan_feature_aborts(self, step, field):
+    def test_nan_feature_aborts(self, step, domain):
         """relu propagates NaN, so a NaN input still ends the step in
         NonFiniteError before any parameter moves."""
         rng = np.random.default_rng(10)
         bundle, variant = random_bundle(rng, "dann")
         batch = random_batch(rng)
-        getattr(batch, field)[1, 0] = np.nan
+        batch.features[domain, 1, 0] = np.nan
         before = {pid: arr.copy() for pid, arr in bundle.all_params().items()}
         with pytest.raises(NonFiniteError):
             if step == "joint":
@@ -432,7 +432,7 @@ class TestMetaStep:
         rng = np.random.default_rng(11)
         bundle, variant = random_bundle(rng, "dannpe")
         batch = random_batch(rng)
-        bundle.classifier.layers[-1].bias[1] = np.inf
+        bundle.all_params()[bundle.classifier.ids[-1][1]][1] = np.inf
         before = bundle.flat.copy()
         with pytest.raises(NonFiniteError):
             if step == "joint":
@@ -449,7 +449,7 @@ class TestMetaStep:
         def poisoned(*args, **kwargs):
             for i, batch in enumerate(real_iter(*args, **kwargs)):
                 if i == 3:
-                    batch.src_features[0, 0] = np.nan
+                    batch.features[0, 0, 0] = np.nan
                 yield batch
 
         monkeypatch.setattr(data, "batch_iter", poisoned)
@@ -466,7 +466,7 @@ class TestMetaStep:
         bundle, variant = random_bundle(rng, "dann")
         batch = random_batch(rng)
         if saturated:
-            bundle.discriminator.layers[-1].bias[...] = 50.0
+            bundle.all_params()[bundle.discriminator.ids[-1][1]][...] = 50.0
         if step == "joint":
             _, report = joint_grads(bundle, batch, variant)
         else:

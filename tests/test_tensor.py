@@ -1024,7 +1024,8 @@ class TestBackward:
         batch = random_batch(rng)
         g = backward(optim._cls_loss(bundle, batch, bundle.params(Tape())), [FLAT_ID])
         g = bundle.all_params(g[FLAT_ID])
-        params = {**bundle.extractor.params(), **bundle.classifier.params()}
+        params = {pid: bundle.all_params()[pid]
+                  for pid in [*bundle.extractor.shapes, *bundle.classifier.shapes]}
         fd = finite_diff_grad(
             lambda _: float(optim._cls_loss(bundle, batch, bundle.params()).values),
             params, h=1e-5)
