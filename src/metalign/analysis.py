@@ -91,6 +91,6 @@ def record_metrics(sink: IO[str], record: MetricsRecord) -> None:
     sink.flush()
 
 
-def mean_grad_cos(records: list[MetricsRecord]) -> Optional[float]:
-    vals = [r.grad_cos for r in records if r.grad_cos is not None]
+def mean_grad_cos(cosines: list[Optional[float]]) -> Optional[float]:
+    vals = [c for c in cosines if c is not None]
     return float(np.mean(vals)) if vals else None

@@ -187,37 +187,29 @@ class Standardizer:
 
 def batch_iter(src: Dataset, tgt: Dataset, batch_size: int, seed: int,
                epochs: int) -> Iterator[PairedBatch]:
-    """Paired minibatches, each one new 2 x n x d stack of source and target
-    rows: each epoch is one pass over a fresh source shuffle; the target
-    stream reshuffles and continues whenever it runs out."""
-    if batch_size < 1 or batch_size > min(len(src.features), len(tgt.features)):
-        raise ValueError(
-            f"batch_size must be in [1, {min(len(src.features), len(tgt.features))}]")
+    """Paired minibatches, read-only views of one 2 x n_s x d stack per epoch.
+
+    Epoch e is one pass over the source shuffle perm(0, e), paired with
+    positions [e*n_s, (e+1)*n_s) of the target stream, which runs through the
+    target shuffles perm(1, 0), perm(1, 1), ... one after another; so epoch
+    e depends only on the seed and e.
+    """
+    n_s, n_t = len(src.features), len(tgt.features)
+    if batch_size < 1 or batch_size > min(n_s, n_t):
+        raise ValueError(f"batch_size must be in [1, {min(n_s, n_t)}]")
 
     def perm(domain_idx: int, epoch: int, n: int) -> np.ndarray:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(domain_idx, epoch)))
         return rng.permutation(n)
 
-    n_t = len(tgt.features)
-    tgt_epoch = 0
-    tgt_order = perm(1, tgt_epoch, n_t)
-    tgt_pos = 0
-
     for epoch in range(epochs):
-        order = perm(0, epoch, len(src.features))
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
-            pieces = []
-            need = len(idx)
-            while need:
-                if tgt_pos == n_t:
-                    tgt_epoch += 1
-                    tgt_order = perm(1, tgt_epoch, n_t)
-                    tgt_pos = 0
-                room = min(need, n_t - tgt_pos)
-                pieces.append(tgt_order[tgt_pos:tgt_pos + room])
-                tgt_pos += room
-                need -= room
-            yield PairedBatch(np.stack((src.features[idx], tgt.features[np.concatenate(pieces)])),
-                              src.labels[idx])
+        order = perm(0, epoch, n_s)
+        first, at = divmod(epoch * n_s, n_t)
+        last = ((epoch + 1) * n_s - 1) // n_t
+        stream = np.concatenate([perm(1, k, n_t) for k in range(first, last + 1)])
+        feats = np.stack((src.features[order], tgt.features[stream[at:at + n_s]]))
+        labels = src.labels[order]
+        feats.flags.writeable = labels.flags.writeable = False
+        for a in range(0, n_s, batch_size):
+            yield PairedBatch(feats[:, a:a + batch_size], labels[a:a + batch_size])

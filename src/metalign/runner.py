@@ -153,7 +153,8 @@ def _train(cfg: TrainConfig, out_dir: Optional[str]) -> dict:
     run_doc = {**cfg.raw, "seed": cfg.seed}
     cycle = (None if cfg.strategy.kind == "joint"
              else optim.ROLE_POLICIES[cfg.strategy.role_policy])
-    records: list[analysis.MetricsRecord] = []
+    cosines: list[Optional[float]] = []
+    final_acc = None
     aborted = False
     steps_done = 0
     clamp_steps = 0
@@ -178,23 +179,17 @@ def _train(cfg: TrainConfig, out_dir: Optional[str]) -> dict:
             rec.iteration = it
             if (it + 1) % cfg.eval_every == 0 or it == cfg.iterations - 1:
                 rec.source_acc = analysis.evaluate(bundle, src)
-                rec.target_acc = analysis.evaluate(bundle, tgt)
+                rec.target_acc = final_acc = analysis.evaluate(bundle, tgt)
             analysis.record_metrics(sink, rec)
-            records.append(rec)
+            cosines.append(rec.grad_cos)
 
     if clamp_steps:
         log.warning("discriminator outputs were clamped in %d steps", clamp_steps)
 
-    final_acc = None
-    for rec in reversed(records):
-        if rec.target_acc is not None:
-            final_acc = rec.target_acc
-            break
-
     summary = {
         "config_hash": config_hash(run_doc),
         "final_target_acc": final_acc,
-        "mean_grad_cos": analysis.mean_grad_cos(records),
+        "mean_grad_cos": analysis.mean_grad_cos(cosines),
         "steps": steps_done,
         "aborted": aborted,
     }
@@ -265,7 +260,7 @@ def sweep_workers(n_seeds: int) -> int:
     if n_seeds < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     workers = min(n_seeds, len(os.sched_getaffinity(0)))
-    return workers if workers > 1 and blas_threads() is not None else 1
+    return workers if blas_threads() is not None else 1
 
 
 def _run_share(cfg: TrainConfig, seeds: list[int], base: str) -> Iterator[tuple]:

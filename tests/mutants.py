@@ -17,13 +17,15 @@ there, the module's own tests/test_<module>.py first if there is one, so most
 mutants fail fast, with bytecode writes off so no stale .pyc can stand in for
 it. One JSON
 line per mutant: its site, the change, and "killed", "survived" or
-"timeout". The repository itself is only read. Not collected by pytest.
+"timeout"; a run that exits 0 without pytest's "N passed" summary line
+counts as killed. The repository itself is only read. Not collected by pytest.
 """
 
 import argparse
 import ast
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -118,10 +120,14 @@ def main() -> None:
             with open(target_path, "w", encoding="utf-8") as fh:
                 fh.write(mutate(source, k)[0])
             proc = subprocess.Popen([sys.executable, "-m", "pytest", *PYTEST, *tests],
-                                    cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                                    cwd=copy, env=env, stdout=subprocess.PIPE,
                                     stderr=subprocess.DEVNULL, start_new_session=True)
             try:
-                outcome = "survived" if proc.wait(args.timeout) == 0 else "killed"
+                out = proc.communicate(timeout=args.timeout)[0]
+                # a mutant that makes the test process itself call os._exit(0)
+                # ends pytest before its summary line: that run passed nothing
+                passed = proc.returncode == 0 and re.search(rb"\d+ passed", out)
+                outcome = "survived" if passed else "killed"
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)  # pytest and any process it started
                 proc.wait()

@@ -288,8 +288,5 @@ class TestMetricsStream:
             assert json.loads(json.dumps(x)) == x
 
     def test_mean_grad_cos_ignores_nulls(self):
-        recs = [self._record(i) for i in range(3)]
-        recs[1].grad_cos = 0.5
-        recs[2].grad_cos = -0.25
-        assert analysis.mean_grad_cos(recs) == pytest.approx(0.125)
-        assert analysis.mean_grad_cos([self._record()]) is None
+        assert analysis.mean_grad_cos([None, 0.5, -0.25]) == pytest.approx(0.125)
+        assert analysis.mean_grad_cos([None]) is None

@@ -7,6 +7,7 @@ import platform
 import signal
 import subprocess
 import sys
+import types
 from dataclasses import fields, replace
 
 import numpy as np
@@ -332,6 +333,32 @@ class TestCmdRun:
         assert err["error"] == "config" and str(bad) in err["detail"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("tags", [("target", "source"), ("target", "target"),
+                                      ("source", "source")])
+    def test_csv_domain_tags_must_match_their_files(self, tmp_path, tags):
+        for name, tag in zip(("src", "tgt"), tags):
+            (tmp_path / f"{name}.csv").write_text(
+                f"feature_0,label,domain\n0.5,0,{tag}\n-0.5,1,{tag}\n")
+        doc = base_doc(tmp_path, batch_size=1)
+        doc["dataset"] = {"source_csv": str(tmp_path / "src.csv"),
+                          "target_csv": str(tmp_path / "tgt.csv")}
+        with pytest.raises(ConfigError, match="domain tags"):
+            run_training(parse_config(doc))
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name, given", [("mmd", 2.5), ("dann", None)])
+    def test_resolve_sigma_keeps_a_given_or_unused_bandwidth(self, tmp_path, name, given):
+        doc = base_doc(tmp_path)
+        doc["variant"] = {"name": name, "lambda": 1.0}
+        if given is not None:
+            doc["variant"]["sigma"] = given
+        cfg = parse_config(doc)
+        src, tgt = runner.build_datasets(cfg)
+        bundle, variant = runner.build_bundle(cfg, src.dim, src.num_classes, init_seed=0)
+        batch = next(data.batch_iter(src, tgt, cfg.batch_size, seed=0, epochs=1))
+        runner.resolve_sigma(bundle, variant, batch)
+        assert variant.sigma == given
+
     @pytest.mark.parametrize("missing", ["get_num_threads", "set_num_threads"])
     def test_blas_without_one_thread_symbol_runs_without_setting_threads(
             self, tmp_path, monkeypatch, missing):
@@ -462,6 +489,54 @@ print(json.dumps({"settled": settled, "faults": faults}))
 """
 
 
+class TestRunLoop:
+    def test_evaluates_every_eval_every_steps_and_at_the_last(self, tmp_path):
+        out = tmp_path / "run"
+        summary = run_training(parse_config(base_doc(tmp_path, iterations=7)), str(out))
+        lines = [json.loads(line) for line in
+                 (out / "metrics.jsonl").read_text().splitlines()]
+        for key in ("source_acc", "target_acc"):
+            assert [r["iteration"] for r in lines if r[key] is not None] == [2, 5, 6]
+        assert summary["final_target_acc"] == lines[-1]["target_acc"]
+
+    def test_abort_at_the_first_step_reports_no_step(self, tmp_path, monkeypatch):
+        real_iter = data.batch_iter
+
+        def poisoned(*args, **kwargs):
+            batches = real_iter(*args, **kwargs)
+            first = next(batches)
+            features = first.features.copy()
+            features[0, 0, 0] = np.nan
+            yield data.PairedBatch(features, first.src_labels)
+            yield from batches
+
+        monkeypatch.setattr(data, "batch_iter", poisoned)
+        out = tmp_path / "run"
+        summary = run_training(parse_config(base_doc(tmp_path)), str(out))
+        assert summary["aborted"] is True and summary["steps"] == 0
+        assert summary["final_target_acc"] is None and summary["mean_grad_cos"] is None
+        assert (out / "metrics.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("clamped_at", [(), (1, 4)])
+    def test_warns_with_the_count_of_clamped_steps(self, tmp_path, monkeypatch, caplog,
+                                                   clamped_at):
+        step, calls = optim.joint_step, []
+
+        def clamping(*args, **kwargs):
+            rec = step(*args, **kwargs)
+            rec.clamped = len(calls) in clamped_at
+            calls.append(rec.clamped)
+            return rec
+
+        monkeypatch.setattr(optim, "joint_step", clamping)
+        with caplog.at_level("WARNING", logger="metalign"):
+            run_training(parse_config(base_doc(tmp_path)), str(tmp_path / "run"))
+        assert len(calls) == 6
+        warned = [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()]
+        assert warned == ([f"discriminator outputs were clamped in {len(clamped_at)} steps"]
+                          if clamped_at else [])
+
+
 class TestSettleHeap:
     @staticmethod
     def probe(mode: str) -> dict:
@@ -478,6 +553,24 @@ class TestSettleHeap:
         assert min(default["faults"][1:]) > 1000
         assert settled["settled"] is True
         assert settled["faults"][0] > 1000 and max(settled["faults"][1:]) < 20
+
+    @pytest.mark.parametrize("returns, settled", [((1, 1), True), ((0, 1), False),
+                                                  ((1, 0), False)])
+    def test_sets_trim_and_mmap_thresholds(self, monkeypatch, returns, settled):
+        """malloc.h's M_TRIM_THRESHOLD (-1) goes to -1 (off), then
+        M_MMAP_THRESHOLD (-3) to 32 MiB; a first call that fails skips the
+        second, and settle_heap reports whether both took."""
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return returns[len(calls) - 1]
+
+        monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: Libc)
+        assert runner.settle_heap() is settled
+        assert calls == [(-1, -1), (-3, 32 * 1024 * 1024)][:1 + returns[0]]
 
     def test_without_mallopt_reports_false(self, monkeypatch):
         monkeypatch.setattr(runner.ctypes, "CDLL", lambda name: object())
@@ -649,6 +742,58 @@ def sweep_doc(tmp_path):
     doc = base_doc(tmp_path, iterations=8)
     doc["strategy"] = {"kind": "metaalign", "role_policy": "alternate"}
     return doc
+
+
+class TestWorkerPlumbing:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+    @pytest.mark.parametrize("n_seeds, cpus, workers", [(1, 4, 1), (2, 4, 2), (3, 4, 3),
+                                                        (8, 4, 4), (8, 1, 1)])
+    def test_sweep_workers_one_per_cpu_at_most_one_per_seed(self, monkeypatch, n_seeds,
+                                                            cpus, workers):
+        asked = []
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: asked.append(pid) or set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(runner, "blas_threads", lambda: (None, None))
+        assert runner.sweep_workers(n_seeds) == workers
+        assert asked == ([] if n_seeds < 2 else [0])  # this process's own mask
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+    @pytest.mark.parametrize("fd_ok, code", [(True, 0), (False, 1)], ids=["done", "raised"])
+    def test_worker_exit_status(self, tmp_path, fd_ok, code):
+        """A worker exits 0 when its share is done, 1 when its body raised."""
+        cfg = parse_config(base_doc(tmp_path))
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            try:
+                runner._worker(cfg, [], str(tmp_path), write_fd if fd_ok else -1)
+            finally:
+                os._exit(99)  # _worker must never return
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            assert pipe.read() == b""
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == code
+
+    def test_worker_results_fail_seeds_of_a_clean_exit_that_left_them_unreported(self):
+        assert runner._worker_results([5], b"", 0) == {
+            5: {"error": "WorkerError: the worker running seed 5 exited with status 0"}}
+
+    @pytest.mark.parametrize("name", [b"Haswell", None])
+    def test_blas_core_names_the_chosen_core_or_none(self, monkeypatch, name):
+        monkeypatch.setattr(runner, "_openblas",
+                            lambda *args: None if name is None else (lambda: name))
+        assert runner.blas_core() == (None if name is None else name.decode())
+
+    @pytest.mark.skipif(runner.blas_threads() is None, reason="numpy links no OpenBLAS")
+    def test_finds_openblas_where_numpy_keeps_its_core_in_np_core(self, monkeypatch):
+        """NumPy 1.x has no np._core; its extension module is np.core's."""
+        ext = next(m for name, m in sys.modules.items()
+                   if name.endswith("._multiarray_umath"))
+        monkeypatch.setattr(runner, "np", types.SimpleNamespace(
+            core=types.SimpleNamespace(_multiarray_umath=ext)))
+        assert runner.blas_threads() is not None
 
 
 @needs_workers

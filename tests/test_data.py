@@ -246,11 +246,12 @@ class TestBatchIter:
                 yield (src.features[idx].copy(), src.labels[idx].copy(),
                        tgt.features[np.array(take)].copy())
 
-    @pytest.mark.parametrize("n_s,n_t,bs", [(10, 7, 3), (10, 4, 4), (6, 6, 6), (9, 2, 2)])
+    @pytest.mark.parametrize("n_s,n_t,bs", [(10, 7, 3), (10, 4, 4), (6, 6, 6), (9, 2, 2),
+                                            (4, 10, 3), (5, 15, 5), (3, 7, 3)])
     def test_same_batches_as_list_gather_oracle(self, n_s, n_t, bs):
         src, tgt = self._sets(n_s=n_s, n_t=n_t)
-        got = list(batch_iter(src, tgt, bs, seed=5, epochs=3))
-        want = list(self.gather_oracle(src, tgt, bs, seed=5, epochs=3))
+        got = list(batch_iter(src, tgt, bs, seed=5, epochs=7))
+        want = list(self.gather_oracle(src, tgt, bs, seed=5, epochs=7))
         assert len(got) == len(want)
         for batch, (xs, ys, xt) in zip(got, want):
             for arr, ref in [(batch.features[0], xs), (batch.src_labels, ys),
@@ -259,7 +260,9 @@ class TestBatchIter:
             for arr, owner in [(batch.features, src.features),
                                (batch.src_labels, src.labels),
                                (batch.features, tgt.features)]:
-                assert arr.flags.owndata and not np.shares_memory(arr, owner)
+                assert not arr.flags.writeable and not np.shares_memory(arr, owner)
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
 
     def test_batch_size_too_large(self):
         src, tgt = self._sets(n_s=10, n_t=4)

@@ -449,6 +449,7 @@ class TestMetaStep:
         def poisoned(*args, **kwargs):
             for i, batch in enumerate(real_iter(*args, **kwargs)):
                 if i == 3:
+                    batch = data.PairedBatch(batch.features.copy(), batch.src_labels)
                     batch.features[0, 0, 0] = np.nan
                 yield batch
 
@@ -556,6 +557,25 @@ class TestGraphLifetime:
             run_training(cfg, str(tmp_path / "run"))
         kind = "joint_step" if cfg.strategy.kind == "joint" else "metaalign_step"
         assert steps_checked == [kind] * 4
+
+    def test_no_record_outlives_its_step(self, tmp_path, monkeypatch):
+        """The run loop keeps no step's record: before each step, at most the
+        loop's last record is still alive."""
+        cfg = replace(load_config(os.path.join(CONFIGS, "moons_dann_metaalign.json")),
+                      iterations=12)
+        returned: list[weakref.ref] = []
+        alive: list[int] = []
+        step = optim.metaalign_step
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in returned))
+            rec = step(*args, **kwargs)
+            returned.append(weakref.ref(rec))
+            return rec
+
+        monkeypatch.setattr(optim, "metaalign_step", tracked)
+        run_training(cfg, str(tmp_path / "run"))
+        assert len(alive) == 12 and max(alive) <= 1
 
     @pytest.mark.parametrize("config", SHIPPED)
     def test_no_cyclic_garbage_grows_with_steps(self, config, tmp_path):
